@@ -113,8 +113,10 @@ def infer(config_path, **flags) -> None:
         manifest = run_pipeline(cfg)
     except (KsvarError, OSError, json.JSONDecodeError) as exc:
         _fail(exc)
+    tally = manifest["convergence"]
     click.echo(
-        f"wrote {manifest['n_segments']} segment(s) to {cfg.output_dir}"
+        f"wrote {manifest['n_segments']} segment(s) to {cfg.output_dir}, "
+        f"{tally['converged']} of {tally['segments']} converged"
     )
 
 

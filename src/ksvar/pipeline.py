@@ -2,7 +2,8 @@
 
 Artifacts land under the output directory:
 
-    manifest.json                run summary; config echo, versions, choices
+    manifest.json                run summary; config echo, versions, choices,
+                                 convergence tally
     seg_000/edges.json           every nonzero block norm, with the threshold
     seg_000/metrics.json|csv     topology report of the thresholded network
     seg_000/diagnostics.ndjson   solver convergence trace
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -54,6 +56,8 @@ from .solver import (
 
 SCHEMA_VERSION = 1
 AGGREGATE_RULES = ("union", "majority")
+
+log = logging.getLogger("ksvar")
 
 
 @dataclass(frozen=True)
@@ -182,12 +186,7 @@ def _write_json(path: str, payload: dict) -> None:
         handle.write("\n")
 
 
-def save_network(net: EffectiveNetwork, path: str) -> None:
-    """Edge-list JSON: every nonzero weight, sorted by (lag, src, dst).
-
-    Sub-threshold weights are kept so a reload rebuilds the exact network;
-    active edges are the subset with weight >= tau_alpha.
-    """
+def _network_payload(net: EffectiveNetwork) -> dict:
     n = net.n_nodes
     labels = net.node_labels if net.node_labels else tuple(f"n{i}" for i in range(n))
     if len(labels) != n:
@@ -199,16 +198,22 @@ def save_network(net: EffectiveNetwork, path: str) -> None:
                 w = float(net.weights[l, i, j])
                 if w != 0.0:
                     edges.append({"src": i, "dst": j, "lag": l, "weight": w})
-    _write_json(
-        path,
-        {
-            "schema_version": SCHEMA_VERSION,
-            "nodes": list(labels),
-            "lags": net.lag,
-            "tau_alpha": float(net.tau_alpha),
-            "edges": edges,
-        },
-    )
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "nodes": list(labels),
+        "lags": net.lag,
+        "tau_alpha": float(net.tau_alpha),
+        "edges": edges,
+    }
+
+
+def save_network(net: EffectiveNetwork, path: str) -> None:
+    """Edge-list JSON: every nonzero weight, sorted by (lag, src, dst).
+
+    Sub-threshold weights are kept so a reload rebuilds the exact network;
+    active edges are the subset with weight >= tau_alpha.
+    """
+    _write_json(path, _network_payload(net))
 
 
 def load_network(path: str) -> EffectiveNetwork:
@@ -388,7 +393,11 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     """Execute the full run; returns the manifest written to disk.
 
     Any KsvarError is recorded to ``error.json`` (stage, message, completed
-    segments) before being re-raised, so partial runs are inspectable.
+    segments) before being re-raised, so partial runs are inspectable; a
+    successful run removes an ``error.json`` left by an earlier one.  Each
+    segment that stops at ``max_iter`` without converging is logged as a
+    warning on the ``ksvar`` logger and listed in the manifest's
+    ``convergence`` block.
     """
     os.makedirs(cfg.output_dir, exist_ok=True)
     stage = "read input"
@@ -420,13 +429,15 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         if cfg.aggregate is not None:
             stage = "aggregate"
             agg = aggregate_networks(nets, cfg.aggregate, cfg.tau_alpha)
-            agg_path = os.path.join(cfg.output_dir, "aggregate.json")
-            save_network(agg, agg_path)
-            with open(agg_path) as handle:
-                payload = json.load(handle)
+            payload = _network_payload(agg)
             payload["rule"] = cfg.aggregate
             payload["n_segments"] = len(nets)
-            _write_json(agg_path, payload)
+            _write_json(os.path.join(cfg.output_dir, "aggregate.json"), payload)
+        not_converged = [s["name"] for s in summaries if not s["converged"]]
+        for name in not_converged:
+            log.warning(
+                "segment %s stopped at max_iter=%d without converging", name, cfg.max_iter
+            )
         stage = "manifest"
         manifest = {
             "schema_version": SCHEMA_VERSION,
@@ -440,8 +451,17 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             "config": cfg.to_dict(),
             "n_segments": len(summaries),
             "segments": summaries,
+            "convergence": {
+                "converged": len(summaries) - len(not_converged),
+                "segments": len(summaries),
+                "not_converged": not_converged,
+            },
         }
         _write_json(os.path.join(cfg.output_dir, "manifest.json"), manifest)
+        # an error record from an earlier failed run into this directory is stale
+        stale = os.path.join(cfg.output_dir, "error.json")
+        if os.path.exists(stale):
+            os.remove(stale)
         return manifest
     except KsvarError as exc:
         _write_json(

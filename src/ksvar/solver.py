@@ -18,6 +18,9 @@ retained subspace.  Coefficients are reported as the minimum-norm
 representative, which keeps edge weights free of null-direction junk from
 rank-deficient Grams.
 
+All linear solves (ADMM, ridge, cross-validation, BIC) share one thin SVD
+of the stacked factor per fit; see ``_FactorSystem``.
+
 Contents
 --------
 - SolverConfig, CoefficientTensor, DualState, FitDiagnostics, EffectiveNetwork
@@ -29,10 +32,10 @@ Contents
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import (
     ConfigError,
@@ -134,15 +137,6 @@ class CoefficientTensor:
     def block_norms(self) -> np.ndarray:
         """Euclidean norm of every block, shape (P, L+1, N, N)."""
         return np.linalg.norm(self.coeffs, axis=4)
-
-    def w_matrix(self, lag: int, kernel_index: int = 0) -> np.ndarray:
-        """Dense (N T', N) coefficient matrix for one lag: column j stacks
-        the source blocks feeding target j."""
-        p, n, t = kernel_index, self.n_nodes, self.n_basis
-        out = np.empty((n * t, n))
-        for i in range(n):
-            out[i * t : (i + 1) * t] = self.coeffs[p, lag, i].T
-        return out
 
     def w_stacked(self) -> np.ndarray:
         """All lags (and kernels) stacked in (lag, source, kernel) block order,
@@ -265,113 +259,85 @@ def dual_update(
 
 
 class _FactorSystem:
-    """Per-fit cache: stacked factors, deletion masks, column factorizations.
+    """Per-fit cache for the x-update: one thin SVD shared by every column.
 
-    Solves (Bbar_j^T Bbar_j + penalty I) x_j = q_j for every column j at
-    once, where Bbar_j stacks all block factors except column j's own
-    instantaneous ones.  Vectors live in a padded layout covering every
-    block; entries at a column's deleted rows are pinned to zero.  When the
-    stacked rank exceeds T', the solve goes through the T'-sized kernel-space
-    system instead (matrix-inversion identity), which is what keeps the
-    per-iteration cost essentially linear in the network size.
+    Solves (Bbar_j^T Bbar_j + penalty I) x_j = q_j for all columns j at once,
+    where Bbar_j stacks every block factor except column j's instantaneous
+    ones.  Vectors span all R stacked factor columns; a column's deleted
+    rows D_j are pinned to zero, and q must already be zero there.  With
+    F = U S V^T the thin SVD of the stacked T' x R factor,
+
+        H = (F^T F + penalty I)^{-1} = V diag(1/(s^2 + penalty)) V^T + (I - V V^T) / penalty
+
+    (the last term vanishes when R <= T'), and deleting D_j is a rank-r_j
+    Schur-complement correction, x_j = u_j - H[:, D_j] H[D_j, D_j]^{-1} u_j[D_j]
+    with u = H q.  The r_j x r_j inverses are built once per fit and padded
+    to the largest r_j with zero rows of V, so a solve is a few batched
+    products whatever the kernels' ranks.  A zero penalty is singular unless
+    R <= T'; a rank-deficient F then takes ``jitter`` instead.
     """
 
     def __init__(self, kms: KernelMatrixSet, penalty: float, jitter: float):
-        self.kms = kms
-        t = kms.n_targets
-        n = kms.n_nodes
+        t, n = kms.n_targets, kms.n_nodes
         ranks = np.array([b.rank for b in kms.blocks], dtype=int)
-        self.starts = np.concatenate([[0], np.cumsum(ranks)]).astype(int)
-        self.total_rank = int(self.starts[-1])
+        starts = np.concatenate([[0], np.cumsum(ranks)]).astype(int)
+        self.total_rank = int(starts[-1])
         active = np.flatnonzero(ranks > 0)
-        self.seg_starts = self.starts[active]
+        self.seg_starts = starts[active]
         self.seg_ranks = ranks[active]
-        self.active_positions = active
-        if self.total_rank:
-            self.F = np.hstack([b.factor for b in kms.blocks])
-        else:
-            self.F = np.zeros((t, 0))
-        self.deleted_rows = []
-        kept = 0
-        for j in range(n):
-            rows = [
-                np.arange(self.starts[pos], self.starts[pos + 1])
-                for pos in kms.deleted_positions(j)
-            ]
-            rows = np.concatenate(rows) if rows else np.empty(0, dtype=int)
-            self.deleted_rows.append(rows)
-            kept += self.total_rank - rows.size
-        self.kept_dim = kept
-        self.penalty = penalty
-        self.use_woodbury = self.total_rank > t
-        self._factorize(jitter)
+        self.F = np.hstack([b.factor for b in kms.blocks])
+        deleted = [
+            np.concatenate([np.arange(starts[p], starts[p + 1]) for p in kms.deleted_positions(j)])
+            for j in range(n)
+        ]
+        sizes = np.array([rows.size for rows in deleted], dtype=int)
+        self.kept_dim = int(n * self.total_rank - sizes.sum())
+        self.deleted_rows = np.concatenate(deleted)
+        self.deleted_cols = np.repeat(np.arange(n), sizes)
 
-    def _factorize(self, jitter: float) -> None:
-        t = self.kms.n_targets
-        n = self.kms.n_nodes
-        self.chols = []
-        if self.total_rank == 0:
-            return
-        if self.use_woodbury:
-            if self.penalty <= 0:
+        _, s, self.vt = np.linalg.svd(self.F, full_matrices=False)
+        s2 = s * s
+        full_span = self.vt.shape[0] == self.total_rank
+        if penalty <= 0:
+            if not full_span:
                 raise SingularSystem(
-                    "kernel-space solve needs a positive penalty; system is singular"
+                    f"zero penalty with stacked rank {self.total_rank} > T'={t} is singular"
                 )
-            s_all = self.F @ self.F.T
-            eye = np.eye(t)
-            for j in range(n):
-                c = self.penalty * eye + s_all
-                for pos in self.kms.deleted_positions(j):
-                    b = self.kms.blocks[pos].factor
-                    if b.shape[1]:
-                        c = c - b @ b.T
-                self.chols.append(self._chol(c, jitter))
-        else:
-            g = self.F.T @ self.F
-            eye = np.eye(self.total_rank)
-            for j in range(n):
-                m = g + self.penalty * eye
-                dr = self.deleted_rows[j]
-                if dr.size:
-                    m[dr, :] = 0.0
-                    m[:, dr] = 0.0
-                    m[dr, dr] = 1.0
-                self.chols.append(self._chol(m, jitter))
+            if s2.size and s2.min() <= self.total_rank * np.finfo(float).eps * s2.max():
+                if jitter <= 0:
+                    raise SingularSystem("stacked factor is rank deficient and jitter is 0")
+                penalty = jitter
+        # H = null_weight I + V diag(span_weight) V^T
+        self.null_weight = 0.0 if full_span else 1.0 / penalty
+        span_weight = 1.0 / (s2 + penalty) - self.null_weight
+        self.v_weighted = self.vt.T * span_weight
 
-    @staticmethod
-    def _chol(m: np.ndarray, jitter: float):
+        r_max = int(sizes.max(initial=0))
+        vd = np.zeros((n, r_max, s.size))
+        for j, rows in enumerate(deleted):
+            vd[j, : rows.size] = self.vt.T[rows]
+        self.left = vd * span_weight  # u[D_j] = left_j @ (V^T q_j)
+        hdd = self.left @ vd.transpose(0, 2, 1)
+        idx = np.arange(r_max)
+        hdd[:, idx, idx] += np.where(idx >= sizes[:, None], 1.0, self.null_weight)
         try:
-            return cho_factor(m, lower=True)
-        except LinAlgError:
-            try:
-                return cho_factor(m + jitter * np.eye(m.shape[0]), lower=True)
-            except LinAlgError as exc:
-                raise SingularSystem(
-                    "column system is singular even after jitter"
-                ) from exc
+            self.right = vd.transpose(0, 2, 1) @ np.linalg.inv(hdd)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem("deleted-block system is singular") from exc
 
     def mask_deleted(self, arr: np.ndarray) -> np.ndarray:
-        for j, rows in enumerate(self.deleted_rows):
-            if rows.size:
-                arr[rows, j] = 0.0
+        arr[self.deleted_rows, self.deleted_cols] = 0.0
         return arr
 
     def solve(self, q: np.ndarray) -> np.ndarray:
         """Columnwise solve; q must already be zero at deleted rows."""
-        n = self.kms.n_nodes
-        if self.total_rank == 0:
-            return np.zeros((0, n))
-        if self.use_woodbury:
-            fq = self.F @ q
-            s = np.empty_like(fq)
-            for j in range(n):
-                s[:, j] = cho_solve(self.chols[j], fq[:, j])
-            x = (q - self.F.T @ s) / self.penalty
-            return self.mask_deleted(x)
-        x = np.empty_like(q)
-        for j in range(n):
-            x[:, j] = cho_solve(self.chols[j], q[:, j])
-        return x
+        t = self.vt @ q
+        u_del = np.einsum("nrk,kn->nr", self.left, t)
+        t -= np.einsum("nkr,nr->kn", self.right, u_del)
+        x = self.v_weighted @ t
+        if self.null_weight:
+            x += self.null_weight * q
+        return self.mask_deleted(x)
 
 
 def _check_fit_inputs(targets: np.ndarray, kms: KernelMatrixSet) -> np.ndarray:
@@ -386,54 +352,52 @@ def _check_fit_inputs(targets: np.ndarray, kms: KernelMatrixSet) -> np.ndarray:
     return y
 
 
+def _rank_groups(kms: KernelMatrixSet):
+    """Blocks batched by rank: their (kernel, lag, node) index arrays, their
+    stacked factors (m, T', r) and their rows (m, r) in factor coordinates."""
+    starts = np.cumsum([0] + [b.rank for b in kms.blocks])
+    groups: dict[int, list[int]] = {}
+    for pos, block in enumerate(kms.blocks):
+        if block.rank:
+            groups.setdefault(block.rank, []).append(pos)
+    for r, positions in groups.items():
+        blocks = [kms.blocks[pos] for pos in positions]
+        idx = tuple(np.array(v) for v in zip(*[(b.kernel_index, b.lag, b.node) for b in blocks]))
+        factors = np.stack([b.factor for b in blocks])
+        yield idx, factors, starts[positions][:, None] + np.arange(r)
+
+
 def _alpha_from_reduced(kms: KernelMatrixSet, a: np.ndarray) -> np.ndarray:
     """Map factor coordinates back to minimum-norm coefficient blocks."""
-    p_all, l_all = kms.n_kernels, kms.lag + 1
-    n, t = kms.n_nodes, kms.n_targets
-    coeffs = np.zeros((p_all, l_all, n, n, t))
-    start = 0
-    for block in kms.blocks:
-        r = block.rank
-        if r == 0:
-            continue
-        seg = a[start : start + r]
-        gram_small = block.factor.T @ block.factor
-        alpha = block.factor @ (np.linalg.pinv(gram_small, hermitian=True) @ seg)
-        coeffs[block.kernel_index, block.lag, block.node] = alpha.T
-        start += r
+    n = kms.n_nodes
+    coeffs = np.zeros((kms.n_kernels, kms.lag + 1, n, n, kms.n_targets))
+    for idx, factors, rows in _rank_groups(kms):
+        gram = factors.transpose(0, 2, 1) @ factors
+        alpha = factors @ (np.linalg.pinv(gram, hermitian=True) @ a[rows])
+        coeffs[idx] = alpha.transpose(0, 2, 1)
     return coeffs
 
 
 def _dual_to_full(kms: KernelMatrixSet, reduced: np.ndarray) -> np.ndarray:
     """Map reduced dual blocks to full-length ones via the block isometry."""
-    p_all, l_all = kms.n_kernels, kms.lag + 1
-    n, t = kms.n_nodes, kms.n_targets
-    out = np.zeros((p_all, l_all, n, n, t))
-    start = 0
-    for block in kms.blocks:
-        r = block.rank
-        if r == 0:
-            continue
-        seg = reduced[start : start + r]
-        gram_small = block.factor.T @ block.factor
-        w, v = np.linalg.eigh(gram_small)
-        inv_sqrt = np.where(w > 1e-15 * max(w.max(), 1.0), 1.0 / np.sqrt(np.maximum(w, 1e-300)), 0.0)
-        j_map = block.factor @ ((v * inv_sqrt) @ v.T)
-        out[block.kernel_index, block.lag, block.node] = (j_map @ seg).T
-        start += r
+    n = kms.n_nodes
+    out = np.zeros((kms.n_kernels, kms.lag + 1, n, n, kms.n_targets))
+    for idx, factors, rows in _rank_groups(kms):
+        w, v = np.linalg.eigh(factors.transpose(0, 2, 1) @ factors)
+        floor = 1e-15 * np.maximum(w.max(axis=1, keepdims=True), 1.0)
+        inv_sqrt = np.where(w > floor, 1.0 / np.sqrt(np.maximum(w, 1e-300)), 0.0)
+        j_map = factors @ ((v * inv_sqrt[:, None, :]) @ v.transpose(0, 2, 1))
+        out[idx] = (j_map @ reduced[rows]).transpose(0, 2, 1)
     return out
 
 
 def rkhs_block_norms(kms: KernelMatrixSet, tensor: CoefficientTensor) -> np.ndarray:
     """||K_b^{1/2} a_bj||_2 for every block, shape (P, L+1, N, N)."""
-    p_all, l_all = kms.n_kernels, kms.lag + 1
     n = kms.n_nodes
-    out = np.zeros((p_all, l_all, n, n))
-    for block in kms.blocks:
-        alpha = tensor.coeffs[block.kernel_index, block.lag, block.node]
-        out[block.kernel_index, block.lag, block.node] = np.linalg.norm(
-            block.factor.T @ alpha.T, axis=0
-        )
+    out = np.zeros((kms.n_kernels, kms.lag + 1, n, n))
+    for idx, factors, _ in _rank_groups(kms):
+        c = factors.transpose(0, 2, 1) @ tensor.coeffs[idx].transpose(0, 2, 1)
+        out[idx] = np.linalg.norm(c, axis=1)
     return out
 
 
@@ -454,9 +418,10 @@ def predict(
         raise ShapeMismatch("coefficient tensor does not match the kernel set")
     if view is None:
         out = np.zeros((kms.n_targets, kms.n_nodes))
-        for block in kms.blocks:
-            alpha = tensor.coeffs[block.kernel_index, block.lag, block.node]
-            out += block.factor @ (block.factor.T @ alpha.T)
+        for idx, factors, _ in _rank_groups(kms):
+            c = factors.transpose(0, 2, 1) @ tensor.coeffs[idx].transpose(0, 2, 1)
+            m, t, r = factors.shape
+            out += factors.transpose(1, 0, 2).reshape(t, m * r) @ c.reshape(m * r, -1)
         return out
     if view.lag != kms.lag or view.n_nodes != kms.n_nodes:
         raise ShapeMismatch("view does not match the kernel set")
@@ -496,12 +461,18 @@ def lambda_zero_bound(targets: np.ndarray, kms: KernelMatrixSet) -> float:
     return best
 
 
+def _sumsq(a: np.ndarray) -> float:
+    """Sum of squared entries, without np.sum's per-call overhead."""
+    flat = a.ravel()
+    return float(flat @ flat)
+
+
 def admm_fit(
     targets: np.ndarray, kms: KernelMatrixSet, cfg: SolverConfig
 ) -> tuple[CoefficientTensor, DualState, FitDiagnostics]:
     """Group-sparse fit by ADMM.
 
-    Iterates the cached per-column solve, the block shrinkage, and the dual
+    Iterates the shared factor solve, the block shrinkage, and the dual
     ascent until both scaled residuals drop below tolerance.  Returns the
     post-shrinkage iterate, whose inactive blocks are exactly zero, together
     with the dual state and the convergence record.
@@ -517,7 +488,7 @@ def admm_fit(
     kappa = cfg.lam / cfg.rho
     scale_dim = np.sqrt(max(system.kept_dim, 1))
 
-    c0 = system.mask_deleted(system.F.T @ y) if r_total else np.zeros((0, n))
+    c0 = system.mask_deleted(system.F.T @ y)
     g = np.zeros((r_total, n))
     xi = np.zeros((r_total, n))
     primal_hist: list[float] = []
@@ -531,26 +502,21 @@ def admm_fit(
         q = c0 + cfg.rho * g - xi
         x = system.solve(q)
         v = x + xi / cfg.rho
-        if r_total:
-            norms = np.sqrt(np.add.reduceat(v * v, system.seg_starts, axis=0))
-            shrunk = np.maximum(norms - kappa, 0.0)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                factor = np.where(norms > 0.0, shrunk / norms, 0.0)
-            g_new = v * np.repeat(factor, system.seg_ranks, axis=0)
-        else:
-            norms = np.zeros((0, n))
-            shrunk = norms
-            g_new = g
-        primal = float(np.linalg.norm(x - g_new))
-        dual = float(cfg.rho * np.linalg.norm(g_new - g))
+        norms = np.sqrt(np.add.reduceat(v * v, system.seg_starts, axis=0))
+        shrunk = np.maximum(norms - kappa, 0.0)
+        # shrunk is 0 wherever norms <= kappa, so kappa > 0 guards the division
+        factor = shrunk / np.maximum(norms, kappa)
+        g_new = v * np.repeat(factor, system.seg_ranks, axis=0)
+        primal = math.sqrt(_sumsq(x - g_new))
+        dual = cfg.rho * math.sqrt(_sumsq(g_new - g))
         g = g_new
         xi = xi + cfg.rho * (x - g)
         resid = y - system.F @ g
-        objective = 0.5 * float(np.sum(resid * resid)) + cfg.lam * float(shrunk.sum())
+        objective = 0.5 * _sumsq(resid) + cfg.lam * float(shrunk.sum())
         primal_hist.append(primal)
         dual_hist.append(dual)
         obj_hist.append(objective)
-        if not (np.isfinite(primal) and np.isfinite(dual) and np.isfinite(objective)):
+        if not (math.isfinite(primal) and math.isfinite(dual) and math.isfinite(objective)):
             raise NonFinite(f"ADMM diverged at iteration {iterations}")
         if primal <= cfg.tol_primal * scale_dim and dual <= cfg.tol_dual * scale_dim:
             converged = True
@@ -626,10 +592,6 @@ def ridge_fit(
         raise ConfigError("ridge_fit handles regularizer='squared' only")
     y = _check_fit_inputs(targets, kms)
     system = _FactorSystem(kms, 2.0 * cfg.lam, cfg.jitter)
-    if system.total_rank == 0:
-        return CoefficientTensor(
-            coeffs=np.zeros((kms.n_kernels, kms.lag + 1, kms.n_nodes, kms.n_nodes, kms.n_targets))
-        )
     c0 = system.mask_deleted(system.F.T @ y)
     a = system.solve(c0)
     return CoefficientTensor(coeffs=_alpha_from_reduced(kms, a))

@@ -1,6 +1,7 @@
 """Pipeline config, artifacts, determinism, aggregation, comparison, CLI."""
 
 import json
+import logging
 import os
 
 import numpy as np
@@ -337,6 +338,45 @@ class TestRunPipeline:
         assert err["stage"] == "fit segments"
 
 
+    def test_success_removes_stale_error_record(self, tmp_path):
+        inp = tmp_path / "panel.csv"
+        write_panel_csv(inp, t=40)
+        out = tmp_path / "run"
+        with pytest.raises(InsufficientSamples):
+            run_pipeline(base_config(inp, out, lag=50))
+        assert (out / "error.json").exists()
+        run_pipeline(base_config(inp, out))
+        assert not (out / "error.json").exists()
+        assert (out / "manifest.json").exists()
+
+    def test_non_convergence_is_reported(self, tmp_path, caplog):
+        inp = tmp_path / "panel.csv"
+        write_panel_csv(inp, t=100, rate=10.0)
+        names = [f"seg_{i:03d}" for i in range(5)]
+        with caplog.at_level(logging.WARNING, logger="ksvar"):
+            manifest = run_pipeline(
+                base_config(inp, tmp_path / "capped", window_s=2.0, max_iter=1)
+            )
+        assert manifest["convergence"] == {
+            "converged": 0,
+            "segments": 5,
+            "not_converged": names,
+        }
+        warned = [r for r in caplog.records if r.name == "ksvar"]
+        assert [r.levelno for r in warned] == [logging.WARNING] * 5
+        for name, record in zip(names, warned):
+            assert name in record.getMessage()
+            assert "without converging" in record.getMessage()
+
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="ksvar"):
+            manifest = run_pipeline(
+                base_config(inp, tmp_path / "ridge", window_s=2.0, regularizer="squared")
+            )
+        assert manifest["convergence"] == {"converged": 5, "segments": 5, "not_converged": []}
+        assert not [r for r in caplog.records if r.name == "ksvar"]
+
+
 class TestAggregation:
     def net(self, weights, tau=0.1, labels=("a", "b")):
         weights = np.asarray(weights, float)
@@ -516,6 +556,17 @@ class TestCli:
         assert res.exit_code == 0, res.output
         assert "density" in res.output
         assert json.loads(cmp_path.read_text())["n_segments"] == {"a": 1, "b": 1}
+
+    def test_infer_reports_convergence_tally(self, tmp_path):
+        csv_path = tmp_path / "sim.csv"
+        write_panel_csv(csv_path)
+        out = tmp_path / "run"
+        res = self.invoke(
+            "infer", "-i", str(csv_path), "-o", str(out),
+            "--lag", "1", "--kernel", "linear", "--lam", "0.5", "--max-iter", "1",
+        )
+        assert res.exit_code == 0, res.output
+        assert f"wrote 1 segment(s) to {out}, 0 of 1 converged" in res.output
 
     def test_metrics_to_stdout(self, tmp_path):
         csv_path = tmp_path / "sim.csv"

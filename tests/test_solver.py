@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from ksvar.errors import ConfigError, InsufficientSamples, NonFinite, ShapeMismatch
+from ksvar.errors import (
+    ConfigError,
+    InsufficientSamples,
+    NonFinite,
+    ShapeMismatch,
+    SingularSystem,
+)
 from ksvar.kernels import KernelSpec, assemble, build_kernel_set
 from ksvar.panel import TimeSeriesPanel, lag_view
 from ksvar.solver import (
@@ -454,6 +460,62 @@ class TestRidgeFit:
         _, view, kms = make_problem(seed=26)
         with pytest.raises(ConfigError):
             ridge_fit(view.targets, kms, SolverConfig(lam=1.0))
+
+
+class TestSharedSolve:
+    """Every fit goes through one factorization of the stacked factor.  The
+    cases sit on each side of stacked rank R = T', with the linear kernel
+    alone and with a dictionary whose per-node Gaussian ranks differ, so
+    that deleted blocks of unequal size are padded."""
+
+    CASES = {
+        "linear_above": dict(t=10, n=8, seed=40, spec=LINEAR),  # R=16, T'=9
+        "linear_below": dict(t=41, n=3, seed=41, spec=LINEAR),  # R=6, T'=40
+        "mixed_above": dict(t=14, n=3, seed=0, spec=[LINEAR, GAUSS1]),  # R=65, T'=13
+        "mixed_below": dict(t=61, n=2, seed=1, spec=[LINEAR, GAUSS1]),  # R=58, T'=60
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_ridge_matches_reference(self, case):
+        kw = self.CASES[case]
+        vals, view, kms = make_problem(**kw)
+        stacked = sum(b.rank for b in kms.blocks)
+        assert (stacked > kms.n_targets) == case.endswith("above")
+        deleted = {
+            sum(kms.blocks[pos].rank for pos in kms.deleted_positions(j))
+            for j in range(kms.n_nodes)
+        }
+        assert (len(deleted) > 1) == case.startswith("mixed")
+        specs = kw["spec"] if isinstance(kw["spec"], list) else [kw["spec"]]
+        lam = 0.3
+        tensor = ridge_fit(view.targets, kms, SolverConfig(lam=lam, regularizer="squared"))
+        fitted, _ = ridge_reference(vals, 1, specs, view.targets, lam)
+        np.testing.assert_allclose(predict(tensor, kms), fitted, atol=1e-8)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_admm_self_blocks_exactly_zero(self, case):
+        _, view, kms = make_problem(**self.CASES[case])
+        lam = 0.2 * lambda_zero_bound(view.targets, kms)
+        tensor, _, _ = admm_fit(view.targets, kms, SolverConfig(lam=lam, max_iter=200))
+        n = kms.n_nodes
+        diag_blocks = tensor.coeffs[:, 0, np.arange(n), np.arange(n), :]
+        assert np.array_equal(diag_blocks, np.zeros_like(diag_blocks))
+        assert tensor.block_norms().max() > 0.0
+
+    def test_zero_lambda_ridge(self):
+        # R <= T': plain least squares on each column's kept factors
+        _, view, kms = make_problem(**self.CASES["linear_below"])
+        cfg = SolverConfig(lam=0.0, regularizer="squared")
+        fitted = predict(ridge_fit(view.targets, kms, cfg), kms)
+        for j in range(kms.n_nodes):
+            deleted = set(kms.deleted_positions(j))
+            a = np.hstack([b.factor for pos, b in enumerate(kms.blocks) if pos not in deleted])
+            coef, *_ = np.linalg.lstsq(a, view.targets[:, j], rcond=None)
+            np.testing.assert_allclose(fitted[:, j], a @ coef, atol=1e-10)
+        # R > T': the unpenalized system is singular
+        _, view, kms = make_problem(**self.CASES["linear_above"])
+        with pytest.raises(SingularSystem):
+            ridge_fit(view.targets, kms, cfg)
 
 
 class TestThresholdEdges:
