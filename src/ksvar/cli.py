@@ -20,7 +20,14 @@ from .errors import KsvarError
 from .kernels import build_kernel_set, parse_kernel_spec
 from .metrics import compute_report
 from .panel import lag_view, read_csv_panel, standardize, write_csv_panel
-from .pipeline import PipelineConfig, _write_json, compare_runs, load_network, run_pipeline
+from .pipeline import (
+    PipelineConfig,
+    _atomic_open,
+    _write_json,
+    compare_runs,
+    load_network,
+    run_pipeline,
+)
 from .solver import SolverConfig, cross_validate_lambda
 from .synth import SynthConfig, generate_truth, simulate
 from .panel import NoiseModel
@@ -188,7 +195,7 @@ def metrics(edges_json, output, csv_path) -> None:
         else:
             click.echo(json.dumps(payload, indent=2))
         if csv_path:
-            with open(csv_path, "w", newline="") as handle:
+            with _atomic_open(csv_path, newline="") as handle:
                 csv.writer(handle).writerows(report.to_csv_rows())
     except (KsvarError, OSError, json.JSONDecodeError) as exc:
         _fail(exc)

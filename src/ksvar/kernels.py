@@ -8,9 +8,11 @@ drops its own instantaneous block(s), written I_j below.
 
 Every block also carries a factor B with B @ B.T equal to the (repaired)
 Gram.  Linear and polynomial kernels get exact finite feature maps; the
-Gaussian kernel gets a truncated eigenfactor.  The solvers work in factor
-coordinates throughout, which is both faster and immune to the junk
-directions a near-singular Gram would otherwise inject.
+Gaussian kernel gets a pivoted-Cholesky factor, trimmed to the rank and
+spectrum of the truncated eigenfactor, without its T'xT' Gram ever being
+formed.  The solvers work in factor coordinates throughout, which is both
+faster and immune to the junk directions a near-singular Gram would
+otherwise inject.  A block builds its dense Gram only when asked.
 """
 
 from __future__ import annotations
@@ -271,7 +273,8 @@ def feature_factor(spec: KernelSpec, samples: np.ndarray) -> np.ndarray | None:
 
     Linear: the sample vector itself.  Polynomial (z w + c)^d: binomial
     expansion columns sqrt(C(d,k) c^(d-k)) z^k.  Gaussian: None (no finite
-    map); callers fall back to an eigenfactor.  Zero columns are dropped.
+    map); callers fall back to a pivoted-Cholesky factor.  Zero columns are
+    dropped.
     """
     z = np.asarray(samples, dtype=float)
     if spec.kind == "linear":
@@ -326,15 +329,49 @@ class KernelBlock:
         return self._gram
 
 
+def _pivoted_factor(spec: KernelSpec, samples: np.ndarray) -> np.ndarray:
+    """Factor of a unit-diagonal kernel's Gram, built without forming it.
+
+    Greedy pivoted Cholesky (Fine & Scheinberg, JMLR 2001; Harbrecht,
+    Peters & Schneider, Appl. Numer. Math. 2012) evaluates one kernel column
+    per pivot, in O(T' r^2), and stops once the largest residual diagonal is
+    at rounding level, eps * T' times the largest diagonal.  A thin QR of
+    the pivoted factor and an eigensolve of the r x r matrix R R^T then keep
+    the directions above ``RANK_RTOL`` times the largest eigenvalue, the cut
+    ``eigen_factor`` applies to the full Gram, so rank and spectrum match.
+    """
+    z = np.asarray(samples, dtype=float)
+    n = z.shape[0]
+    residual = np.ones(n)  # k(z, z) = 1 for the Gaussian
+    stop = np.finfo(float).eps * n * residual.max()
+    rows = np.empty((min(n, 32), n))  # pivoted factor, one row per pivot
+    rank = 0
+    while rank < n:
+        i = int(np.argmax(residual))
+        pivot = residual[i]
+        if pivot <= stop:
+            break
+        if rank == rows.shape[0]:
+            rows = np.vstack([rows, np.empty((min(rank, n - rank), n))])
+        col = _kernel_array(spec, z, z[i : i + 1])[:, 0] - rows[:rank].T @ rows[:rank, i]
+        col /= np.sqrt(pivot)
+        rows[rank] = col
+        residual -= col * col
+        residual[i] = 0.0
+        rank += 1
+    q, r = np.linalg.qr(rows[:rank].T)
+    w, v = np.linalg.eigh(r @ r.T)
+    keep = w > RANK_RTOL * max(float(w.max()), 0.0)
+    return q @ (v[:, keep] * np.sqrt(w[keep]))
+
+
 def _block_from_samples(
     spec: KernelSpec, samples: np.ndarray, node: int, lag: int, kernel_index: int
 ) -> KernelBlock:
+    # no Gram is held: gram() forms B @ B.T only for callers that ask
     factor = feature_factor(spec, samples)
-    gram = None
     if factor is None:
-        gram = gram_matrix(spec, samples)
-        factor = eigen_factor(gram)
-        gram = factor @ factor.T  # repaired version, consistent with the factor
+        factor = _pivoted_factor(spec, samples)
     return KernelBlock(
         node=node,
         lag=lag,
@@ -342,7 +379,6 @@ def _block_from_samples(
         spec=spec,
         samples=np.asarray(samples, float),
         factor=factor,
-        _gram=gram,
     )
 
 

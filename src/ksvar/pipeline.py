@@ -3,7 +3,7 @@
 Artifacts land under the output directory:
 
     manifest.json                run summary; config echo, versions, choices,
-                                 convergence tally
+                                 convergence tally, warnings
     seg_000/edges.json           every nonzero block norm, with the threshold
     seg_000/metrics.json|csv     topology report of the thresholded network
     seg_000/diagnostics.ndjson   solver convergence trace
@@ -23,6 +23,7 @@ import json
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 
@@ -180,8 +181,27 @@ class PipelineConfig:
         return cls.from_dict(data)
 
 
+@contextmanager
+def _atomic_open(path: str, newline: str | None = None):
+    """Text handle whose contents replace ``path`` only once fully written.
+
+    Writes go to a temp file in the same directory, renamed over ``path``
+    with ``os.replace`` on success and removed on any failure, so a reader
+    never sees a truncated artifact.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline=newline) as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as handle:
+    with _atomic_open(path) as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
 
@@ -244,18 +264,18 @@ def _segment_name(idx: int) -> str:
 def _write_metrics(seg_dir: str, net: EffectiveNetwork) -> None:
     report = compute_report(net)
     _write_json(os.path.join(seg_dir, "metrics.json"), report.to_json_dict())
-    with open(os.path.join(seg_dir, "metrics.csv"), "w", newline="") as handle:
+    with _atomic_open(os.path.join(seg_dir, "metrics.csv"), newline="") as handle:
         csv.writer(handle).writerows(report.to_csv_rows())
 
 
 def _write_ndjson(path: str, records: list[dict]) -> None:
-    with open(path, "w") as handle:
+    with _atomic_open(path) as handle:
         for rec in records:
             handle.write(json.dumps(rec) + "\n")
 
 
 def _write_attribution(seg_dir: str, tensor: MklCoefficientTensor) -> None:
-    with open(os.path.join(seg_dir, "attribution.csv"), "w", newline="") as handle:
+    with _atomic_open(os.path.join(seg_dir, "attribution.csv"), newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["src", "dst", "lag", "kernel", "block_norm"])
         for row in tensor.attribution_table():
@@ -397,7 +417,9 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     successful run removes an ``error.json`` left by an earlier one.  Each
     segment that stops at ``max_iter`` without converging is logged as a
     warning on the ``ksvar`` logger and listed in the manifest's
-    ``convergence`` block.
+    ``convergence`` block; each segment whose cross-validation chose the
+    smallest or largest lambda of its grid is logged likewise and listed
+    under the manifest's ``warnings``.
     """
     os.makedirs(cfg.output_dir, exist_ok=True)
     stage = "read input"
@@ -438,6 +460,16 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             log.warning(
                 "segment %s stopped at max_iter=%d without converging", name, cfg.max_iter
             )
+        at_grid_edge = []
+        if cfg.lambda_grid is not None and len(set(cfg.lambda_grid)) > 1:
+            grid_ends = (min(cfg.lambda_grid), max(cfg.lambda_grid))
+            for summary in summaries:
+                if summary["lambda"] in grid_ends:
+                    log.warning(
+                        "segment %s chose lambda=%r at the edge of the grid %r",
+                        summary["name"], summary["lambda"], list(cfg.lambda_grid),
+                    )
+                    at_grid_edge.append(summary["name"])
         stage = "manifest"
         manifest = {
             "schema_version": SCHEMA_VERSION,
@@ -456,6 +488,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                 "segments": len(summaries),
                 "not_converged": not_converged,
             },
+            "warnings": {"lambda_at_grid_edge": at_grid_edge},
         }
         _write_json(os.path.join(cfg.output_dir, "manifest.json"), manifest)
         # an error record from an earlier failed run into this directory is stale

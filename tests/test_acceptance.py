@@ -389,13 +389,21 @@ def test_criterion_09(capsys):
             cfg = SolverConfig(
                 lam=1e-4, max_iter=iters, tol_primal=1e-300, tol_dual=1e-300
             )
-            start = time.perf_counter()
-            admm_fit(view.targets, kms, cfg)
-            times[iters] = time.perf_counter() - start
+            # a single fit lasts tens of ms, short enough for a swing in
+            # processor speed to distort it; the fastest of three is not
+            best = np.inf
+            for _ in range(3):
+                start = time.perf_counter()
+                admm_fit(view.targets, kms, cfg)
+                best = min(best, time.perf_counter() - start)
+            times[iters] = best
         return (times[250] - times[50]) / 200.0
 
-    small = [per_iter_seconds(20, seed=rep) for rep in range(5)]
-    big = [per_iter_seconds(40, seed=100 + rep) for rep in range(5)]
+    # interleaved, so a slow stretch of the machine hits both sizes alike
+    small, big = [], []
+    for rep in range(5):
+        small.append(per_iter_seconds(20, seed=rep))
+        big.append(per_iter_seconds(40, seed=100 + rep))
     ratio = float(np.median(big) / np.median(small))
     ok = 1.5 <= ratio <= 3.0
     report_line(

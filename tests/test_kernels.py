@@ -11,6 +11,7 @@ from ksvar.errors import (
 )
 from ksvar.kernels import (
     PSD_ATOL,
+    RANK_RTOL,
     KernelDictionary,
     KernelSpec,
     assemble,
@@ -33,6 +34,7 @@ from oracles import kernel_value as oracle_kernel_value
 LINEAR = KernelSpec(kind="linear")
 POLY21 = KernelSpec(kind="polynomial", degree=2, offset=1.0)
 GAUSS1 = KernelSpec(kind="gaussian", bandwidth=1.0)
+GAUSS_MEDIAN = KernelSpec(kind="gaussian", bandwidth="median")
 
 
 def view_from(values, lag):
@@ -474,3 +476,61 @@ class TestBuildKernelSet:
         assert kms.block(0, 0, 0).rank == 1
         assert kms.block(0, 0, 1).rank == 3
         assert 1 <= kms.block(0, 0, 2).rank <= kms.n_targets
+
+
+class TestGaussianFactorBuild:
+    """Gaussian blocks from build_kernel_set: pivoted-Cholesky factors that
+    match the truncated eigenfactor of the full Gram, with no Gram held."""
+
+    def check_blocks(self, kms, exact=False):
+        for blk in kms.blocks:
+            assert blk._gram is None
+            gram = gram_matrix(blk.spec, blk.samples)
+            ref = eigen_factor(gram)
+            assert blk.rank == ref.shape[1]
+            bbt = blk.factor @ blk.factor.T
+            np.testing.assert_allclose(bbt, ref @ ref.T, rtol=0, atol=1e-12)
+            # the eigenvalues both factors drop sum to at most
+            # T' * RANK_RTOL * lambda_max <= T'^2 * RANK_RTOL
+            t = kms.n_targets
+            atol = 1e-12 if exact else t * t * RANK_RTOL
+            np.testing.assert_allclose(bbt, gram, rtol=0, atol=atol)
+            np.testing.assert_array_equal(blk.gram(), bbt)
+
+    @pytest.mark.parametrize(
+        "spec", [GAUSS1, KernelSpec(kind="gaussian", bandwidth=0.3), GAUSS_MEDIAN]
+    )
+    @pytest.mark.parametrize("seed", [0, 7919])
+    def test_matches_truncated_eigenfactor(self, spec, seed):
+        vals = np.random.default_rng(seed).normal(size=(121, 2))
+        _, view = view_from(vals, lag=1)
+        kms = build_kernel_set(view, spec, seed=seed)
+        assert 1 < kms.block(0, 0).rank < kms.n_targets
+        self.check_blocks(kms)
+
+    @pytest.mark.parametrize("spec", [GAUSS1, GAUSS_MEDIAN])
+    def test_duplicate_values_give_low_rank(self, spec):
+        rng = np.random.default_rng(3)
+        levels = [[-1.0, 2.0], [0.2, -0.4], [0.5, 0.1], [1.3, 0.9]]
+        vals = rng.permutation(np.repeat(levels, 20, axis=0))
+        _, view = view_from(vals, lag=1)
+        kms = build_kernel_set(view, spec)
+        for blk in kms.blocks:
+            assert blk.rank == np.unique(blk.samples).size <= 4
+        self.check_blocks(kms, exact=True)
+
+    def test_tiny_bandwidth_gives_full_rank(self):
+        vals = np.random.default_rng(4).normal(size=(41, 2))
+        _, view = view_from(vals, lag=1)
+        kms = build_kernel_set(view, KernelSpec(kind="gaussian", bandwidth=1e-4))
+        for blk in kms.blocks:
+            assert blk.rank == kms.n_targets == 40
+        self.check_blocks(kms, exact=True)
+
+    def test_single_target_row(self):
+        _, view = view_from([[0.3, -1.2], [0.7, 0.4]], lag=1)
+        kms = build_kernel_set(view, GAUSS1)
+        assert kms.n_targets == 1
+        for blk in kms.blocks:
+            np.testing.assert_allclose(np.abs(blk.factor), [[1.0]], rtol=0, atol=1e-15)
+        self.check_blocks(kms, exact=True)

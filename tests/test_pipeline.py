@@ -15,6 +15,8 @@ from ksvar.pipeline import (
     GLOBAL_METRICS,
     PER_NODE_METRICS,
     PipelineConfig,
+    _write_json,
+    _write_ndjson,
     aggregate_networks,
     compare_runs,
     load_network,
@@ -375,6 +377,63 @@ class TestRunPipeline:
             )
         assert manifest["convergence"] == {"converged": 5, "segments": 5, "not_converged": []}
         assert not [r for r in caplog.records if r.name == "ksvar"]
+
+
+    @pytest.mark.parametrize("grid, chosen", [((1.0, 100.0), 1.0), ((0.01, 100.0), 100.0)])
+    def test_cv_choice_at_grid_edge_is_reported(self, tmp_path, caplog, grid, chosen):
+        inp = tmp_path / "panel.csv"
+        write_panel_csv(inp, t=30, n=6)
+        out = tmp_path / "run"
+        plain = tmp_path / "plain"
+        with caplog.at_level(logging.WARNING, logger="ksvar"):
+            manifest = run_pipeline(
+                base_config(inp, out, lam=None, lambda_grid=grid, cv_folds=3)
+            )
+        assert manifest["segments"][0]["lambda"] == chosen
+        assert manifest["warnings"] == {"lambda_at_grid_edge": ["seg_000"]}
+        warned = [r for r in caplog.records if "edge of the grid" in r.getMessage()]
+        assert len(warned) == 1
+        assert warned[0].levelno == logging.WARNING
+        assert "seg_000" in warned[0].getMessage()
+        # only the manifest records the warning; the same fit at the chosen
+        # lambda writes the same bytes everywhere else
+        run_pipeline(base_config(inp, plain, lam=chosen))
+        a, b = tree_bytes(out), tree_bytes(plain)
+        assert set(a) == set(b) | {"seg_000/cv.json"}
+        for rel in b:
+            if rel != "manifest.json":
+                assert a[rel] == b[rel], rel
+
+    @pytest.mark.parametrize("grid", [(0.01, 1.0, 100.0), (1.0,)])
+    def test_cv_choice_inside_grid_is_silent(self, tmp_path, caplog, grid):
+        inp = tmp_path / "panel.csv"
+        write_panel_csv(inp, t=30, n=6)
+        with caplog.at_level(logging.WARNING, logger="ksvar"):
+            manifest = run_pipeline(
+                base_config(inp, tmp_path / "run", lam=None, lambda_grid=grid, cv_folds=3)
+            )
+        assert manifest["segments"][0]["lambda"] == 1.0
+        assert manifest["warnings"] == {"lambda_at_grid_edge": []}
+        assert not [r for r in caplog.records if r.name == "ksvar"]
+
+
+class TestAtomicWrites:
+    def test_failed_json_write_keeps_old_file_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "out.json"
+        _write_json(str(path), {"ok": 1})
+        before = path.read_bytes()
+        # json.dump streams, so the first key is written before the failure
+        with pytest.raises(TypeError):
+            _write_json(str(path), {"ok": 2, "bad": object()})
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["out.json"]
+
+    def test_failed_fresh_writes_leave_nothing(self, tmp_path):
+        with pytest.raises(TypeError):
+            _write_json(str(tmp_path / "a.json"), {"ok": 1, "bad": object()})
+        with pytest.raises(TypeError):
+            _write_ndjson(str(tmp_path / "b.ndjson"), [{"ok": 1}, {"bad": object()}])
+        assert os.listdir(tmp_path) == []
 
 
 class TestAggregation:
