@@ -23,6 +23,7 @@ from .panel import lag_view, read_csv_panel, standardize, write_csv_panel
 from .pipeline import (
     PipelineConfig,
     _atomic_open,
+    _warn_if_grid_edge,
     _write_json,
     compare_runs,
     load_network,
@@ -250,6 +251,7 @@ def cv(input_path, grid, folds, lag, kernel, rate, rho, regularizer,
         chosen, table = cross_validate_lambda(panel, kms, list(values), folds, cfg)
     except (KsvarError, OSError) as exc:
         _fail(exc)
+    _warn_if_grid_edge(chosen, values, "cross-validation")
     payload = {"chosen_lambda": chosen, "folds": folds, "table": table}
     if output:
         _write_json(output, payload)

@@ -3,19 +3,19 @@
 Path metrics (betweenness, closeness) follow directed edges.  Clustering,
 components, and diameter are computed on the symmetrized simple graph.
 Self-loops never enter paths or degrees; they are reported as a separate
-count.  Shortest-path fractions are accumulated in exact rational
-arithmetic, so results are reproducible bit for bit against brute-force
-enumeration.
+count.  Path metrics come from one breadth-first pass over all sources
+that yields each pair's distance and exact number of shortest paths, and
+betweenness is one exact rational per node rounded once to float, so
+results are reproducible bit for bit against brute-force enumeration.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import comb
+from math import lcm
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ShapeMismatch
 from .solver import EffectiveNetwork
@@ -25,6 +25,9 @@ CONVENTIONS = (
     "and diameter use the symmetrized simple graph; self-loops are excluded "
     "from paths and degrees and reported as self_loop_count"
 )
+
+# path counts and their sums stay int64 while they provably stay below this
+_INT64_SAFE = 2**62
 
 
 def _digraph(net: EffectiveNetwork) -> np.ndarray:
@@ -46,60 +49,84 @@ def degrees(net: EffectiveNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return in_deg, out_deg, in_deg + out_deg
 
 
-def _bfs(adj_lists: list[np.ndarray], source: int, n: int):
-    """Distances and shortest-path counts from one source."""
-    dist = np.full(n, -1, dtype=int)
-    sigma = np.zeros(n, dtype=object)
-    dist[source] = 0
-    sigma[source] = 1
-    order = []
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        for w in adj_lists[v]:
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-            if dist[w] == dist[v] + 1:
-                sigma[w] = sigma[w] + sigma[v]
-    return dist, sigma, order
+def _shortest_paths(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distance and number of shortest paths for every ordered pair.
+
+    Breadth-first from all sources at once: the counts of the pairs first
+    reached at one level, times the int64 adjacency, give those first
+    reached at the next.  ``dist`` is -1 and ``count`` 0 where no path
+    exists.  Before a product could pass ``_INT64_SAFE`` (largest count
+    times largest in-degree) the counts move to Python ints.
+    """
+    n = adj.shape[0]
+    step = sparse.csr_array(adj, dtype=np.int64)
+    max_in = int(adj.sum(axis=0).max(initial=0))
+    count = np.eye(n, dtype=np.int64)
+    dist = np.where(count == 1, 0, -1)
+    frontier, level = count, 0
+    while True:
+        if count.dtype != object and int(frontier.max(initial=0)) * max_in >= _INT64_SAFE:
+            step = adj.astype(object)
+            frontier, count = frontier.astype(object), count.astype(object)
+        frontier = frontier @ step
+        frontier[dist >= 0] = 0
+        reached = frontier > 0
+        if not reached.any():
+            return dist, count
+        level += 1
+        dist[reached] = level
+        count = count + frontier
+
+
+def _betweenness(dist: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Sum over ordered pairs s != t of sigma_sv * sigma_vt / sigma_st on the
+    triples with d(s,v) + d(v,t) = d(s,t), normalized by (N-1)(N-2)."""
+    n = dist.shape[0]
+    if n < 3:
+        return np.zeros(n)
+    sigma = count.copy()
+    np.fill_diagonal(sigma, 0)  # drops the terms with s = v, v = t or s = t
+    if sigma.dtype != object and int(sigma.max()) >= _INT64_SAFE // (n * n):
+        sigma = sigma.astype(object)
+    # connected pairs (s, t), sorted so that each value of sigma_st is one run
+    flat = sigma.ravel()
+    pairs = np.flatnonzero(flat)
+    pairs = pairs[np.argsort(flat[pairs], kind="stable")]
+    denoms, starts = np.unique(flat[pairs], return_index=True)
+    src, dst = np.divmod(pairs, n)
+    d_st = dist.ravel()[pairs]
+    dist_t, sigma_t = dist.T.copy(), sigma.T.copy()
+    # integer numerators of node v over each denominator, summed exactly
+    sums = np.empty((n, len(denoms)), dtype=sigma.dtype)
+    for v in range(n):
+        on_path = dist_t[v][src] + dist[v][dst] == d_st
+        through = np.where(on_path, sigma_t[v][src] * sigma[v][dst], 0)
+        sums[v] = np.add.reduceat(through, starts)
+    common = lcm(*(int(d) for d in denoms))
+    scale = np.array([common // int(d) for d in denoms], dtype=object)
+    norm = common * (n - 1) * (n - 2)
+    return np.array([int(total) / norm for total in sums.astype(object) @ scale])
+
+
+def _closeness(dist: np.ndarray) -> np.ndarray:
+    """(N-1) / row sum of distances where every node is reached, else 0."""
+    n = dist.shape[0]
+    out = np.zeros(n)
+    full = (dist >= 0).all(axis=1)
+    if n > 1:
+        out[full] = (n - 1) / dist[full].sum(axis=1)
+    return out
 
 
 def betweenness(net: EffectiveNetwork) -> np.ndarray:
     """Fraction of directed shortest paths through each node, normalized
     by (N-1)(N-2); unreachable pairs contribute nothing."""
-    adj = _digraph(net)
-    n = adj.shape[0]
-    if n < 3:
-        return np.zeros(n)
-    adj_lists = [np.flatnonzero(adj[v]) for v in range(n)]
-    totals = [Fraction(0)] * n
-    for s in range(n):
-        dist, sigma, order = _bfs(adj_lists, s, n)
-        delta = [Fraction(0)] * n
-        for w in reversed(order):
-            coeff = (1 + delta[w]) / sigma[w]
-            for v in np.flatnonzero(adj[:, w]):
-                if dist[v] == dist[w] - 1:
-                    delta[v] += sigma[v] * coeff
-            if w != s:
-                totals[w] += delta[w]
-    norm = (n - 1) * (n - 2)
-    return np.array([float(t / norm) for t in totals])
+    return _betweenness(*_shortest_paths(_digraph(net)))
 
 
 def closeness(net: EffectiveNetwork) -> np.ndarray:
     """(N-1) / sum of directed out-distances; 0 when any node is unreachable."""
-    adj = _digraph(net)
-    n = adj.shape[0]
-    adj_lists = [np.flatnonzero(adj[v]) for v in range(n)]
-    out = np.zeros(n)
-    for v in range(n):
-        dist, _, order = _bfs(adj_lists, v, n)
-        if len(order) == n and n > 1:
-            out[v] = (n - 1) / int(dist.sum())
-    return out
+    return _closeness(_shortest_paths(_digraph(net))[0])
 
 
 def clustering(net: EffectiveNetwork) -> tuple[np.ndarray, float]:
@@ -109,39 +136,14 @@ def clustering(net: EffectiveNetwork) -> tuple[np.ndarray, float]:
     3 * triangles / connected triples.
     """
     sym = _symmetric(net).astype(np.int64)
-    n = sym.shape[0]
     deg = sym.sum(axis=1)
-    sym2 = sym @ sym
-    tri_node = (sym2 * sym).sum(axis=1) // 2
-    per_node = np.zeros(n)
-    for v in range(n):
-        if deg[v] >= 2:
-            per_node[v] = int(tri_node[v]) / comb(int(deg[v]), 2)
-    triangles = int((sym2 * sym).sum()) // 6
-    triples = sum(comb(int(d), 2) for d in deg)
-    global_cc = (3 * triangles) / triples if triples else 0.0
+    tri_node = ((sym @ sym) * sym).sum(axis=1) // 2
+    pairs = deg * (deg - 1) // 2
+    per_node = np.zeros(sym.shape[0])
+    np.divide(tri_node, pairs, out=per_node, where=pairs > 0)
+    triples = int(pairs.sum())
+    global_cc = int(tri_node.sum()) / triples if triples else 0.0
     return per_node, global_cc
-
-
-def _components(sym: np.ndarray) -> list[list[int]]:
-    n = sym.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        queue = deque([start])
-        seen[start] = True
-        members = []
-        while queue:
-            v = queue.popleft()
-            members.append(v)
-            for w in np.flatnonzero(sym[v]):
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        comps.append(members)
-    return comps
 
 
 def global_metrics(net: EffectiveNetwork) -> dict:
@@ -149,27 +151,20 @@ def global_metrics(net: EffectiveNetwork) -> dict:
     mean neighbor count, and the self-loop tally."""
     adj = _digraph(net)
     n = adj.shape[0]
-    sym = _symmetric(net)
-    n_edges = int(adj.sum())
-    density = n_edges / (n * (n - 1)) if n > 1 else 0.0
+    sym = adj | adj.T
+    density = int(adj.sum()) / (n * (n - 1)) if n > 1 else 0.0
     _, global_cc = clustering(net)
-    comps = _components(sym)
-    adj_lists = [np.flatnonzero(sym[v]) for v in range(n)]
-    diameter = 0
-    for v in range(n):
-        dist, _, order = _bfs(adj_lists, v, n)
-        if order:
-            reached = dist[dist > 0]
-            if reached.size:
-                diameter = max(diameter, int(reached.max()))
+    dist, _ = _shortest_paths(sym)
+    reached = dist >= 0
     return {
         "density": density,
         "global_clustering": global_cc,
-        "diameter": diameter,
+        "diameter": int(dist.max(initial=0)),
         "avg_neighbors": float(sym.sum()) / n if n else 0.0,
         "self_loop_count": int(np.diag(net.aggregate_support).sum()),
-        "connected_component_count": len(comps),
-        "largest_component_size": max((len(c) for c in comps), default=0),
+        # a component is counted once, at its lowest-numbered member
+        "connected_component_count": n - int(np.tril(reached, -1).any(axis=1).sum()),
+        "largest_component_size": int(reached.sum(axis=1).max(initial=0)),
     }
 
 
@@ -264,14 +259,14 @@ def compute_report(net: EffectiveNetwork) -> MetricsReport:
         raise ShapeMismatch(f"{len(labels)} labels for {n} nodes")
     in_deg, out_deg, total = degrees(net)
     per_node_cc, _ = clustering(net)
-    glob = global_metrics(net)
+    dist, count = _shortest_paths(_digraph(net))
     return MetricsReport(
         node_labels=tuple(labels),
         in_degree=in_deg,
         out_degree=out_deg,
         total_degree=total,
-        betweenness=betweenness(net),
-        closeness=closeness(net),
+        betweenness=_betweenness(dist, count),
+        closeness=_closeness(dist),
         clustering_coefficient=per_node_cc,
-        **glob,
+        **global_metrics(net),
     )

@@ -3,7 +3,7 @@
 Artifacts land under the output directory:
 
     manifest.json                run summary; config echo, versions, choices,
-                                 convergence tally, warnings
+                                 stage timings, convergence tally, warnings
     seg_000/edges.json           every nonzero block norm, with the threshold
     seg_000/metrics.json|csv     topology report of the thresholded network
     seg_000/diagnostics.ndjson   solver convergence trace
@@ -13,7 +13,7 @@ Artifacts land under the output directory:
     error.json                   written instead when a stage fails
 
 Given one config and seed the outputs are byte-identical across runs; the
-manifest's created_utc field is the single exception.
+manifest's created_utc and per-segment timings fields are the exceptions.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import csv
 import json
 import logging
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
@@ -33,7 +34,7 @@ import scipy
 from . import __version__
 from .errors import ConfigError, KsvarError, LabelMismatch, ShapeMismatch
 from .kernels import KernelSpec, build_kernel_set, parse_kernel_spec
-from .metrics import compute_report
+from .metrics import MetricsReport, compute_report
 from .mkl import MklCoefficientTensor
 from .panel import (
     SegmentationConfig,
@@ -261,8 +262,7 @@ def _segment_name(idx: int) -> str:
     return f"seg_{idx:03d}"
 
 
-def _write_metrics(seg_dir: str, net: EffectiveNetwork) -> None:
-    report = compute_report(net)
+def _write_metrics(seg_dir: str, report: MetricsReport) -> None:
     _write_json(os.path.join(seg_dir, "metrics.json"), report.to_json_dict())
     with _atomic_open(os.path.join(seg_dir, "metrics.csv"), newline="") as handle:
         csv.writer(handle).writerows(report.to_csv_rows())
@@ -284,12 +284,37 @@ def _write_attribution(seg_dir: str, tensor: MklCoefficientTensor) -> None:
             )
 
 
+def _warn_if_grid_edge(chosen: float, grid, chooser: str) -> bool:
+    """Log a ``ksvar`` warning and return True when cross-validation chose
+    the smallest or largest lambda of a grid with more than one value."""
+    if len(set(grid)) < 2 or chosen not in (min(grid), max(grid)):
+        return False
+    log.warning("%s chose lambda=%r at the edge of the grid %r", chooser, chosen, list(grid))
+    return True
+
+
+SEGMENT_STAGES = ("lag_selection", "kernels", "cv", "fit", "threshold", "metrics", "write")
+
+
+@contextmanager
+def _timed(timings: dict, stage: str):
+    """Add the wall seconds of the block to ``timings[stage]``."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[stage] += time.perf_counter() - start
+
+
 def _process_segment(idx: int, seg_panel: TimeSeriesPanel, cfg: PipelineConfig, out_root: str):
     """Fit one segment and write its artifact directory.
 
     Returns (summary dict, thresholded network) for the manifest and the
-    optional aggregation step.
+    optional aggregation step.  The summary's ``timings`` holds the wall
+    seconds of each of ``SEGMENT_STAGES``, 0.0 for a stage the
+    configuration skips.
     """
+    timings = dict.fromkeys(SEGMENT_STAGES, 0.0)
     name = _segment_name(idx)
     seg_dir = os.path.join(out_root, name)
     os.makedirs(seg_dir, exist_ok=True)
@@ -300,36 +325,40 @@ def _process_segment(idx: int, seg_panel: TimeSeriesPanel, cfg: PipelineConfig, 
     if cfg.lag is not None:
         chosen_lag = cfg.lag
     else:
-        chosen_lag = select_lag_bic(
-            work, specs[0], list(cfg.bic_candidates), cfg.solver_config(pilot_lam)
-        )
+        with _timed(timings, "lag_selection"):
+            chosen_lag = select_lag_bic(
+                work, specs[0], list(cfg.bic_candidates), cfg.solver_config(pilot_lam)
+            )
     view = lag_view(work, chosen_lag)
     kernels_arg = specs[0] if cfg.kernel is not None else specs
-    kms = build_kernel_set(view, kernels_arg, seed=cfg.seed)
+    with _timed(timings, "kernels"):
+        kms = build_kernel_set(view, kernels_arg, seed=cfg.seed)
 
     cv_table = None
     if cfg.lambda_grid is not None:
-        chosen_lam, cv_table = cross_validate_lambda(
-            work, kms, list(cfg.lambda_grid), cfg.cv_folds, cfg.solver_config(pilot_lam)
-        )
+        with _timed(timings, "cv"):
+            chosen_lam, cv_table = cross_validate_lambda(
+                work, kms, list(cfg.lambda_grid), cfg.cv_folds, cfg.solver_config(pilot_lam)
+            )
     else:
         chosen_lam = cfg.lam
     scfg = cfg.solver_config(chosen_lam)
 
-    if cfg.regularizer == "squared":
-        tensor = ridge_fit(view.targets, kms, scfg)
-        resid = view.targets - predict(tensor, kms)
-        fidelity = 0.5 * float(np.sum(resid * resid))
-        penalty = chosen_lam * float((rkhs_block_norms(kms, tensor) ** 2).sum())
-        records = []
-        iterations, converged = 1, True
-        final_objective = fidelity + penalty
-    else:
-        tensor, _, diagnostics = admm_fit(view.targets, kms, scfg)
-        records = diagnostics.records()
-        iterations, converged = diagnostics.iterations, diagnostics.converged
-        fidelity, penalty = diagnostics.fidelity, diagnostics.penalty
-        final_objective = diagnostics.final_objective
+    with _timed(timings, "fit"):
+        if cfg.regularizer == "squared":
+            tensor = ridge_fit(view.targets, kms, scfg)
+            resid = view.targets - predict(tensor, kms)
+            fidelity = 0.5 * float(np.sum(resid * resid))
+            penalty = chosen_lam * float((rkhs_block_norms(kms, tensor) ** 2).sum())
+            records = []
+            iterations, converged = 1, True
+            final_objective = fidelity + penalty
+        else:
+            tensor, _, diagnostics = admm_fit(view.targets, kms, scfg)
+            records = diagnostics.records()
+            iterations, converged = diagnostics.iterations, diagnostics.converged
+            fidelity, penalty = diagnostics.fidelity, diagnostics.penalty
+            final_objective = diagnostics.final_objective
     records.append(
         {
             "summary": True,
@@ -340,23 +369,28 @@ def _process_segment(idx: int, seg_panel: TimeSeriesPanel, cfg: PipelineConfig, 
             "penalty": penalty,
         }
     )
-    _write_ndjson(os.path.join(seg_dir, "diagnostics.ndjson"), records)
-
-    net = threshold_edges(tensor, cfg.tau_alpha, seg_panel.node_labels)
-    save_network(net, os.path.join(seg_dir, "edges.json"))
-    _write_metrics(seg_dir, net)
-    if cfg.dictionary is not None:
-        mkl_tensor = MklCoefficientTensor(
-            coeffs=tensor.coeffs,
-            node_labels=seg_panel.node_labels,
-            kernel_specs=tuple(specs),
-        )
-        _write_attribution(seg_dir, mkl_tensor)
-    if cv_table is not None:
-        _write_json(
-            os.path.join(seg_dir, "cv.json"),
-            {"chosen_lambda": chosen_lam, "folds": cfg.cv_folds, "table": cv_table},
-        )
+    with _timed(timings, "write"):
+        _write_ndjson(os.path.join(seg_dir, "diagnostics.ndjson"), records)
+    with _timed(timings, "threshold"):
+        net = threshold_edges(tensor, cfg.tau_alpha, seg_panel.node_labels)
+    with _timed(timings, "write"):
+        save_network(net, os.path.join(seg_dir, "edges.json"))
+    with _timed(timings, "metrics"):
+        report = compute_report(net)
+    with _timed(timings, "write"):
+        _write_metrics(seg_dir, report)
+        if cfg.dictionary is not None:
+            mkl_tensor = MklCoefficientTensor(
+                coeffs=tensor.coeffs,
+                node_labels=seg_panel.node_labels,
+                kernel_specs=tuple(specs),
+            )
+            _write_attribution(seg_dir, mkl_tensor)
+        if cv_table is not None:
+            _write_json(
+                os.path.join(seg_dir, "cv.json"),
+                {"chosen_lambda": chosen_lam, "folds": cfg.cv_folds, "table": cv_table},
+            )
     summary = {
         "name": name,
         "n_samples": seg_panel.n_samples,
@@ -365,6 +399,7 @@ def _process_segment(idx: int, seg_panel: TimeSeriesPanel, cfg: PipelineConfig, 
         "n_edges": net.n_edges,
         "converged": converged,
         "iterations": iterations,
+        "timings": timings,
     }
     return summary, net
 
@@ -460,16 +495,12 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             log.warning(
                 "segment %s stopped at max_iter=%d without converging", name, cfg.max_iter
             )
-        at_grid_edge = []
-        if cfg.lambda_grid is not None and len(set(cfg.lambda_grid)) > 1:
-            grid_ends = (min(cfg.lambda_grid), max(cfg.lambda_grid))
-            for summary in summaries:
-                if summary["lambda"] in grid_ends:
-                    log.warning(
-                        "segment %s chose lambda=%r at the edge of the grid %r",
-                        summary["name"], summary["lambda"], list(cfg.lambda_grid),
-                    )
-                    at_grid_edge.append(summary["name"])
+        at_grid_edge = [
+            seg["name"]
+            for seg in summaries
+            if cfg.lambda_grid is not None
+            and _warn_if_grid_edge(seg["lambda"], cfg.lambda_grid, f"segment {seg['name']}")
+        ]
         stage = "manifest"
         manifest = {
             "schema_version": SCHEMA_VERSION,

@@ -16,7 +16,13 @@ from ksvar.metrics import (
 )
 from ksvar.solver import EffectiveNetwork
 
-from oracles import bf_report
+from oracles import (
+    bf_closeness,
+    bf_components,
+    bf_diameter,
+    bf_report,
+    brandes_betweenness,
+)
 
 
 def net_from(adj, labels=None):
@@ -160,6 +166,79 @@ class TestBruteForceAgreement:
         assert report.self_loop_count == want["self_loop_count"]
         assert report.connected_component_count == want["connected_component_count"]
         assert report.largest_component_size == want["largest_component_size"]
+
+
+def layered_chain(width: int, layers: int, ends: int = 1) -> np.ndarray:
+    """``ends`` sources, then ``layers`` layers of ``width`` nodes, each
+    joined completely to the next, then ``ends`` sinks that link back to
+    every source: width**layers shortest paths run from each source to
+    each sink, and every node reaches every other."""
+    n = width * layers + 2 * ends
+    adj = np.zeros((n, n), dtype=bool)
+    first = ends
+    adj[:ends, first : first + width] = True
+    for _ in range(layers - 1):
+        adj[first : first + width, first + width : first + 2 * width] = True
+        first += width
+    adj[first : first + width, n - ends :] = True
+    adj[n - ends :, :ends] = True
+    return adj
+
+
+class TestExactAgainstReferences:
+    """Bit-for-bit equality with Brandes in ``Fraction`` arithmetic and with
+    per-source BFS, on graphs too large for path enumeration."""
+
+    def assert_exact(self, adj):
+        adj = np.asarray(adj, dtype=bool)
+        np.fill_diagonal(adj, False)
+        sym = adj | adj.T
+        net = net_from(adj)
+        report = compute_report(net)
+        want_b = brandes_betweenness(adj)
+        want_c = bf_closeness(adj)
+        comps = bf_components(sym)
+        assert np.array_equal(report.betweenness, want_b)
+        assert np.array_equal(betweenness(net), want_b)
+        assert np.array_equal(report.closeness, want_c)
+        assert np.array_equal(closeness(net), want_c)
+        assert report.diameter == bf_diameter(sym)
+        assert report.connected_component_count == len(comps)
+        assert report.largest_component_size == max(len(c) for c in comps)
+
+    @pytest.mark.parametrize("density", [0.03, 0.08, 0.2, 0.45])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_seeded_digraphs(self, seed, density):
+        rng = np.random.default_rng([seed, int(density * 100)])
+        n = int(rng.integers(20, 81))
+        self.assert_exact(rng.random((n, n)) < density)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_disconnected_with_isolated_nodes(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(40, 81))
+        adj = rng.random((n, n)) < 0.15
+        cut = n // 3
+        adj[:cut, cut:] = False
+        adj[cut:, :cut] = False
+        isolated = rng.choice(n, size=5, replace=False)
+        adj[isolated, :] = False
+        adj[:, isolated] = False
+        self.assert_exact(adj)
+
+    def test_dense_report_shape(self):
+        # the density of a dense saved network, at N=100: about 3,000 edges
+        rng = np.random.default_rng(150)
+        self.assert_exact(rng.random((100, 100)) < 0.3)
+
+    def test_path_counts_past_int64(self):
+        # 2**64 shortest source-to-sink paths: int64 arithmetic would wrap
+        self.assert_exact(layered_chain(2, 64))
+
+    def test_path_count_sums_past_int64(self):
+        # every count fits int64 (2**59 at most), but a node's sums of
+        # path counts over pairs with equal denominators pass 2**63
+        self.assert_exact(layered_chain(2, 56, ends=4))
 
 
 class TestInvariances:

@@ -14,6 +14,7 @@ from ksvar.panel import NoiseModel, TimeSeriesPanel, read_csv_panel, write_csv_p
 from ksvar.pipeline import (
     GLOBAL_METRICS,
     PER_NODE_METRICS,
+    SEGMENT_STAGES,
     PipelineConfig,
     _write_json,
     _write_ndjson,
@@ -289,11 +290,34 @@ class TestRunPipeline:
             if rel == "manifest.json":
                 a = json.loads(first[rel])
                 b = json.loads(second[rel])
-                a.pop("created_utc")
-                b.pop("created_utc")
+                # the timestamp and the stage timings vary from run to run
+                for manifest in (a, b):
+                    manifest.pop("created_utc")
+                    for seg in manifest["segments"]:
+                        seg.pop("timings")
                 assert a == b
             else:
                 assert first[rel] == second[rel], rel
+
+    @pytest.mark.parametrize("selection", [False, True])
+    def test_manifest_records_stage_timings(self, tmp_path, selection):
+        inp = tmp_path / "panel.csv"
+        write_panel_csv(inp, t=40, n=4)
+        kwargs = {}
+        if selection:
+            kwargs = dict(lag=None, bic_candidates=(1, 2), lam=None,
+                          lambda_grid=(0.1, 1.0), cv_folds=3)
+        manifest = run_pipeline(base_config(inp, tmp_path / "run", **kwargs))
+        timings = manifest["segments"][0]["timings"]
+        assert tuple(timings) == SEGMENT_STAGES
+        assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+        for stage in ("kernels", "fit", "threshold", "metrics", "write"):
+            assert timings[stage] > 0.0, stage
+        # a stage the configuration skips records exactly zero
+        for stage in ("lag_selection", "cv"):
+            assert (timings[stage] > 0.0) == selection, stage
+        on_disk = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert on_disk["segments"][0]["timings"] == timings
 
     def test_worker_count_does_not_change_results(self, tmp_path):
         inp = tmp_path / "panel.csv"
@@ -654,6 +678,28 @@ class TestCli:
         table = json.loads(table_path.read_text())
         assert table["chosen_lambda"] in (0.1, 1.0)
         assert len(table["table"]) == 2
+
+    @pytest.mark.parametrize(
+        "grid, chosen, at_edge", [("1.0,100.0", 1.0, True), ("0.01,1.0,100.0", 1.0, False)]
+    )
+    def test_cv_command_warns_at_grid_edge(self, tmp_path, caplog, grid, chosen, at_edge):
+        csv_path = tmp_path / "panel.csv"
+        write_panel_csv(csv_path, t=30, n=6)
+        table_path = tmp_path / "cv.json"
+        with caplog.at_level(logging.WARNING, logger="ksvar"):
+            res = self.invoke(
+                "cv", "-i", str(csv_path), "--grid", grid, "--folds", "3",
+                "--lag", "1", "-o", str(table_path),
+            )
+        assert res.exit_code == 0, res.output
+        assert json.loads(table_path.read_text())["chosen_lambda"] == chosen
+        warned = [r for r in caplog.records if r.name == "ksvar"]
+        if at_edge:
+            assert len(warned) == 1
+            assert warned[0].levelno == logging.WARNING
+            assert "edge of the grid" in warned[0].getMessage()
+        else:
+            assert not warned
 
     def test_infer_rejects_both_lambda_forms(self, tmp_path):
         csv_path = tmp_path / "sim.csv"
