@@ -149,11 +149,14 @@ def clustering(net: EffectiveNetwork) -> tuple[np.ndarray, float]:
 def global_metrics(net: EffectiveNetwork) -> dict:
     """Graph-level summary: density, clustering, diameter, component data,
     mean neighbor count, and the self-loop tally."""
+    return _global_metrics(net, clustering(net)[1])
+
+
+def _global_metrics(net: EffectiveNetwork, global_cc: float) -> dict:
     adj = _digraph(net)
     n = adj.shape[0]
     sym = adj | adj.T
     density = int(adj.sum()) / (n * (n - 1)) if n > 1 else 0.0
-    _, global_cc = clustering(net)
     dist, _ = _shortest_paths(sym)
     reached = dist >= 0
     return {
@@ -258,7 +261,7 @@ def compute_report(net: EffectiveNetwork) -> MetricsReport:
     if len(labels) != n:
         raise ShapeMismatch(f"{len(labels)} labels for {n} nodes")
     in_deg, out_deg, total = degrees(net)
-    per_node_cc, _ = clustering(net)
+    per_node_cc, global_cc = clustering(net)
     dist, count = _shortest_paths(_digraph(net))
     return MetricsReport(
         node_labels=tuple(labels),
@@ -268,5 +271,5 @@ def compute_report(net: EffectiveNetwork) -> MetricsReport:
         betweenness=_betweenness(dist, count),
         closeness=_closeness(dist),
         clustering_coefficient=per_node_cc,
-        **global_metrics(net),
+        **_global_metrics(net, global_cc),
     )

@@ -19,14 +19,16 @@ representative, which keeps edge weights free of null-direction junk from
 rank-deficient Grams.
 
 All linear solves (ADMM, ridge, cross-validation, BIC) share one thin SVD
-of the stacked factor per fit; see ``_FactorSystem``.
+of the stacked factor per fit; see ``_FactorSystem``.  Cross-validation
+builds one per fold and runs the whole lambda grid through one batched
+ADMM loop, predicting held-out rows straight from factor coordinates.
 
 Contents
 --------
 - SolverConfig, CoefficientTensor, DualState, FitDiagnostics, EffectiveNetwork
-- admm_fit, admm_column_update, block_shrinkage, dual_update
+- admm_fit, block_shrinkage
 - ridge_fit (squared RKHS-norm regularizer, closed form)
-- threshold_edges, predict, objective_value, lambda_zero_bound
+- threshold_edges, predict, lambda_zero_bound
 - cross_validate_lambda (contiguous time-block folds), select_lag_bic
 """
 
@@ -147,7 +149,8 @@ class CoefficientTensor:
 
 @dataclass
 class DualState:
-    """ADMM auxiliary and multiplier blocks, in the same layout as coeffs."""
+    """ADMM auxiliary and multiplier in factor coordinates, shape (R, N):
+    rows stack each block's coordinates in kernel-set block order."""
 
     gamma: np.ndarray
     xi: np.ndarray
@@ -163,8 +166,10 @@ class FitDiagnostics:
 
     ``fidelity`` is the 0.5 * ||Y - Yhat||_F^2 term of the objective at the
     returned coefficients and ``penalty`` the weighted group-norm term, so
-    ``final_objective = fidelity + penalty``.  Residual traces are not
-    monotone in general.
+    ``final_objective = fidelity + penalty``.  ``residual_ratio`` is the
+    larger of the final primal and dual residuals over their scaled
+    tolerances; the fit converged exactly when it is at most 1.  Residual
+    traces are not monotone in general.
     """
 
     iterations: int
@@ -175,6 +180,7 @@ class FitDiagnostics:
     final_objective: float
     fidelity: float
     penalty: float
+    residual_ratio: float
 
     def records(self) -> list[dict]:
         """One dict per iteration, ready for newline-delimited JSON."""
@@ -247,17 +253,6 @@ def block_shrinkage(z: np.ndarray, threshold: float) -> np.ndarray:
     return z * ((norm - threshold) / norm)
 
 
-def dual_update(
-    state: DualState, dsqrt_w: np.ndarray, gamma: np.ndarray, rho: float
-) -> DualState:
-    """Multiplier ascent: xi <- xi + rho * (D^{1/2} W - gamma)."""
-    dsqrt_w = np.asarray(dsqrt_w, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    if dsqrt_w.shape != np.shape(state.xi) or gamma.shape != dsqrt_w.shape:
-        raise ShapeMismatch("dual update shapes disagree")
-    return DualState(gamma=gamma, xi=state.xi + rho * (dsqrt_w - gamma))
-
-
 class _FactorSystem:
     """Per-fit cache for the x-update: one thin SVD shared by every column.
 
@@ -275,6 +270,9 @@ class _FactorSystem:
     to the largest r_j with zero rows of V, so a solve is a few batched
     products whatever the kernels' ranks.  A zero penalty is singular unless
     R <= T'; a rank-deficient F then takes ``jitter`` instead.
+
+    Coordinate arrays have shape (K, R, N), K right-hand sides per node (one
+    per lambda of a batched ADMM run).
     """
 
     def __init__(self, kms: KernelMatrixSet, penalty: float, jitter: float):
@@ -326,14 +324,18 @@ class _FactorSystem:
             raise SingularSystem("deleted-block system is singular") from exc
 
     def mask_deleted(self, arr: np.ndarray) -> np.ndarray:
-        arr[self.deleted_rows, self.deleted_cols] = 0.0
+        arr[:, self.deleted_rows, self.deleted_cols] = 0.0
         return arr
 
+    def project(self, y: np.ndarray) -> np.ndarray:
+        """F^T y with deleted rows zeroed, shape (1, R, N)."""
+        return self.mask_deleted((self.F.T @ y)[None])
+
     def solve(self, q: np.ndarray) -> np.ndarray:
-        """Columnwise solve; q must already be zero at deleted rows."""
+        """Columnwise solve of (K, R, N) q, already zero at deleted rows."""
         t = self.vt @ q
-        u_del = np.einsum("nrk,kn->nr", self.left, t)
-        t -= np.einsum("nkr,nr->kn", self.right, u_del)
+        u_del = np.einsum("nrs,ksn->knr", self.left, t)
+        t -= np.einsum("nsr,knr->ksn", self.right, u_del)
         x = self.v_weighted @ t
         if self.null_weight:
             x += self.null_weight * q
@@ -353,8 +355,9 @@ def _check_fit_inputs(targets: np.ndarray, kms: KernelMatrixSet) -> np.ndarray:
 
 
 def _rank_groups(kms: KernelMatrixSet):
-    """Blocks batched by rank: their (kernel, lag, node) index arrays, their
-    stacked factors (m, T', r) and their rows (m, r) in factor coordinates."""
+    """Blocks batched by rank: the blocks, their (kernel, lag, node) index
+    arrays, their stacked factors (m, T', r) and their rows (m, r) in factor
+    coordinates."""
     starts = np.cumsum([0] + [b.rank for b in kms.blocks])
     groups: dict[int, list[int]] = {}
     for pos, block in enumerate(kms.blocks):
@@ -364,38 +367,44 @@ def _rank_groups(kms: KernelMatrixSet):
         blocks = [kms.blocks[pos] for pos in positions]
         idx = tuple(np.array(v) for v in zip(*[(b.kernel_index, b.lag, b.node) for b in blocks]))
         factors = np.stack([b.factor for b in blocks])
-        yield idx, factors, starts[positions][:, None] + np.arange(r)
+        yield blocks, idx, factors, starts[positions][:, None] + np.arange(r)
 
 
 def _alpha_from_reduced(kms: KernelMatrixSet, a: np.ndarray) -> np.ndarray:
     """Map factor coordinates back to minimum-norm coefficient blocks."""
     n = kms.n_nodes
     coeffs = np.zeros((kms.n_kernels, kms.lag + 1, n, n, kms.n_targets))
-    for idx, factors, rows in _rank_groups(kms):
+    for _, idx, factors, rows in _rank_groups(kms):
         gram = factors.transpose(0, 2, 1) @ factors
         alpha = factors @ (np.linalg.pinv(gram, hermitian=True) @ a[rows])
         coeffs[idx] = alpha.transpose(0, 2, 1)
     return coeffs
 
 
-def _dual_to_full(kms: KernelMatrixSet, reduced: np.ndarray) -> np.ndarray:
-    """Map reduced dual blocks to full-length ones via the block isometry."""
-    n = kms.n_nodes
-    out = np.zeros((kms.n_kernels, kms.lag + 1, n, n, kms.n_targets))
-    for idx, factors, rows in _rank_groups(kms):
-        w, v = np.linalg.eigh(factors.transpose(0, 2, 1) @ factors)
-        floor = 1e-15 * np.maximum(w.max(axis=1, keepdims=True), 1.0)
-        inv_sqrt = np.where(w > floor, 1.0 / np.sqrt(np.maximum(w, 1e-300)), 0.0)
-        j_map = factors @ ((v * inv_sqrt[:, None, :]) @ v.transpose(0, 2, 1))
-        out[idx] = (j_map @ reduced[rows]).transpose(0, 2, 1)
-    return out
+def _prediction_map(kms: KernelMatrixSet, view: LagAlignedView) -> np.ndarray:
+    """Phi with one-step predictions on ``view``'s rows equal to Phi @ c.
+
+    Block b's columns are kc_b B_b (B_b^T B_b)^+, kc_b being the kernel
+    between the view's samples and the training ones, so Phi @ c is the
+    prediction of the minimum-norm coefficients with coordinates c.
+    """
+    phi = np.zeros((view.n_targets, sum(b.rank for b in kms.blocks)))
+    for blocks, _, factors, rows in _rank_groups(kms):
+        if any(b.spec is None or b.samples is None for b in blocks):
+            raise ConfigError("prediction on new data needs kernel blocks built from samples")
+        kc = np.stack(
+            [cross_gram(b.spec, view.regressor_series(b.node, b.lag), b.samples) for b in blocks]
+        )
+        gram = factors.transpose(0, 2, 1) @ factors
+        phi[:, rows] = (kc @ (factors @ np.linalg.pinv(gram, hermitian=True))).transpose(1, 0, 2)
+    return phi
 
 
 def rkhs_block_norms(kms: KernelMatrixSet, tensor: CoefficientTensor) -> np.ndarray:
     """||K_b^{1/2} a_bj||_2 for every block, shape (P, L+1, N, N)."""
     n = kms.n_nodes
     out = np.zeros((kms.n_kernels, kms.lag + 1, n, n))
-    for idx, factors, _ in _rank_groups(kms):
+    for _, idx, factors, _ in _rank_groups(kms):
         c = factors.transpose(0, 2, 1) @ tensor.coeffs[idx].transpose(0, 2, 1)
         out[idx] = np.linalg.norm(c, axis=1)
     return out
@@ -417,35 +426,15 @@ def predict(
     ):
         raise ShapeMismatch("coefficient tensor does not match the kernel set")
     if view is None:
-        out = np.zeros((kms.n_targets, kms.n_nodes))
-        for idx, factors, _ in _rank_groups(kms):
-            c = factors.transpose(0, 2, 1) @ tensor.coeffs[idx].transpose(0, 2, 1)
-            m, t, r = factors.shape
-            out += factors.transpose(1, 0, 2).reshape(t, m * r) @ c.reshape(m * r, -1)
-        return out
-    if view.lag != kms.lag or view.n_nodes != kms.n_nodes:
+        basis = np.hstack([b.factor for b in kms.blocks])
+    elif view.lag != kms.lag or view.n_nodes != kms.n_nodes:
         raise ShapeMismatch("view does not match the kernel set")
-    out = np.zeros((view.n_targets, kms.n_nodes))
-    for block in kms.blocks:
-        if block.spec is None or block.samples is None:
-            raise ConfigError(
-                "prediction on new data needs kernel blocks built from samples"
-            )
-        alpha = tensor.coeffs[block.kernel_index, block.lag, block.node]
-        kc = cross_gram(block.spec, view.regressor_series(block.node, block.lag), block.samples)
-        out += kc @ alpha.T
-    return out
-
-
-def objective_value(
-    targets: np.ndarray, kms: KernelMatrixSet, tensor: CoefficientTensor, lam: float
-) -> tuple[float, float, float]:
-    """(objective, fidelity, penalty) of the group-sparse problem at ``tensor``."""
-    y = _check_fit_inputs(targets, kms)
-    resid = y - predict(tensor, kms)
-    fidelity = 0.5 * float(np.sum(resid * resid))
-    penalty = lam * float(rkhs_block_norms(kms, tensor).sum())
-    return fidelity + penalty, fidelity, penalty
+    else:
+        basis = _prediction_map(kms, view)
+    coords = np.zeros((basis.shape[1], kms.n_nodes))  # c_b = B_b^T a_b, stacked
+    for _, idx, factors, rows in _rank_groups(kms):
+        coords[rows] = factors.transpose(0, 2, 1) @ tensor.coeffs[idx].transpose(0, 2, 1)
+    return basis @ coords
 
 
 def lambda_zero_bound(targets: np.ndarray, kms: KernelMatrixSet) -> float:
@@ -461,10 +450,84 @@ def lambda_zero_bound(targets: np.ndarray, kms: KernelMatrixSet) -> float:
     return best
 
 
-def _sumsq(a: np.ndarray) -> float:
-    """Sum of squared entries, without np.sum's per-call overhead."""
-    flat = a.ravel()
-    return float(flat @ flat)
+def _sumsq_each(a: np.ndarray) -> list[float]:
+    """Sum of squared entries of each a[k]."""
+    flat = a.reshape(a.shape[0], -1)
+    return np.vecdot(flat, flat).tolist()
+
+
+def _admm(
+    y: np.ndarray, system: _FactorSystem, lams, cfg: SolverConfig
+) -> list[tuple[np.ndarray, np.ndarray, FitDiagnostics]]:
+    """ADMM for every lambda in ``lams`` at once, one (g, xi, diagnostics)
+    per lambda.
+
+    The columns are (lambda, node) pairs sharing ``system``; each lambda
+    shrinks at its own threshold lambda/rho and stops on its own residual
+    test, and its iterate is kept at the iteration where it converged or
+    at ``max_iter``.  g and xi are the post-shrinkage iterate and the
+    multiplier in factor coordinates, shape (R, N).
+    """
+    rho = cfg.rho
+    scale_dim = math.sqrt(max(system.kept_dim, 1))
+    tol_primal, tol_dual = cfg.tol_primal * scale_dim, cfg.tol_dual * scale_dim
+    c0 = system.project(y)
+    live = list(range(len(lams)))  # grid positions still iterating
+    lam_live = np.asarray(lams, dtype=float)
+    kappa = (lam_live / rho)[:, None, None]
+    g = np.zeros((len(lams),) + c0.shape[1:])
+    xi = np.zeros_like(g)
+    history: list[list] = [[] for _ in lams]
+    out: list = [None] * len(lams)
+
+    for it in range(1, cfg.max_iter + 1):
+        x = system.solve(c0 + rho * g - xi)
+        v = x + xi / rho
+        norms = np.sqrt(np.add.reduceat(v * v, system.seg_starts, axis=1))
+        shrunk = np.maximum(norms - kappa, 0.0)
+        # shrunk is 0 wherever norms <= kappa, so kappa > 0 guards the division
+        factor = shrunk / np.maximum(norms, kappa)
+        g_new = v * np.repeat(factor, system.seg_ranks, axis=1)
+        gap = x - g_new
+        primal = _sumsq_each(gap)
+        dual = _sumsq_each(g_new - g)
+        g = g_new
+        xi = xi + rho * gap
+        fidelity = _sumsq_each(y - system.F @ g)
+        penalty = lam_live * shrunk.reshape(len(live), -1).sum(axis=1)
+        keep = []
+        for i, pos in enumerate(live):
+            p, d = math.sqrt(primal[i]), rho * math.sqrt(dual[i])
+            fid, pen = 0.5 * fidelity[i], float(penalty[i])
+            if not (math.isfinite(p) and math.isfinite(d) and math.isfinite(fid + pen)):
+                raise NonFinite(f"ADMM diverged at iteration {it}")
+            history[pos].append((p, d, fid + pen))
+            converged = p <= tol_primal and d <= tol_dual
+            if not converged and it < cfg.max_iter:
+                keep.append(i)
+                continue
+            primals, duals, objectives = np.array(history[pos]).T
+            out[pos] = (
+                g[i],
+                xi[i],
+                FitDiagnostics(
+                    iterations=it,
+                    converged=converged,
+                    primal_residuals=primals,
+                    dual_residuals=duals,
+                    objectives=objectives,
+                    final_objective=fid + pen,
+                    fidelity=fid,
+                    penalty=pen,
+                    residual_ratio=max(p / tol_primal, d / tol_dual),
+                ),
+            )
+        if not keep:
+            break
+        if len(keep) < len(live):
+            live = [live[i] for i in keep]
+            lam_live, kappa, g, xi = lam_live[keep], kappa[keep], g[keep], xi[keep]
+    return out
 
 
 def admm_fit(
@@ -475,108 +538,24 @@ def admm_fit(
     Iterates the shared factor solve, the block shrinkage, and the dual
     ascent until both scaled residuals drop below tolerance.  Returns the
     post-shrinkage iterate, whose inactive blocks are exactly zero, together
-    with the dual state and the convergence record.
+    with the dual state in factor coordinates and the convergence record.
     """
     if cfg.regularizer != "group_l1":
         raise ConfigError("admm_fit handles regularizer='group_l1' only; see ridge_fit")
     if cfg.lam <= 0:
         raise ConfigError("group-sparse fitting needs lam > 0")
     y = _check_fit_inputs(targets, kms)
-    system = _FactorSystem(kms, cfg.rho, cfg.jitter)
-    n = kms.n_nodes
-    r_total = system.total_rank
-    kappa = cfg.lam / cfg.rho
-    scale_dim = np.sqrt(max(system.kept_dim, 1))
-
-    c0 = system.mask_deleted(system.F.T @ y)
-    g = np.zeros((r_total, n))
-    xi = np.zeros((r_total, n))
-    primal_hist: list[float] = []
-    dual_hist: list[float] = []
-    obj_hist: list[float] = []
-    converged = False
-    iterations = 0
-
-    for _ in range(cfg.max_iter):
-        iterations += 1
-        q = c0 + cfg.rho * g - xi
-        x = system.solve(q)
-        v = x + xi / cfg.rho
-        norms = np.sqrt(np.add.reduceat(v * v, system.seg_starts, axis=0))
-        shrunk = np.maximum(norms - kappa, 0.0)
-        # shrunk is 0 wherever norms <= kappa, so kappa > 0 guards the division
-        factor = shrunk / np.maximum(norms, kappa)
-        g_new = v * np.repeat(factor, system.seg_ranks, axis=0)
-        primal = math.sqrt(_sumsq(x - g_new))
-        dual = cfg.rho * math.sqrt(_sumsq(g_new - g))
-        g = g_new
-        xi = xi + cfg.rho * (x - g)
-        resid = y - system.F @ g
-        objective = 0.5 * _sumsq(resid) + cfg.lam * float(shrunk.sum())
-        primal_hist.append(primal)
-        dual_hist.append(dual)
-        obj_hist.append(objective)
-        if not (math.isfinite(primal) and math.isfinite(dual) and math.isfinite(objective)):
-            raise NonFinite(f"ADMM diverged at iteration {iterations}")
-        if primal <= cfg.tol_primal * scale_dim and dual <= cfg.tol_dual * scale_dim:
-            converged = True
-            break
-
+    [(g, xi, diagnostics)] = _admm(y, _FactorSystem(kms, cfg.rho, cfg.jitter), [cfg.lam], cfg)
     tensor = CoefficientTensor(coeffs=_alpha_from_reduced(kms, g))
-    dual_state = DualState(gamma=_dual_to_full(kms, g), xi=_dual_to_full(kms, xi))
-    final_obj, fidelity, penalty = objective_value(y, kms, tensor, cfg.lam)
-    diagnostics = FitDiagnostics(
-        iterations=iterations,
-        converged=converged,
-        primal_residuals=np.asarray(primal_hist),
-        dual_residuals=np.asarray(dual_hist),
-        objectives=np.asarray(obj_hist),
-        final_objective=final_obj,
-        fidelity=fidelity,
-        penalty=penalty,
-    )
-    return tensor, dual_state, diagnostics
+    return tensor, DualState(gamma=g, xi=xi), diagnostics
 
 
-def admm_column_update(
-    j: int,
-    y_j: np.ndarray,
-    gamma_j: np.ndarray | None,
-    xi_j: np.ndarray | None,
-    kms: KernelMatrixSet,
-    rho: float,
-    jitter: float = 1e-10,
+def _ridge_coordinates(
+    y: np.ndarray, kms: KernelMatrixSet, lam: float, jitter: float
 ) -> np.ndarray:
-    """Reference closed-form column solve on the dense deleted system.
-
-    Computes q_j = rho D_j^{1/2} gamma_j + Kbar_j^T y_j - D_j^{1/2} xi_j and
-    returns (Kbar_j^T Kbar_j + rho D_j + jitter I)^{-1} q_j.  ``gamma_j`` and
-    ``xi_j`` are stacked per-block vectors in assembly order with column j's
-    instantaneous blocks removed; None means zero.  The production fit uses
-    the factor-space equivalent; this dense form backs tests and small runs.
-    """
-    if not (0 <= j < kms.n_nodes):
-        raise ShapeMismatch(f"no column {j}")
-    y_j = np.asarray(y_j, dtype=float)
-    if y_j.shape != (kms.n_targets,):
-        raise ShapeMismatch("y_j must be a length-T' vector")
-    kbar_j = kms.kbar_deleted(j)
-    d_j = kms.dmat_deleted(j)
-    dim = kbar_j.shape[1]
-    q = kbar_j.T @ y_j
-    if gamma_j is not None or xi_j is not None:
-        gamma_j = np.zeros(dim) if gamma_j is None else np.asarray(gamma_j, float)
-        xi_j = np.zeros(dim) if xi_j is None else np.asarray(xi_j, float)
-        if gamma_j.shape != (dim,) or xi_j.shape != (dim,):
-            raise ShapeMismatch("gamma_j/xi_j must match the deleted column layout")
-        keep = np.setdiff1d(np.arange(kms.total_columns), kms.index_set(j))
-        d_sqrt = kms.dsqrt()[np.ix_(keep, keep)]
-        q = q + d_sqrt @ (rho * gamma_j - xi_j)
-    m = kbar_j.T @ kbar_j + rho * d_j + jitter * np.eye(dim)
-    try:
-        return np.linalg.solve(m, q)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("dense column system is singular") from exc
+    """Ridge solution in factor coordinates, shape (R, N)."""
+    system = _FactorSystem(kms, 2.0 * lam, jitter)
+    return system.solve(system.project(y))[0]
 
 
 def ridge_fit(
@@ -591,10 +570,8 @@ def ridge_fit(
     if cfg.regularizer != "squared":
         raise ConfigError("ridge_fit handles regularizer='squared' only")
     y = _check_fit_inputs(targets, kms)
-    system = _FactorSystem(kms, 2.0 * cfg.lam, cfg.jitter)
-    c0 = system.mask_deleted(system.F.T @ y)
-    a = system.solve(c0)
-    return CoefficientTensor(coeffs=_alpha_from_reduced(kms, a))
+    coords = _ridge_coordinates(y, kms, cfg.lam, cfg.jitter)
+    return CoefficientTensor(coeffs=_alpha_from_reduced(kms, coords))
 
 
 def threshold_edges(
@@ -617,13 +594,6 @@ def threshold_edges(
     return EffectiveNetwork(
         supports=supports, weights=weights, tau_alpha=tau_alpha, node_labels=labels
     )
-
-
-def _fit_for_config(targets, kms, cfg):
-    if cfg.regularizer == "squared":
-        return ridge_fit(targets, kms, cfg)
-    tensor, _, _ = admm_fit(targets, kms, cfg)
-    return tensor
 
 
 def _resolved_specs(kms: KernelMatrixSet) -> dict[tuple[int, int, int], KernelSpec]:
@@ -698,7 +668,11 @@ def cross_validate_lambda(
 
     ``kms`` must be the kernel set built on the full panel; its resolved
     specs (including data-driven bandwidths) are reused on every fold so
-    all candidates see identical kernels.  Ties go to the larger lambda.
+    all candidates see identical kernels.  Each fold factorizes once: the
+    group-sparse path fits the whole grid in one batched ADMM run (each
+    lambda stopping on its own test, as a separate fit would), the ridge
+    path solves once per lambda, and held-out rows are predicted from
+    factor coordinates.  Ties go to the larger lambda.
     """
     if not grid:
         raise ConfigError("lambda grid must be nonempty")
@@ -707,14 +681,21 @@ def cross_validate_lambda(
     grid = [float(l) for l in grid]
     if any(l < 0 for l in grid):
         raise ConfigError("lambda values must be nonnegative")
+    group = cfg.regularizer == "group_l1"
+    if group and min(grid) == 0:
+        raise ConfigError("group-sparse fitting needs lam > 0")
     specs = _resolved_specs(kms)
     fold_errors = np.zeros((len(grid), folds))
     for f, (train, test) in enumerate(_fold_views(panel, kms.lag, folds)):
         kms_train = _kernel_set_from_specs(train, specs, kms.n_kernels)
-        for gi, lam in enumerate(grid):
-            tensor = _fit_for_config(train.targets, kms_train, replace(cfg, lam=lam))
-            pred = predict(tensor, kms_train, view=test)
-            err = test.targets - pred
+        if group:
+            system = _FactorSystem(kms_train, cfg.rho, cfg.jitter)
+            coords = [g for g, _, _ in _admm(train.targets, system, grid, cfg)]
+        else:
+            coords = [_ridge_coordinates(train.targets, kms_train, l, cfg.jitter) for l in grid]
+        phi = _prediction_map(kms_train, test)
+        for gi, c in enumerate(coords):
+            err = test.targets - phi @ c
             fold_errors[gi, f] = float(np.mean(err * err))
     means = fold_errors.mean(axis=1)
     # ascending scan; ties replace, so equal scores land on the larger lambda

@@ -4,10 +4,12 @@ Everything here is deliberately written from scratch against the problem
 statements, not against the package internals: raw kernel arithmetic, an
 accelerated proximal-gradient group-lasso solver certified by duality gap,
 a normal-equations ridge solve, and exhaustive path-enumeration graph
-metrics in exact rational arithmetic.  The one exception is
-``brandes_betweenness``, the package's former per-source ``Fraction``
-betweenness, kept unchanged as an exact reference for graphs too large to
-enumerate.
+metrics in exact rational arithmetic.  The exceptions are former package
+code kept unchanged as references: ``brandes_betweenness``, the per-source
+``Fraction`` betweenness, exact for graphs too large to enumerate; and the
+Gram-space ADMM pieces (``admm_column_update``, ``dual_update``), the
+objective evaluated from coefficient blocks (``objective_value``) and the
+per-block cross-Gram ``heldout_prediction`` that cross-validation used.
 """
 
 from __future__ import annotations
@@ -17,6 +19,10 @@ from fractions import Fraction
 from math import comb
 
 import numpy as np
+
+from ksvar.errors import ShapeMismatch, SingularSystem
+from ksvar.kernels import cross_gram
+from ksvar.solver import DualState, predict, rkhs_block_norms
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +190,82 @@ def ridge_reference(
         resid = targets[:, j] - fitted[:, j]
         objective += 0.5 * float(resid @ resid) + lam * float(coef @ coef)
     return fitted, objective
+
+
+# ---------------------------------------------------------------------------
+# Gram-space ADMM pieces, objective and held-out prediction, formerly in
+# ksvar.solver: the dense column solve and the multiplier step in the full
+# coefficient layout, the objective at a coefficient tensor, and one
+# cross-kernel product per block for prediction on new rows
+
+
+def dual_update(state, dsqrt_w: np.ndarray, gamma: np.ndarray, rho: float):
+    """Multiplier ascent: xi <- xi + rho * (D^{1/2} W - gamma)."""
+    dsqrt_w = np.asarray(dsqrt_w, dtype=float)
+    gamma = np.asarray(gamma, dtype=float)
+    if dsqrt_w.shape != np.shape(state.xi) or gamma.shape != dsqrt_w.shape:
+        raise ShapeMismatch("dual update shapes disagree")
+    return DualState(gamma=gamma, xi=state.xi + rho * (dsqrt_w - gamma))
+
+
+def admm_column_update(
+    j: int,
+    y_j: np.ndarray,
+    gamma_j: np.ndarray | None,
+    xi_j: np.ndarray | None,
+    kms,
+    rho: float,
+    jitter: float = 1e-10,
+) -> np.ndarray:
+    """Closed-form column solve on the dense deleted system.
+
+    Computes q_j = rho D_j^{1/2} gamma_j + Kbar_j^T y_j - D_j^{1/2} xi_j and
+    returns (Kbar_j^T Kbar_j + rho D_j + jitter I)^{-1} q_j.  ``gamma_j`` and
+    ``xi_j`` are stacked per-block vectors in assembly order with column j's
+    instantaneous blocks removed; None means zero.
+    """
+    if not (0 <= j < kms.n_nodes):
+        raise ShapeMismatch(f"no column {j}")
+    y_j = np.asarray(y_j, dtype=float)
+    if y_j.shape != (kms.n_targets,):
+        raise ShapeMismatch("y_j must be a length-T' vector")
+    kbar_j = kms.kbar_deleted(j)
+    d_j = kms.dmat_deleted(j)
+    dim = kbar_j.shape[1]
+    q = kbar_j.T @ y_j
+    if gamma_j is not None or xi_j is not None:
+        gamma_j = np.zeros(dim) if gamma_j is None else np.asarray(gamma_j, float)
+        xi_j = np.zeros(dim) if xi_j is None else np.asarray(xi_j, float)
+        if gamma_j.shape != (dim,) or xi_j.shape != (dim,):
+            raise ShapeMismatch("gamma_j/xi_j must match the deleted column layout")
+        keep = np.setdiff1d(np.arange(kms.total_columns), kms.index_set(j))
+        d_sqrt = kms.dsqrt()[np.ix_(keep, keep)]
+        q = q + d_sqrt @ (rho * gamma_j - xi_j)
+    m = kbar_j.T @ kbar_j + rho * d_j + jitter * np.eye(dim)
+    try:
+        return np.linalg.solve(m, q)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem("dense column system is singular") from exc
+
+
+def objective_value(targets: np.ndarray, kms, tensor, lam: float) -> tuple[float, float, float]:
+    """(objective, fidelity, penalty) of the group-sparse problem at ``tensor``,
+    evaluated from the coefficient blocks."""
+    resid = targets - predict(tensor, kms)
+    fidelity = 0.5 * float(np.sum(resid * resid))
+    penalty = lam * float(rkhs_block_norms(kms, tensor).sum())
+    return fidelity + penalty, fidelity, penalty
+
+
+def heldout_prediction(tensor, kms, view) -> np.ndarray:
+    """One-step predictions on ``view``'s rows: sum over blocks of the cross
+    Gram to the training samples times the block's coefficients."""
+    out = np.zeros((view.n_targets, kms.n_nodes))
+    for block in kms.blocks:
+        alpha = tensor.coeffs[block.kernel_index, block.lag, block.node]
+        kc = cross_gram(block.spec, view.regressor_series(block.node, block.lag), block.samples)
+        out += kc @ alpha.T
+    return out
 
 
 # ---------------------------------------------------------------------------

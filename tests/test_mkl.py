@@ -7,7 +7,9 @@ from ksvar.errors import ConfigError
 from ksvar.kernels import KernelDictionary, KernelSpec, build_kernel_set
 from ksvar.mkl import MklCoefficientTensor, expand_dictionary, mkl_fit, mkl_fit_with_diagnostics
 from ksvar.panel import TimeSeriesPanel, lag_view
-from ksvar.solver import SolverConfig, admm_fit, lambda_zero_bound, objective_value
+from ksvar.solver import SolverConfig, admm_fit, lambda_zero_bound
+
+from oracles import objective_value
 
 LINEAR = KernelSpec(kind="linear")
 POLY20 = KernelSpec(kind="polynomial", degree=2, offset=0.0)

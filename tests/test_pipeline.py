@@ -383,11 +383,16 @@ class TestRunPipeline:
             manifest = run_pipeline(
                 base_config(inp, tmp_path / "capped", window_s=2.0, max_iter=1)
             )
-        assert manifest["convergence"] == {
+        tally = manifest["convergence"]
+        # one iteration cannot meet the tolerances, so some residual exceeds its own
+        assert tally.pop("worst_residual_ratio") > 1.0
+        assert tally == {
             "converged": 0,
             "segments": 5,
             "not_converged": names,
         }
+        ratios = [seg["residual_ratio"] for seg in manifest["segments"]]
+        assert all(ratio > 1.0 for ratio in ratios)
         warned = [r for r in caplog.records if r.name == "ksvar"]
         assert [r.levelno for r in warned] == [logging.WARNING] * 5
         for name, record in zip(names, warned):
@@ -399,7 +404,12 @@ class TestRunPipeline:
             manifest = run_pipeline(
                 base_config(inp, tmp_path / "ridge", window_s=2.0, regularizer="squared")
             )
-        assert manifest["convergence"] == {"converged": 5, "segments": 5, "not_converged": []}
+        assert manifest["convergence"] == {
+            "converged": 5,
+            "segments": 5,
+            "not_converged": [],
+            "worst_residual_ratio": 0.0,
+        }
         assert not [r for r in caplog.records if r.name == "ksvar"]
 
 

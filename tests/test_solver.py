@@ -1,5 +1,7 @@
 """ADMM group-sparse fit, ridge fit, thresholding, prediction, CV, and BIC."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,13 +19,13 @@ from ksvar.solver import (
     DualState,
     EffectiveNetwork,
     SolverConfig,
-    admm_column_update,
+    _fold_views,
+    _kernel_set_from_specs,
+    _resolved_specs,
     admm_fit,
     block_shrinkage,
     cross_validate_lambda,
-    dual_update,
     lambda_zero_bound,
-    objective_value,
     predict,
     ridge_fit,
     rkhs_block_norms,
@@ -31,7 +33,15 @@ from ksvar.solver import (
     threshold_edges,
 )
 
-from oracles import column_designs, group_lasso_objective, ridge_reference
+from oracles import (
+    admm_column_update,
+    column_designs,
+    dual_update,
+    group_lasso_objective,
+    heldout_prediction,
+    objective_value,
+    ridge_reference,
+)
 
 LINEAR = KernelSpec(kind="linear")
 POLY21 = KernelSpec(kind="polynomial", degree=2, offset=1.0)
@@ -320,6 +330,7 @@ class TestAdmmFit:
         assert diag.iterations == len(diag.primal_residuals)
         assert diag.iterations == len(diag.dual_residuals) == len(diag.objectives)
         assert diag.final_objective == pytest.approx(diag.fidelity + diag.penalty)
+        assert diag.converged and 0.0 < diag.residual_ratio <= 1.0
         resid = view.targets - predict(tensor, kms)
         assert diag.fidelity == pytest.approx(0.5 * np.sum(resid * resid), abs=1e-9)
         obj, fid, pen = objective_value(view.targets, kms, tensor, TIGHT.lam)
@@ -332,9 +343,10 @@ class TestAdmmFit:
         assert set(records[0]) == {"iteration", "primal_residual", "dual_residual", "objective"}
 
     def test_dual_state_shapes(self):
+        # factor coordinates: one row per stacked factor column, one column per node
         _, view, kms = make_problem(seed=17)
         _, dual, _ = admm_fit(view.targets, kms, SolverConfig(lam=0.2))
-        want = (kms.n_kernels, kms.lag + 1, kms.n_nodes, kms.n_nodes, kms.n_targets)
+        want = (sum(b.rank for b in kms.blocks), kms.n_nodes)
         assert dual.gamma.shape == want
         assert dual.xi.shape == want
 
@@ -575,6 +587,22 @@ class TestPredict:
         out = predict(tensor, kms, view=lag_view(panel, 1))
         assert out.shape == (6, 2)
 
+    @pytest.mark.parametrize("spec", [LINEAR, GAUSS1, [LINEAR, GAUSS1]])
+    def test_new_view_matches_cross_gram_reference(self, spec):
+        _, view, kms = make_problem(t=16, n=2, seed=28, spec=spec)
+        tensor, _, _ = admm_fit(view.targets, kms, SolverConfig(lam=0.1))
+        panel = TimeSeriesPanel(
+            values=np.random.default_rng(29).normal(size=(7, 2)),
+            node_labels=("n0", "n1"),
+            sample_rate_hz=1.0,
+        )
+        new = lag_view(panel, 1)
+        # the two orders of the products part at ~1e-10 on the Gaussian
+        # blocks, whose factors' Gram is ill-conditioned
+        np.testing.assert_allclose(
+            predict(tensor, kms, view=new), heldout_prediction(tensor, kms, new), rtol=0.0, atol=1e-9
+        )
+
     def test_rejects_mismatched_tensor(self):
         _, view, kms = make_problem(seed=30)
         wrong = CoefficientTensor(coeffs=np.zeros((1, 1, 3, 3, kms.n_targets)))
@@ -670,6 +698,86 @@ class TestCrossValidate:
         cfg = SolverConfig(lam=1.0, regularizer="squared")
         lam, _ = cross_validate_lambda(panel, kms, [1e-3, 10.0], 3, cfg)
         assert lam == 1e-3
+
+    def make_var_panel(self, t=60, seed=35):
+        # a noisy three-node ring: 0 -> 1 -> 2 -> 0 at lag one
+        rng = np.random.default_rng(seed)
+        coupling = np.array([[0.0, 0.8, 0.0], [0.0, 0.0, 0.7], [0.5, 0.0, 0.0]])
+        y = np.zeros((t, 3))
+        y[0] = rng.normal(size=3)
+        for s in range(1, t):
+            y[s] = y[s - 1] @ coupling + rng.normal(size=3)
+        return TimeSeriesPanel(values=y, node_labels=("a", "b", "c"), sample_rate_hz=1.0)
+
+    def per_lambda_reference(self, panel, kms, grid, folds, cfg):
+        """Fold errors of one separate fit per (fold, lambda), predicted block
+        by block through the cross Gram, with each group-sparse fit's
+        (tensor, diagnostics)."""
+        specs = _resolved_specs(kms)
+        errors = np.zeros((len(grid), folds))
+        records = {}
+        for f, (train, test) in enumerate(_fold_views(panel, kms.lag, folds)):
+            kms_train = _kernel_set_from_specs(train, specs, kms.n_kernels)
+            for gi, lam in enumerate(grid):
+                fit_cfg = replace(cfg, lam=lam)
+                if cfg.regularizer == "squared":
+                    tensor = ridge_fit(train.targets, kms_train, fit_cfg)
+                else:
+                    tensor, _, diag = admm_fit(train.targets, kms_train, fit_cfg)
+                    records[gi, f] = tensor, diag
+                err = test.targets - heldout_prediction(tensor, kms_train, test)
+                errors[gi, f] = np.mean(err * err)
+        return errors, records
+
+    @pytest.mark.parametrize(
+        "spec, regularizer",
+        [
+            (LINEAR, "group_l1"),
+            ([LINEAR, GAUSS1], "group_l1"),
+            (LINEAR, "squared"),
+            ([LINEAR, GAUSS1], "squared"),
+        ],
+    )
+    def test_table_matches_per_lambda_fits(self, spec, regularizer):
+        panel = self.make_var_panel()
+        kms = build_kernel_set(lag_view(panel, 1), spec)
+        bound = lambda_zero_bound(lag_view(panel, 1).targets, kms)
+        grid = [0.02 * bound, 0.1 * bound, 0.02 * bound, 0.4 * bound]
+        cfg = SolverConfig(lam=1.0, rho=30.0, max_iter=120, regularizer=regularizer)
+        lam, table = cross_validate_lambda(panel, kms, grid, 3, cfg)
+        want, _ = self.per_lambda_reference(panel, kms, grid, 3, cfg)
+        got = np.array([row["fold_errors"] for row in table])
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(
+            [row["mean_error"] for row in table], want.mean(axis=1), rtol=1e-10, atol=0.0
+        )
+        assert lam == grid[int(np.argmin(want.mean(axis=1)))]
+
+    def test_each_lambda_stops_on_its_own_test(self):
+        # the large lambda converges within the cap on every fold, the small
+        # one never does; batched, each must still match its own separate fit
+        panel = self.make_var_panel()
+        kms = build_kernel_set(lag_view(panel, 1), LINEAR)
+        bound = lambda_zero_bound(lag_view(panel, 1).targets, kms)
+        grid = [0.005 * bound, 0.5 * bound]
+        cfg = SolverConfig(lam=1.0, rho=100.0, max_iter=40)
+        _, table = cross_validate_lambda(panel, kms, grid, 3, cfg)
+        want, records = self.per_lambda_reference(panel, kms, grid, 3, cfg)
+        for f in range(3):
+            _, small = records[0, f]
+            large_tensor, large = records[1, f]
+            assert not small.converged and small.iterations == 40
+            assert large.converged and large.iterations < 40
+            # active blocks: iterating past convergence would still move them
+            assert large_tensor.block_norms().max() > 0.0
+        for gi in range(2):
+            np.testing.assert_allclose(table[gi]["fold_errors"], want[gi], rtol=1e-10, atol=0.0)
+
+    def test_group_grid_with_zero_lambda_rejected(self):
+        panel = self.make_lagged_panel()
+        kms = build_kernel_set(lag_view(panel, 1), LINEAR)
+        with pytest.raises(ConfigError):
+            cross_validate_lambda(panel, kms, [0.5, 0.0], 3, SolverConfig(lam=0.5))
 
 
 class TestSelectLagBic:
