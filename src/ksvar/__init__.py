@@ -67,7 +67,7 @@ from .metrics import (
     degrees,
     global_metrics,
 )
-from .mkl import MklCoefficientTensor, expand_dictionary, mkl_fit
+from .mkl import MklCoefficientTensor
 from .synth import (
     GroundTruth,
     RecoveryScore,

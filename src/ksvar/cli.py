@@ -124,7 +124,8 @@ def infer(config_path, **flags) -> None:
     tally = manifest["convergence"]
     click.echo(
         f"wrote {manifest['n_segments']} segment(s) to {cfg.output_dir}, "
-        f"{tally['converged']} of {tally['segments']} converged"
+        f"{tally['converged']} of {tally['segments']} converged, "
+        f"worst relative duality gap {tally['worst_relative_gap']:.2g}"
     )
 
 

@@ -518,36 +518,47 @@ def resolve_bandwidth(spec: KernelSpec, samples: np.ndarray, seed: int = 0) -> K
 
 def build_kernel_set(
     view: LagAlignedView,
-    kernels: KernelSpec | KernelDictionary | list[KernelSpec],
+    kernels: KernelSpec | KernelDictionary | list[KernelSpec] | dict,
     seed: int = 0,
 ) -> KernelMatrixSet:
     """Construct all blocks for a lag-aligned view and a kernel (or dictionary).
 
     Median bandwidths are resolved per (node, lag) series with a seed derived
     from ``seed`` and the block coordinates, so results are reproducible and
-    independent of block construction order.
+    independent of block construction order.  ``kernels`` may instead map
+    every (node, lag, kernel index) to its own spec, such as the resolved
+    specs of a kernel set built on other rows of the same panel.
     """
-    if isinstance(kernels, KernelSpec):
-        specs = [kernels]
-    elif isinstance(kernels, KernelDictionary):
-        specs = list(kernels.kernels)
-    else:
-        # plain lists skip the dictionary's distinctness rule on purpose:
-        # duplicate entries are legal and simply produce identical stacks
-        specs = list(kernels)
-        if not specs:
-            raise ConfigError("at least one kernel required")
+    if not isinstance(kernels, dict):
+        if isinstance(kernels, KernelSpec):
+            specs = [kernels]
+        elif isinstance(kernels, KernelDictionary):
+            specs = list(kernels.kernels)
+        else:
+            # plain lists skip the dictionary's distinctness rule on purpose:
+            # duplicate entries are legal and simply produce identical stacks
+            specs = list(kernels)
+        kernels = {
+            (i, l, p): spec
+            for l in range(view.lag + 1)
+            for i in range(view.n_nodes)
+            for p, spec in enumerate(specs)
+        }
+    if not kernels:
+        raise ConfigError("at least one kernel required")
+    n_kernels = 1 + max(p for _, _, p in kernels)
     blocks = []
     for l in range(view.lag + 1):
         for i in range(view.n_nodes):
             z = view.regressor_series(i, l)
-            for p, spec in enumerate(specs):
-                resolved = resolve_bandwidth(spec, z, seed=abs(hash((seed, i, l, p))) % 2**32)
+            for p in range(n_kernels):
+                seed_ilp = abs(hash((seed, i, l, p))) % 2**32
+                resolved = resolve_bandwidth(kernels[(i, l, p)], z, seed=seed_ilp)
                 blocks.append(_block_from_samples(resolved, z, i, l, p))
     return KernelMatrixSet(
         blocks=blocks,
         n_nodes=view.n_nodes,
         lag=view.lag,
-        n_kernels=len(specs),
+        n_kernels=n_kernels,
         n_targets=view.n_targets,
     )

@@ -1,6 +1,7 @@
-"""Multi-kernel fitting: expand a dictionary into parallel blocks and let
-group sparsity pick among them.
+"""Multi-kernel fitting: a dictionary expands into parallel blocks and group
+sparsity picks among them.
 
+``build_kernel_set`` takes the dictionary and ``admm_fit`` fits it as is.
 Each candidate kernel contributes its own Gram stack, so a column sees
 (L+1)*N*P blocks in (lag, node, kernel) order.  No explicit kernel weights
 are estimated; a kernel's relevance shows up as mass in its blocks, and
@@ -14,16 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .kernels import KernelDictionary, KernelMatrixSet, KernelSpec, build_kernel_set
-from .panel import TimeSeriesPanel, lag_view
-from .solver import (
-    CoefficientTensor,
-    EffectiveNetwork,
-    FitDiagnostics,
-    SolverConfig,
-    admm_fit,
-    threshold_edges,
-)
+from .kernels import KernelSpec
+from .solver import CoefficientTensor
 
 
 @dataclass
@@ -73,50 +66,3 @@ class MklCoefficientTensor(CoefficientTensor):
             return np.zeros(self.n_kernels)
         return mass / total
 
-
-def expand_dictionary(
-    dictionary: KernelDictionary | list[KernelSpec],
-    panel: TimeSeriesPanel,
-    lag: int,
-    seed: int = 0,
-) -> KernelMatrixSet:
-    """Gram stacks for every dictionary entry over one lag-aligned view.
-
-    With a single entry the layout is identical to the plain set; repeated
-    entries (legal in a plain list) simply produce identical stacks.
-    """
-    return build_kernel_set(lag_view(panel, lag), dictionary, seed=seed)
-
-
-def mkl_fit(
-    targets: np.ndarray,
-    kms: KernelMatrixSet,
-    cfg: SolverConfig,
-    node_labels: tuple[str, ...] | None = None,
-) -> tuple[MklCoefficientTensor, EffectiveNetwork]:
-    """Group-sparse fit on an expanded set, with per-kernel attribution.
-
-    Same ADMM as the base solver; the enlarged block set is the only
-    difference.  An edge is active when any (lag, kernel) block of the pair
-    clears the threshold.
-    """
-    tensor, net, _ = mkl_fit_with_diagnostics(targets, kms, cfg, node_labels)
-    return tensor, net
-
-
-def mkl_fit_with_diagnostics(
-    targets: np.ndarray,
-    kms: KernelMatrixSet,
-    cfg: SolverConfig,
-    node_labels: tuple[str, ...] | None = None,
-) -> tuple[MklCoefficientTensor, EffectiveNetwork, FitDiagnostics]:
-    """As ``mkl_fit`` but keeps the convergence record for reporting."""
-    base, _, diagnostics = admm_fit(targets, kms, cfg)
-    specs = tuple(b.spec for b in kms.blocks[: kms.n_kernels]) if kms.blocks else None
-    if specs is not None and any(s is None for s in specs):
-        specs = None
-    tensor = MklCoefficientTensor(
-        coeffs=base.coeffs, node_labels=node_labels, kernel_specs=specs
-    )
-    net = threshold_edges(tensor, cfg.tau_alpha)
-    return tensor, net, diagnostics

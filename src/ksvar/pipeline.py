@@ -6,7 +6,7 @@ Artifacts land under the output directory:
                                  stage timings, convergence tally, warnings
     seg_000/edges.json           every nonzero block norm, with the threshold
     seg_000/metrics.json|csv     topology report of the thresholded network
-    seg_000/diagnostics.ndjson   solver convergence trace
+    seg_000/diagnostics.ndjson   solver residual trace, duality gap at checks
     seg_000/attribution.csv      per-kernel mass (dictionary runs only)
     seg_000/cv.json              validation table (grid runs only)
     aggregate.json               optional across-segment network
@@ -351,13 +351,13 @@ def _process_segment(idx: int, seg_panel: TimeSeriesPanel, cfg: PipelineConfig, 
             fidelity = 0.5 * float(np.sum(resid * resid))
             penalty = chosen_lam * float((rkhs_block_norms(kms, tensor) ** 2).sum())
             records = []
-            iterations, converged, residual_ratio = 1, True, 0.0
+            iterations, converged, residual_ratio, relative_gap = 1, True, 0.0, 0.0
             final_objective = fidelity + penalty
         else:
             tensor, _, diagnostics = admm_fit(view.targets, kms, scfg)
             records = diagnostics.records()
             iterations, converged = diagnostics.iterations, diagnostics.converged
-            residual_ratio = diagnostics.residual_ratio
+            residual_ratio, relative_gap = diagnostics.residual_ratio, diagnostics.relative_gap
             fidelity, penalty = diagnostics.fidelity, diagnostics.penalty
             final_objective = diagnostics.final_objective
     records.append(
@@ -368,6 +368,7 @@ def _process_segment(idx: int, seg_panel: TimeSeriesPanel, cfg: PipelineConfig, 
             "final_objective": final_objective,
             "fidelity": fidelity,
             "penalty": penalty,
+            "relative_gap": relative_gap,
         }
     )
     with _timed(timings, "write"):
@@ -401,6 +402,7 @@ def _process_segment(idx: int, seg_panel: TimeSeriesPanel, cfg: PipelineConfig, 
         "converged": converged,
         "iterations": iterations,
         "residual_ratio": residual_ratio,
+        "relative_gap": relative_gap,
         "timings": timings,
     }
     return summary, net
@@ -456,7 +458,9 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     warning on the ``ksvar`` logger and listed in the manifest's
     ``convergence`` block, which also gives the worst ratio of a final
     ADMM residual to its tolerance over segments (above 1 when some fit
-    stopped unconverged; closed-form ridge fits count 0); each segment
+    stopped unconverged) and the worst relative duality gap (the share of
+    a fit's objective by which it may exceed the optimum); closed-form
+    ridge fits count 0 in both.  Each segment
     whose cross-validation chose the smallest or largest lambda of its
     grid is logged likewise and listed under the manifest's ``warnings``.
     """
@@ -494,10 +498,11 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             payload["rule"] = cfg.aggregate
             payload["n_segments"] = len(nets)
             _write_json(os.path.join(cfg.output_dir, "aggregate.json"), payload)
-        not_converged = [s["name"] for s in summaries if not s["converged"]]
-        for name in not_converged:
+        not_converged = [s for s in summaries if not s["converged"]]
+        for seg in not_converged:
             log.warning(
-                "segment %s stopped at max_iter=%d without converging", name, cfg.max_iter
+                "segment %s stopped at max_iter=%d without converging (relative duality gap %.2g)",
+                seg["name"], cfg.max_iter, seg["relative_gap"],
             )
         at_grid_edge = [
             seg["name"]
@@ -521,8 +526,9 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             "convergence": {
                 "converged": len(summaries) - len(not_converged),
                 "segments": len(summaries),
-                "not_converged": not_converged,
+                "not_converged": [s["name"] for s in not_converged],
                 "worst_residual_ratio": max(s["residual_ratio"] for s in summaries),
+                "worst_relative_gap": max(s["relative_gap"] for s in summaries),
             },
             "warnings": {"lambda_at_grid_edge": at_grid_edge},
         }

@@ -22,6 +22,8 @@ All linear solves (ADMM, ridge, cross-validation, BIC) share one thin SVD
 of the stacked factor per fit; see ``_FactorSystem``.  Cross-validation
 builds one per fold and runs the whole lambda grid through one batched
 ADMM loop, predicting held-out rows straight from factor coordinates.
+Every fit is certified by a duality gap (``FitDiagnostics.relative_gap``):
+its objective exceeds the optimum by at most that share of itself.
 
 Contents
 --------
@@ -46,7 +48,7 @@ from .errors import (
     ShapeMismatch,
     SingularSystem,
 )
-from .kernels import KernelMatrixSet, KernelSpec, cross_gram
+from .kernels import KernelMatrixSet, KernelSpec, build_kernel_set, cross_gram
 from .panel import (
     LagAlignedView,
     TimeSeriesPanel,
@@ -54,6 +56,8 @@ from .panel import (
     lag_view_for_rows,
     stack_views,
 )
+
+_GAP_EVERY = 10  # ADMM iterations between duality-gap certificates
 
 
 @dataclass(frozen=True)
@@ -169,30 +173,40 @@ class FitDiagnostics:
     ``final_objective = fidelity + penalty``.  ``residual_ratio`` is the
     larger of the final primal and dual residuals over their scaled
     tolerances; the fit converged exactly when it is at most 1.  Residual
-    traces are not monotone in general.
+    traces are not monotone in general.  ``relative_gaps`` maps every
+    ``_GAP_EVERY``-th and the last iteration to its worst relative duality gap.
     """
 
     iterations: int
     converged: bool
     primal_residuals: np.ndarray
     dual_residuals: np.ndarray
-    objectives: np.ndarray
+    relative_gaps: dict[int, float]
     final_objective: float
     fidelity: float
     penalty: float
     residual_ratio: float
 
+    @property
+    def relative_gap(self) -> float:
+        """max_j (P_j - D_j) / P_j at the returned iterate: by weak duality the
+        objective is within ``relative_gap * final_objective`` of the optimum."""
+        return self.relative_gaps[self.iterations]
+
     def records(self) -> list[dict]:
-        """One dict per iteration, ready for newline-delimited JSON."""
-        return [
-            {
+        """One dict per iteration, ready for newline-delimited JSON; certified
+        iterations also carry their relative gap."""
+        out = []
+        for k in range(self.iterations):
+            record = {
                 "iteration": k + 1,
                 "primal_residual": float(self.primal_residuals[k]),
                 "dual_residual": float(self.dual_residuals[k]),
-                "objective": float(self.objectives[k]),
             }
-            for k in range(self.iterations)
-        ]
+            if k + 1 in self.relative_gaps:
+                record["relative_gap"] = self.relative_gaps[k + 1]
+            out.append(record)
+        return out
 
 
 @dataclass
@@ -253,7 +267,46 @@ def block_shrinkage(z: np.ndarray, threshold: float) -> np.ndarray:
     return z * ((norm - threshold) / norm)
 
 
-class _FactorSystem:
+class _StackedFactor:
+    """The stacked T' x R factor F of a kernel set and the layout every
+    columnwise computation shares: each active block's first row and rank,
+    and each column's deleted rows D_j (its own instantaneous blocks)."""
+
+    def __init__(self, kms: KernelMatrixSet):
+        n = kms.n_nodes
+        ranks = np.array([b.rank for b in kms.blocks], dtype=int)
+        starts = np.concatenate([[0], np.cumsum(ranks)]).astype(int)
+        self.total_rank = int(starts[-1])
+        active = np.flatnonzero(ranks > 0)
+        self.seg_starts = starts[active]
+        self.seg_ranks = ranks[active]
+        self.F = np.hstack([b.factor for b in kms.blocks])
+        self.deleted = [
+            np.concatenate([np.arange(starts[p], starts[p + 1]) for p in kms.deleted_positions(j)])
+            for j in range(n)
+        ]
+        self.deleted_sizes = np.array([rows.size for rows in self.deleted], dtype=int)
+        self.kept_dim = int(n * self.total_rank - self.deleted_sizes.sum())
+        self.deleted_rows = np.concatenate(self.deleted)
+        self.deleted_cols = np.repeat(np.arange(n), self.deleted_sizes)
+
+    def mask_deleted(self, arr: np.ndarray) -> np.ndarray:
+        arr[:, self.deleted_rows, self.deleted_cols] = 0.0
+        return arr
+
+    def project(self, y: np.ndarray) -> np.ndarray:
+        """F^T y with deleted rows zeroed, shape (1, R, N)."""
+        return self.mask_deleted((self.F.T @ y)[None])
+
+    def dual_norms(self, r: np.ndarray) -> np.ndarray:
+        """max_b ||B_b^T r_j|| over each column's kept blocks, for (K, T', N)
+        r; shape (K, N)."""
+        corr = self.mask_deleted(self.F.T @ r)
+        sumsq = np.add.reduceat(corr * corr, self.seg_starts, axis=1)
+        return np.sqrt(sumsq.max(axis=1, initial=0.0))
+
+
+class _FactorSystem(_StackedFactor):
     """Per-fit cache for the x-update: one thin SVD shared by every column.
 
     Solves (Bbar_j^T Bbar_j + penalty I) x_j = q_j for all columns j at once,
@@ -276,23 +329,8 @@ class _FactorSystem:
     """
 
     def __init__(self, kms: KernelMatrixSet, penalty: float, jitter: float):
+        super().__init__(kms)
         t, n = kms.n_targets, kms.n_nodes
-        ranks = np.array([b.rank for b in kms.blocks], dtype=int)
-        starts = np.concatenate([[0], np.cumsum(ranks)]).astype(int)
-        self.total_rank = int(starts[-1])
-        active = np.flatnonzero(ranks > 0)
-        self.seg_starts = starts[active]
-        self.seg_ranks = ranks[active]
-        self.F = np.hstack([b.factor for b in kms.blocks])
-        deleted = [
-            np.concatenate([np.arange(starts[p], starts[p + 1]) for p in kms.deleted_positions(j)])
-            for j in range(n)
-        ]
-        sizes = np.array([rows.size for rows in deleted], dtype=int)
-        self.kept_dim = int(n * self.total_rank - sizes.sum())
-        self.deleted_rows = np.concatenate(deleted)
-        self.deleted_cols = np.repeat(np.arange(n), sizes)
-
         _, s, self.vt = np.linalg.svd(self.F, full_matrices=False)
         s2 = s * s
         full_span = self.vt.shape[0] == self.total_rank
@@ -310,26 +348,18 @@ class _FactorSystem:
         span_weight = 1.0 / (s2 + penalty) - self.null_weight
         self.v_weighted = self.vt.T * span_weight
 
-        r_max = int(sizes.max(initial=0))
+        r_max = int(self.deleted_sizes.max(initial=0))
         vd = np.zeros((n, r_max, s.size))
-        for j, rows in enumerate(deleted):
+        for j, rows in enumerate(self.deleted):
             vd[j, : rows.size] = self.vt.T[rows]
         self.left = vd * span_weight  # u[D_j] = left_j @ (V^T q_j)
         hdd = self.left @ vd.transpose(0, 2, 1)
         idx = np.arange(r_max)
-        hdd[:, idx, idx] += np.where(idx >= sizes[:, None], 1.0, self.null_weight)
+        hdd[:, idx, idx] += np.where(idx >= self.deleted_sizes[:, None], 1.0, self.null_weight)
         try:
             self.right = vd.transpose(0, 2, 1) @ np.linalg.inv(hdd)
         except np.linalg.LinAlgError as exc:
             raise SingularSystem("deleted-block system is singular") from exc
-
-    def mask_deleted(self, arr: np.ndarray) -> np.ndarray:
-        arr[:, self.deleted_rows, self.deleted_cols] = 0.0
-        return arr
-
-    def project(self, y: np.ndarray) -> np.ndarray:
-        """F^T y with deleted rows zeroed, shape (1, R, N)."""
-        return self.mask_deleted((self.F.T @ y)[None])
 
     def solve(self, q: np.ndarray) -> np.ndarray:
         """Columnwise solve of (K, R, N) q, already zero at deleted rows."""
@@ -438,22 +468,39 @@ def predict(
 
 
 def lambda_zero_bound(targets: np.ndarray, kms: KernelMatrixSet) -> float:
-    """Smallest lambda at which the all-zero tensor is optimal."""
+    """Smallest lambda at which the all-zero tensor is optimal: the largest
+    ||B_b^T y_j|| over every column's kept blocks."""
     y = _check_fit_inputs(targets, kms)
-    best = 0.0
-    for j in range(kms.n_nodes):
-        deleted = set(kms.deleted_positions(j))
-        for pos, block in enumerate(kms.blocks):
-            if pos in deleted or block.rank == 0:
-                continue
-            best = max(best, float(np.linalg.norm(block.factor.T @ y[:, j])))
-    return best
+    return float(_StackedFactor(kms).dual_norms(y[None]).max())
 
 
 def _sumsq_each(a: np.ndarray) -> list[float]:
     """Sum of squared entries of each a[k]."""
     flat = a.reshape(a.shape[0], -1)
     return np.vecdot(flat, flat).tolist()
+
+
+def _certificate(
+    y: np.ndarray, system: _StackedFactor, g: np.ndarray, norms: np.ndarray, lam: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Duality-gap certificate of K iterates g (K, R, N), one per lambda,
+    given their block norms (K, blocks, N).
+
+    Per column j, the residual r_j = y_j - F g_j scaled into the dual
+    feasible set, theta_j = r_j / max(1, max_b ||B_b^T r_j|| / lambda) over
+    kept blocks, gives the lower bound D_j = ||y_j||^2/2 - ||y_j - theta_j||^2/2
+    on the column's optimum (Ndiaye et al., JMLR 2017).  Returns each
+    column's fidelity, penalty and relative gap (P_j - D_j) / P_j (0 where
+    P_j = 0), each of shape (K, N).
+    """
+    lam = lam[:, None]
+    r = y - system.F @ g
+    fidelity = 0.5 * np.vecdot(r, r, axis=1)
+    penalty = lam * norms.sum(axis=1)
+    theta = r / np.maximum(1.0, system.dual_norms(r) / lam)[:, None, :]
+    primal = fidelity + penalty
+    gap = primal - 0.5 * (np.vecdot(y, y, axis=0) - np.vecdot(y - theta, y - theta, axis=1))
+    return fidelity, penalty, np.divide(gap, primal, out=np.zeros_like(gap), where=primal > 0)
 
 
 def _admm(
@@ -466,7 +513,9 @@ def _admm(
     shrinks at its own threshold lambda/rho and stops on its own residual
     test, and its iterate is kept at the iteration where it converged or
     at ``max_iter``.  g and xi are the post-shrinkage iterate and the
-    multiplier in factor coordinates, shape (R, N).
+    multiplier in factor coordinates, shape (R, N).  The objective and its
+    duality gap are evaluated only every ``_GAP_EVERY`` iterations and where
+    a lambda stops.
     """
     rho = cfg.rho
     scale_dim = math.sqrt(max(system.kept_dim, 1))
@@ -478,6 +527,7 @@ def _admm(
     g = np.zeros((len(lams),) + c0.shape[1:])
     xi = np.zeros_like(g)
     history: list[list] = [[] for _ in lams]
+    gaps: list[dict] = [{} for _ in lams]
     out: list = [None] * len(lams)
 
     for it in range(1, cfg.max_iter + 1):
@@ -488,43 +538,53 @@ def _admm(
         # shrunk is 0 wherever norms <= kappa, so kappa > 0 guards the division
         factor = shrunk / np.maximum(norms, kappa)
         g_new = v * np.repeat(factor, system.seg_ranks, axis=1)
-        gap = x - g_new
-        primal = _sumsq_each(gap)
+        step = x - g_new
+        primal = _sumsq_each(step)
         dual = _sumsq_each(g_new - g)
         g = g_new
-        xi = xi + rho * gap
-        fidelity = _sumsq_each(y - system.F @ g)
-        penalty = lam_live * shrunk.reshape(len(live), -1).sum(axis=1)
-        keep = []
+        xi = xi + rho * step
+        stop = []
         for i, pos in enumerate(live):
             p, d = math.sqrt(primal[i]), rho * math.sqrt(dual[i])
-            fid, pen = 0.5 * fidelity[i], float(penalty[i])
-            if not (math.isfinite(p) and math.isfinite(d) and math.isfinite(fid + pen)):
+            if not (math.isfinite(p) and math.isfinite(d)):
                 raise NonFinite(f"ADMM diverged at iteration {it}")
-            history[pos].append((p, d, fid + pen))
-            converged = p <= tol_primal and d <= tol_dual
-            if not converged and it < cfg.max_iter:
-                keep.append(i)
-                continue
-            primals, duals, objectives = np.array(history[pos]).T
+            history[pos].append((p, d))
+            if (p <= tol_primal and d <= tol_dual) or it == cfg.max_iter:
+                stop.append(i)
+        checked = range(len(live)) if it % _GAP_EVERY == 0 else stop
+        if not checked:
+            continue
+        fid, pen, rel = _certificate(y, system, g[checked], shrunk[checked], lam_live[checked])
+        certified = {}
+        for i, fid_i, pen_i, rel_i in zip(
+            checked, fid.sum(axis=1).tolist(), pen.sum(axis=1).tolist(), rel.max(axis=1).tolist()
+        ):
+            gaps[live[i]][it] = rel_i
+            certified[i] = fid_i, pen_i
+        for i in stop:
+            pos = live[i]
+            p, d = history[pos][-1]
+            primals, duals = np.array(history[pos]).T
+            fid, pen = certified[i]
             out[pos] = (
                 g[i],
                 xi[i],
                 FitDiagnostics(
                     iterations=it,
-                    converged=converged,
+                    converged=p <= tol_primal and d <= tol_dual,
                     primal_residuals=primals,
                     dual_residuals=duals,
-                    objectives=objectives,
+                    relative_gaps=gaps[pos],
                     final_objective=fid + pen,
                     fidelity=fid,
                     penalty=pen,
                     residual_ratio=max(p / tol_primal, d / tol_dual),
                 ),
             )
-        if not keep:
+        if len(stop) == len(live):
             break
-        if len(keep) < len(live):
+        if stop:
+            keep = [i for i in range(len(live)) if i not in stop]
             live = [live[i] for i in keep]
             lam_live, kappa, g, xi = lam_live[keep], kappa[keep], g[keep], xi[keep]
     return out
@@ -607,28 +667,6 @@ def _resolved_specs(kms: KernelMatrixSet) -> dict[tuple[int, int, int], KernelSp
     return specs
 
 
-def _kernel_set_from_specs(
-    view: LagAlignedView,
-    specs: dict[tuple[int, int, int], KernelSpec],
-    n_kernels: int,
-) -> KernelMatrixSet:
-    from .kernels import _block_from_samples  # shared construction path
-
-    blocks = []
-    for l in range(view.lag + 1):
-        for i in range(view.n_nodes):
-            z = view.regressor_series(i, l)
-            for p in range(n_kernels):
-                blocks.append(_block_from_samples(specs[(i, l, p)], z, i, l, p))
-    return KernelMatrixSet(
-        blocks=blocks,
-        n_nodes=view.n_nodes,
-        lag=view.lag,
-        n_kernels=n_kernels,
-        n_targets=view.n_targets,
-    )
-
-
 def _fold_views(
     panel: TimeSeriesPanel, lag: int, folds: int
 ) -> list[tuple[LagAlignedView, LagAlignedView]]:
@@ -687,7 +725,7 @@ def cross_validate_lambda(
     specs = _resolved_specs(kms)
     fold_errors = np.zeros((len(grid), folds))
     for f, (train, test) in enumerate(_fold_views(panel, kms.lag, folds)):
-        kms_train = _kernel_set_from_specs(train, specs, kms.n_kernels)
+        kms_train = build_kernel_set(train, specs)
         if group:
             system = _FactorSystem(kms_train, cfg.rho, cfg.jitter)
             coords = [g for g, _, _ in _admm(train.targets, system, grid, cfg)]
@@ -726,8 +764,6 @@ def select_lag_bic(
     coefficients, T' blocks for every block norm above tau_alpha.  Ties go
     to the smaller lag.
     """
-    from .kernels import build_kernel_set
-
     if not candidates:
         raise ConfigError("lag candidates must be nonempty")
     for cand in candidates:

@@ -8,8 +8,10 @@ metrics in exact rational arithmetic.  The exceptions are former package
 code kept unchanged as references: ``brandes_betweenness``, the per-source
 ``Fraction`` betweenness, exact for graphs too large to enumerate; and the
 Gram-space ADMM pieces (``admm_column_update``, ``dual_update``), the
-objective evaluated from coefficient blocks (``objective_value``) and the
-per-block cross-Gram ``heldout_prediction`` that cross-validation used.
+objective evaluated from coefficient blocks (``objective_value``), the
+per-block cross-Gram ``heldout_prediction`` that cross-validation used, and
+the dictionary-fit wrappers ``expand_dictionary``, ``mkl_fit`` and
+``mkl_fit_with_diagnostics``.
 """
 
 from __future__ import annotations
@@ -21,8 +23,25 @@ from math import comb
 import numpy as np
 
 from ksvar.errors import ShapeMismatch, SingularSystem
-from ksvar.kernels import cross_gram
-from ksvar.solver import DualState, predict, rkhs_block_norms
+from ksvar.kernels import (
+    KernelDictionary,
+    KernelMatrixSet,
+    KernelSpec,
+    build_kernel_set,
+    cross_gram,
+)
+from ksvar.mkl import MklCoefficientTensor
+from ksvar.panel import TimeSeriesPanel, lag_view
+from ksvar.solver import (
+    DualState,
+    EffectiveNetwork,
+    FitDiagnostics,
+    SolverConfig,
+    admm_fit,
+    predict,
+    rkhs_block_norms,
+    threshold_edges,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +285,58 @@ def heldout_prediction(tensor, kms, view) -> np.ndarray:
         kc = cross_gram(block.spec, view.regressor_series(block.node, block.lag), block.samples)
         out += kc @ alpha.T
     return out
+
+
+# ---------------------------------------------------------------------------
+# dictionary fits
+
+
+def expand_dictionary(
+    dictionary: KernelDictionary | list[KernelSpec],
+    panel: TimeSeriesPanel,
+    lag: int,
+    seed: int = 0,
+) -> KernelMatrixSet:
+    """Gram stacks for every dictionary entry over one lag-aligned view.
+
+    With a single entry the layout is identical to the plain set; repeated
+    entries (legal in a plain list) simply produce identical stacks.
+    """
+    return build_kernel_set(lag_view(panel, lag), dictionary, seed=seed)
+
+
+def mkl_fit(
+    targets: np.ndarray,
+    kms: KernelMatrixSet,
+    cfg: SolverConfig,
+    node_labels: tuple[str, ...] | None = None,
+) -> tuple[MklCoefficientTensor, EffectiveNetwork]:
+    """Group-sparse fit on an expanded set, with per-kernel attribution.
+
+    Same ADMM as the base solver; the enlarged block set is the only
+    difference.  An edge is active when any (lag, kernel) block of the pair
+    clears the threshold.
+    """
+    tensor, net, _ = mkl_fit_with_diagnostics(targets, kms, cfg, node_labels)
+    return tensor, net
+
+
+def mkl_fit_with_diagnostics(
+    targets: np.ndarray,
+    kms: KernelMatrixSet,
+    cfg: SolverConfig,
+    node_labels: tuple[str, ...] | None = None,
+) -> tuple[MklCoefficientTensor, EffectiveNetwork, FitDiagnostics]:
+    """As ``mkl_fit`` but keeps the convergence record for reporting."""
+    base, _, diagnostics = admm_fit(targets, kms, cfg)
+    specs = tuple(b.spec for b in kms.blocks[: kms.n_kernels]) if kms.blocks else None
+    if specs is not None and any(s is None for s in specs):
+        specs = None
+    tensor = MklCoefficientTensor(
+        coeffs=base.coeffs, node_labels=node_labels, kernel_specs=specs
+    )
+    net = threshold_edges(tensor, cfg.tau_alpha)
+    return tensor, net, diagnostics
 
 
 # ---------------------------------------------------------------------------

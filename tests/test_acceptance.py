@@ -14,7 +14,6 @@ import pytest
 
 from ksvar.kernels import KernelSpec, build_kernel_set
 from ksvar.metrics import compute_report
-from ksvar.mkl import expand_dictionary, mkl_fit
 from ksvar.panel import NoiseModel, TimeSeriesPanel, lag_view, write_csv_panel
 from ksvar.pipeline import PipelineConfig, compare_runs, run_pipeline
 from ksvar.solver import (
@@ -31,7 +30,7 @@ from ksvar.solver import (
 )
 from ksvar.synth import SynthConfig, generate_truth, simulate, score_recovery
 
-from oracles import bf_report, group_lasso_objective, ridge_reference
+from oracles import bf_report, expand_dictionary, group_lasso_objective, mkl_fit, ridge_reference
 
 LINEAR = KernelSpec(kind="linear")
 POLY21 = KernelSpec(kind="polynomial", degree=2, offset=1.0)

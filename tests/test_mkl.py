@@ -5,11 +5,11 @@ import pytest
 
 from ksvar.errors import ConfigError
 from ksvar.kernels import KernelDictionary, KernelSpec, build_kernel_set
-from ksvar.mkl import MklCoefficientTensor, expand_dictionary, mkl_fit, mkl_fit_with_diagnostics
+from ksvar.mkl import MklCoefficientTensor
 from ksvar.panel import TimeSeriesPanel, lag_view
 from ksvar.solver import SolverConfig, admm_fit, lambda_zero_bound
 
-from oracles import objective_value
+from oracles import expand_dictionary, mkl_fit, mkl_fit_with_diagnostics, objective_value
 
 LINEAR = KernelSpec(kind="linear")
 POLY20 = KernelSpec(kind="polynomial", degree=2, offset=0.0)

@@ -223,7 +223,8 @@ class TestRunPipeline:
         records = [json.loads(s) for s in lines]
         assert records[-1]["summary"] is True
         assert records[-1]["iterations"] == len(records) - 1
-        assert set(records[0]) == {"iteration", "primal_residual", "dual_residual", "objective"}
+        assert set(records[0]) == {"iteration", "primal_residual", "dual_residual"}
+        assert records[-1]["relative_gap"] == records[-2]["relative_gap"]
 
     def test_segmented_run_counts_windows(self, tmp_path):
         inp = tmp_path / "panel.csv"
@@ -386,6 +387,7 @@ class TestRunPipeline:
         tally = manifest["convergence"]
         # one iteration cannot meet the tolerances, so some residual exceeds its own
         assert tally.pop("worst_residual_ratio") > 1.0
+        assert tally.pop("worst_relative_gap") > 1e-2
         assert tally == {
             "converged": 0,
             "segments": 5,
@@ -409,8 +411,33 @@ class TestRunPipeline:
             "segments": 5,
             "not_converged": [],
             "worst_residual_ratio": 0.0,
+            "worst_relative_gap": 0.0,
         }
         assert not [r for r in caplog.records if r.name == "ksvar"]
+
+    def test_relative_gap_is_reported(self, tmp_path, caplog):
+        inp = tmp_path / "panel.csv"
+        write_panel_csv(inp, t=100, rate=10.0)
+        out = tmp_path / "capped"
+        with caplog.at_level(logging.WARNING, logger="ksvar"):
+            manifest = run_pipeline(base_config(inp, out, window_s=2.0, max_iter=5))
+        gaps = [seg["relative_gap"] for seg in manifest["segments"]]
+        # five iterations are far from optimal, and the certificate says so
+        assert manifest["convergence"]["worst_relative_gap"] == max(gaps) > 1e-2
+        warned = [r.getMessage() for r in caplog.records if r.name == "ksvar"]
+        assert len(warned) == len(gaps)
+        for seg, message in zip(manifest["segments"], warned):
+            assert f"(relative duality gap {seg['relative_gap']:.2g})" in message
+            lines = (out / seg["name"] / "diagnostics.ndjson").read_text().splitlines()
+            records = [json.loads(line) for line in lines]
+            assert records[-1]["relative_gap"] == seg["relative_gap"]
+            assert [r["iteration"] for r in records[:-1] if "relative_gap" in r] == [5]
+
+        manifest = run_pipeline(
+            base_config(inp, tmp_path / "ridge", window_s=2.0, regularizer="squared")
+        )
+        assert manifest["convergence"]["worst_relative_gap"] == 0.0
+        assert all(seg["relative_gap"] == 0.0 for seg in manifest["segments"])
 
 
     @pytest.mark.parametrize("grid, chosen", [((1.0, 100.0), 1.0), ((0.01, 100.0), 100.0)])
@@ -660,6 +687,9 @@ class TestCli:
         )
         assert res.exit_code == 0, res.output
         assert f"wrote 1 segment(s) to {out}, 0 of 1 converged" in res.output
+        manifest = json.loads((out / "manifest.json").read_text())
+        worst = manifest["convergence"]["worst_relative_gap"]
+        assert f"worst relative duality gap {worst:.2g}" in res.output
 
     def test_metrics_to_stdout(self, tmp_path):
         csv_path = tmp_path / "sim.csv"

@@ -19,9 +19,12 @@ from ksvar.solver import (
     DualState,
     EffectiveNetwork,
     SolverConfig,
+    _admm,
+    _certificate,
+    _FactorSystem,
     _fold_views,
-    _kernel_set_from_specs,
     _resolved_specs,
+    _StackedFactor,
     admm_fit,
     block_shrinkage,
     cross_validate_lambda,
@@ -295,6 +298,15 @@ class TestAdmmFit:
                 want = max(want, float(np.linalg.norm(m.T @ view.targets[:, j])))
         assert bound == pytest.approx(want, rel=1e-8)
 
+    def test_bound_without_kept_directions_is_zero(self):
+        # every Gram zero, then one nonzero block that column 0 deletes
+        zero = np.zeros((5, 5))
+        kms = assemble({(i, l): zero for i in range(2) for l in range(2)})
+        assert lambda_zero_bound(np.ones((5, 2)), kms) == 0.0
+        grams = {(i, l): zero for i in range(2) for l in range(2)}
+        kms = assemble({**grams, (0, 0): np.eye(5)})
+        assert lambda_zero_bound(np.ones((5, 2)), kms) == pytest.approx(np.sqrt(5.0))
+
     @pytest.mark.parametrize(
         "spec,n,frac",
         [(LINEAR, 2, 0.3), (POLY21, 3, 0.4), (GAUSS1, 2, 0.2)],
@@ -328,7 +340,8 @@ class TestAdmmFit:
         _, view, kms = make_problem(seed=16)
         tensor, dual, diag = admm_fit(view.targets, kms, TIGHT)
         assert diag.iterations == len(diag.primal_residuals)
-        assert diag.iterations == len(diag.dual_residuals) == len(diag.objectives)
+        assert diag.iterations == len(diag.dual_residuals)
+        assert set(diag.relative_gaps) == {*range(10, diag.iterations + 1, 10), diag.iterations}
         assert diag.final_objective == pytest.approx(diag.fidelity + diag.penalty)
         assert diag.converged and 0.0 < diag.residual_ratio <= 1.0
         resid = view.targets - predict(tensor, kms)
@@ -340,7 +353,13 @@ class TestAdmmFit:
         records = diag.records()
         assert len(records) == diag.iterations
         assert records[0]["iteration"] == 1
-        assert set(records[0]) == {"iteration", "primal_residual", "dual_residual", "objective"}
+        assert set(records[0]) == {"iteration", "primal_residual", "dual_residual"}
+        for record in records:
+            if record["iteration"] in diag.relative_gaps:
+                assert record["relative_gap"] == diag.relative_gaps[record["iteration"]]
+            else:
+                assert "relative_gap" not in record
+        assert records[-1]["relative_gap"] == diag.relative_gap
 
     def test_dual_state_shapes(self):
         # factor coordinates: one row per stacked factor column, one column per node
@@ -379,6 +398,71 @@ class TestAdmmFit:
         bad[0, 0] = np.inf
         with pytest.raises(NonFinite):
             admm_fit(bad, kms, SolverConfig(lam=0.5))
+
+
+class TestDualityGap:
+    """The certificate behind FitDiagnostics.relative_gap."""
+
+    @pytest.mark.parametrize("spec", [LINEAR, [LINEAR, GAUSS1]])
+    def test_weak_duality_at_random_points(self, spec):
+        rng = np.random.default_rng(40)
+        for seed in range(41, 46):
+            _, view, kms = make_problem(t=16, n=3, seed=seed, spec=spec)
+            system = _StackedFactor(kms)
+            lams = lambda_zero_bound(view.targets, kms) * np.array([0.02, 0.3, 0.9, 1.5])
+            shape = (lams.size, system.total_rank, kms.n_nodes)
+            g = system.mask_deleted(rng.normal(scale=0.3, size=shape))
+            # zero about half the blocks, as the shrinkage does
+            live = rng.random((lams.size, system.seg_starts.size, kms.n_nodes)) < 0.5
+            g *= np.repeat(live, system.seg_ranks, axis=1)
+            norms = np.sqrt(np.add.reduceat(g * g, system.seg_starts, axis=1))
+            fidelity, penalty, relative = _certificate(view.targets, system, g, norms, lams)
+            assert (fidelity + penalty > 0).all()
+            assert (relative >= -1e-12).all()
+            # the dual point is the residual itself once it is feasible
+            assert relative[-1][(live[-1] == 0).all(axis=0)] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("spec", [LINEAR, [LINEAR, GAUSS1]])
+    @pytest.mark.parametrize("rho", [1.0, 4.0])
+    def test_tight_fit_is_certified(self, spec, rho):
+        _, view, kms = make_problem(seed=16, spec=spec)
+        _, _, diag = admm_fit(view.targets, kms, replace(TIGHT, rho=rho))
+        assert diag.converged
+        assert -1e-12 <= diag.relative_gap <= 1e-6
+        assert all(gap >= -1e-12 for gap in diag.relative_gaps.values())
+
+    @pytest.mark.parametrize("spec", [LINEAR, [LINEAR, GAUSS1]])
+    @pytest.mark.parametrize("rho", [0.5, 4.0])
+    def test_early_stop_is_within_its_certified_bound(self, spec, rho):
+        vals, view, kms = make_problem(t=16, n=3, seed=13, spec=spec)
+        lam = 0.3 * lambda_zero_bound(view.targets, kms)
+        _, _, diag = admm_fit(view.targets, kms, SolverConfig(lam=lam, rho=rho, max_iter=20))
+        specs = spec if isinstance(spec, list) else [spec]
+        want, oracle_gap = group_lasso_objective(vals, 1, specs, view.targets, lam)
+        excess = diag.final_objective - want
+        assert not diag.converged and excess > 1e-6 * want
+        # sum_j (P_j - D_j) <= max_j (relative gap_j) * sum_j P_j bounds the excess
+        certified = diag.relative_gap * diag.final_objective
+        assert -oracle_gap - 1e-9 <= excess <= certified + oracle_gap
+
+    def test_batched_lambdas_certify_like_separate_runs(self):
+        # the last two lambdas converge between checks, the last one first;
+        # the first stops at the cap
+        _, view, kms = make_problem(t=30, n=3, seed=47)
+        grid = lambda_zero_bound(view.targets, kms) * np.array([0.8, 0.5, 0.05])
+        cfg = SolverConfig(lam=1.0, rho=10.0, max_iter=40)
+        system = _FactorSystem(kms, cfg.rho, cfg.jitter)
+        batched = [diag for _, _, diag in _admm(view.targets, system, grid, cfg)]
+        assert [diag.converged for diag in batched] == [False, True, True]
+        assert batched[2].iterations < batched[1].iterations < 40
+        assert batched[1].iterations % 10 and batched[2].iterations % 10
+        for lam, diag in zip(grid, batched):
+            [(_, _, alone)] = _admm(view.targets, system, [lam], cfg)
+            assert diag.iterations == alone.iterations
+            assert diag.relative_gaps.keys() == alone.relative_gaps.keys()
+            for it, gap in alone.relative_gaps.items():
+                assert diag.relative_gaps[it] == pytest.approx(gap, rel=1e-9, abs=1e-12)
+            assert diag.final_objective == pytest.approx(alone.final_objective, rel=1e-12)
 
 
 class TestRidgeFit:
@@ -717,7 +801,7 @@ class TestCrossValidate:
         errors = np.zeros((len(grid), folds))
         records = {}
         for f, (train, test) in enumerate(_fold_views(panel, kms.lag, folds)):
-            kms_train = _kernel_set_from_specs(train, specs, kms.n_kernels)
+            kms_train = build_kernel_set(train, specs)
             for gi, lam in enumerate(grid):
                 fit_cfg = replace(cfg, lam=lam)
                 if cfg.regularizer == "squared":
