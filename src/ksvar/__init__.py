@@ -42,7 +42,6 @@ from .kernels import (
     eval_kernel,
     median_bandwidth,
     parse_kernel_spec,
-    psd_sqrt,
 )
 from .solver import (
     CoefficientTensor,

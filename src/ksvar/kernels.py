@@ -2,9 +2,8 @@
 
 For each source node i, lag l, and kernel p, the similarity of the aligned
 regressor samples z = {y_i(t-l)} with themselves gives a T'xT' Gram block.
-Blocks are assembled in (lag, node, kernel) order into the wide matrix
-Kbar = [K^0_1 ... K^L_N] and the block-diagonal D; column j of the model
-drops its own instantaneous block(s), written I_j below.
+Blocks are kept in (lag, node, kernel) order; column j of the model drops
+its own instantaneous block(s).
 
 Every block also carries a factor B with B @ B.T equal to the (repaired)
 Gram.  Linear and polynomial kernels get exact finite feature maps; the
@@ -128,14 +127,13 @@ def _no_extras(params: dict[str, str], text: str) -> dict:
 
 @dataclass(frozen=True)
 class KernelDictionary:
-    """P distinct kernels, optionally with simplex weights.
+    """P distinct kernels.
 
-    The weights are descriptive metadata only; the group-sparse estimator
-    selects among kernels through the coefficient blocks themselves.
+    The group-sparse estimator selects among them through the coefficient
+    blocks themselves.
     """
 
     kernels: tuple[KernelSpec, ...]
-    weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         kernels = tuple(self.kernels)
@@ -144,13 +142,6 @@ class KernelDictionary:
             raise ConfigError("kernel dictionary must contain at least one kernel")
         if len(set(kernels)) != len(kernels):
             raise ConfigError("kernel dictionary entries must be pairwise distinct")
-        if self.weights is not None:
-            weights = tuple(float(w) for w in self.weights)
-            object.__setattr__(self, "weights", weights)
-            if len(weights) != len(kernels):
-                raise ConfigError("one weight per kernel required")
-            if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
-                raise ConfigError("weights must be nonnegative and sum to 1")
 
     @property
     def size(self) -> int:
@@ -240,32 +231,6 @@ def median_bandwidth(series: np.ndarray, max_pairs: int = 1000, seed: int = 0) -
             raise DegenerateSeries("all sampled pairwise differences are zero")
         sigma = float(positive.min())
     return sigma
-
-
-def psd_sqrt(matrix: np.ndarray, jitter: float | None = None) -> np.ndarray:
-    """Symmetric square root of a symmetric PSD matrix, with eigenvalue repair.
-
-    Eigenvalues below ``jitter`` (default 1e-10 * trace / T') are clamped up
-    to it before taking the root.  Raises NotSymmetric when the input is
-    asymmetric beyond 1e-10 (relative to its magnitude) or has an eigenvalue
-    below the PSD tolerance.
-    """
-    k = np.asarray(matrix, dtype=float)
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise ShapeMismatch("psd_sqrt needs a square matrix")
-    scale = max(1.0, float(np.abs(k).max()) if k.size else 0.0)
-    if float(np.abs(k - k.T).max() if k.size else 0.0) > 1e-10 * scale:
-        raise NotSymmetric("matrix is asymmetric beyond tolerance")
-    if jitter is None:
-        jitter = 1e-10 * float(np.trace(k)) / max(1, k.shape[0])
-        jitter = max(jitter, 0.0)
-    w, v = np.linalg.eigh((k + k.T) / 2.0)
-    if w.size and w.min() < -PSD_ATOL * scale:
-        raise NotSymmetric(
-            f"matrix has eigenvalue {w.min():.3e}; not PSD within tolerance"
-        )
-    w = np.clip(w, jitter, None)
-    return (v * np.sqrt(w)) @ v.T
 
 
 def feature_factor(spec: KernelSpec, samples: np.ndarray) -> np.ndarray | None:
@@ -388,8 +353,7 @@ class KernelMatrixSet:
 
     ``blocks[(l * N + i) * P + p]`` is the block for source node i at lag l
     under kernel p.  Column j of the model excludes its own instantaneous
-    blocks (i = j, l = 0, all p); ``index_set(j)`` lists the flat columns
-    of Kbar they occupy.
+    blocks (i = j, l = 0, all p), at ``deleted_positions(j)``.
     """
 
     blocks: list[KernelBlock]
@@ -401,10 +365,6 @@ class KernelMatrixSet:
     @property
     def n_blocks(self) -> int:
         return len(self.blocks)
-
-    @property
-    def total_columns(self) -> int:
-        return self.n_blocks * self.n_targets
 
     def position(self, node: int, lag: int, kernel_index: int = 0) -> int:
         if not (0 <= node < self.n_nodes and 0 <= lag <= self.lag):
@@ -419,44 +379,8 @@ class KernelMatrixSet:
     def gram(self, node: int, lag: int, kernel_index: int = 0) -> np.ndarray:
         return self.block(node, lag, kernel_index).gram()
 
-    def columns_of(self, position: int) -> slice:
-        return slice(position * self.n_targets, (position + 1) * self.n_targets)
-
     def deleted_positions(self, j: int) -> list[int]:
         return [self.position(j, 0, p) for p in range(self.n_kernels)]
-
-    def index_set(self, j: int) -> np.ndarray:
-        """Flat Kbar column indices I_j removed for target column j."""
-        idx = [
-            np.arange(self.n_targets) + pos * self.n_targets
-            for pos in self.deleted_positions(j)
-        ]
-        return np.concatenate(idx)
-
-    def kbar(self) -> np.ndarray:
-        return np.hstack([b.gram() for b in self.blocks])
-
-    def dmat(self) -> np.ndarray:
-        out = np.zeros((self.total_columns, self.total_columns))
-        for pos, b in enumerate(self.blocks):
-            cols = self.columns_of(pos)
-            out[cols, cols] = b.gram()
-        return out
-
-    def dsqrt(self, jitter: float | None = None) -> np.ndarray:
-        out = np.zeros((self.total_columns, self.total_columns))
-        for pos, b in enumerate(self.blocks):
-            cols = self.columns_of(pos)
-            out[cols, cols] = psd_sqrt(b.gram(), jitter)
-        return out
-
-    def kbar_deleted(self, j: int) -> np.ndarray:
-        keep = np.setdiff1d(np.arange(self.total_columns), self.index_set(j))
-        return self.kbar()[:, keep]
-
-    def dmat_deleted(self, j: int) -> np.ndarray:
-        keep = np.setdiff1d(np.arange(self.total_columns), self.index_set(j))
-        return self.dmat()[np.ix_(keep, keep)]
 
 
 def assemble(grams: dict) -> KernelMatrixSet:

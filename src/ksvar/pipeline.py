@@ -35,7 +35,6 @@ from . import __version__
 from .errors import ConfigError, KsvarError, LabelMismatch, ShapeMismatch
 from .kernels import KernelSpec, build_kernel_set, parse_kernel_spec
 from .metrics import MetricsReport, compute_report
-from .mkl import MklCoefficientTensor
 from .panel import (
     SegmentationConfig,
     TimeSeriesPanel,
@@ -45,6 +44,7 @@ from .panel import (
     standardize,
 )
 from .solver import (
+    CoefficientTensor,
     EffectiveNetwork,
     SolverConfig,
     admm_fit,
@@ -274,7 +274,7 @@ def _write_ndjson(path: str, records: list[dict]) -> None:
             handle.write(json.dumps(rec) + "\n")
 
 
-def _write_attribution(seg_dir: str, tensor: MklCoefficientTensor) -> None:
+def _write_attribution(seg_dir: str, tensor: CoefficientTensor) -> None:
     with _atomic_open(os.path.join(seg_dir, "attribution.csv"), newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["src", "dst", "lag", "kernel", "block_norm"])
@@ -382,12 +382,7 @@ def _process_segment(idx: int, seg_panel: TimeSeriesPanel, cfg: PipelineConfig, 
     with _timed(timings, "write"):
         _write_metrics(seg_dir, report)
         if cfg.dictionary is not None:
-            mkl_tensor = MklCoefficientTensor(
-                coeffs=tensor.coeffs,
-                node_labels=seg_panel.node_labels,
-                kernel_specs=tuple(specs),
-            )
-            _write_attribution(seg_dir, mkl_tensor)
+            _write_attribution(seg_dir, tensor)
         if cv_table is not None:
             _write_json(
                 os.path.join(seg_dir, "cv.json"),

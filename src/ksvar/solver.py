@@ -14,9 +14,12 @@ shrinkage on gamma, and a dual ascent step.  The implementation works in
 factor coordinates: each Gram block carries B with K = B B^T, the unknowns
 become c_b = B_b^T a_b (so ||K^{1/2} a|| = ||c|| and K a = B c exactly), and
 the iteration is algebraically identical to the Gram-space one on the
-retained subspace.  Coefficients are reported as the minimum-norm
-representative, which keeps edge weights free of null-direction junk from
-rank-deficient Grams.
+retained subspace.  A fit is returned as those coordinates, c of shape
+(R, N) for the stacked rank R; block b's length-T' coefficients onto
+column j are the minimum-norm representative a_bj = B_b (B_b^T B_b)^+ c_bj,
+which keeps edge weights free of null-direction junk from rank-deficient
+Grams.  Block norms expand one block at a time, and only the dense
+``CoefficientTensor.coeffs`` builds all of them.
 
 All linear solves (ADMM, ridge, cross-validation, BIC) share one thin SVD
 of the stacked factor per fit; see ``_FactorSystem``.  Cross-validation
@@ -37,7 +40,7 @@ Contents
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,57 +101,110 @@ class SolverConfig:
 
 @dataclass
 class CoefficientTensor:
-    """Fitted coefficient blocks.
+    """Fitted coefficient blocks, held in factor coordinates.
 
-    ``coeffs[p, l, i, j]`` is the length-T' coefficient vector of source
-    node i onto target node j at lag l under kernel p.  The instantaneous
-    self-block of every column is exactly zero.
+    ``coords`` has shape (R, N): column j stacks c_bj = B_b^T a_bj over the
+    blocks b of ``kernels`` in block order, R being their total rank.  The
+    rows of every column's instantaneous self-blocks are exactly zero.
+    ``coeffs[p, l, i, j]`` is the length-T' minimum-norm coefficient
+    vector of source node i onto target node j at lag l under kernel p;
+    reading ``coeffs`` builds all P (L+1) N^2 T' of them anew each time.
+    ``block_norms`` is computed on first use and kept, so the tensor is
+    not to be modified.
     """
 
-    coeffs: np.ndarray
+    coords: np.ndarray
+    kernels: KernelMatrixSet
     node_labels: tuple[str, ...] | None = None
+    _norms: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        if coeffs.ndim != 5 or coeffs.shape[2] != coeffs.shape[3]:
+        kms = self.kernels
+        coords = np.asarray(self.coords, dtype=float)
+        starts = _block_starts(kms)
+        if coords.shape != (starts[-1], kms.n_nodes):
             raise ShapeMismatch(
-                f"coeffs must have shape (P, L+1, N, N, T'), got {coeffs.shape}"
+                f"coords must have shape (R, N) = {(int(starts[-1]), kms.n_nodes)}, "
+                f"got {coords.shape}"
             )
-        if not np.isfinite(coeffs).all():
+        if not np.isfinite(coords).all():
             raise NonFinite("coefficients contain NaN or infinity")
-        diag = coeffs[:, 0, np.arange(coeffs.shape[2]), np.arange(coeffs.shape[2]), :]
-        if diag.size and np.any(diag != 0.0):
-            raise ConfigError("instantaneous self-coupling blocks must be exactly zero")
-        object.__setattr__(self, "coeffs", coeffs)
+        for j in range(kms.n_nodes):
+            for pos in kms.deleted_positions(j):
+                if np.any(coords[starts[pos] : starts[pos + 1], j] != 0.0):
+                    raise ConfigError("instantaneous self-coupling blocks must be exactly zero")
+        self.coords = coords
 
     @property
     def n_kernels(self) -> int:
-        return self.coeffs.shape[0]
+        return self.kernels.n_kernels
 
     @property
     def lag(self) -> int:
-        return self.coeffs.shape[1] - 1
+        return self.kernels.lag
 
     @property
     def n_nodes(self) -> int:
-        return self.coeffs.shape[2]
+        return self.kernels.n_nodes
 
     @property
     def n_basis(self) -> int:
-        return self.coeffs.shape[4]
+        return self.kernels.n_targets
 
-    def block(self, source: int, target: int, lag: int, kernel_index: int = 0) -> np.ndarray:
-        return self.coeffs[kernel_index, lag, source, target]
+    @property
+    def kernel_specs(self) -> tuple[KernelSpec, ...] | None:
+        """The kernel behind each slice p, as resolved for node 0 at lag 0;
+        None for Gram matrices given without specs."""
+        specs = tuple(b.spec for b in self.kernels.blocks[: self.n_kernels])
+        return None if any(s is None for s in specs) else specs
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """Dense (P, L+1, N, N, T') coefficients, built on every read."""
+        kms = self.kernels
+        out = np.zeros((kms.n_kernels, kms.lag + 1, kms.n_nodes, kms.n_nodes, kms.n_targets))
+        for block, alpha in _block_coefficients(kms, self.coords):
+            out[block.kernel_index, block.lag, block.node] = alpha.T
+        return out
 
     def block_norms(self) -> np.ndarray:
-        """Euclidean norm of every block, shape (P, L+1, N, N)."""
-        return np.linalg.norm(self.coeffs, axis=4)
+        """Euclidean norm of every block, shape (P, L+1, N, N).
 
-    def w_stacked(self) -> np.ndarray:
-        """All lags (and kernels) stacked in (lag, source, kernel) block order,
-        matching the assembled wide Gram matrix."""
-        arr = self.coeffs.transpose(1, 2, 0, 4, 3)
-        return arr.reshape(-1, self.n_nodes)
+        Only blocks with a nonzero coordinate are expanded, one at a time;
+        each norm runs over a contiguous T' axis, as it would on ``coeffs``,
+        so the values equal ``np.linalg.norm(coeffs, axis=4)`` exactly.
+        """
+        if self._norms is None:
+            kms = self.kernels
+            norms = np.zeros((kms.n_kernels, kms.lag + 1, kms.n_nodes, kms.n_nodes))
+            for block, alpha in _block_coefficients(kms, self.coords):
+                norms[block.kernel_index, block.lag, block.node] = np.linalg.norm(
+                    np.ascontiguousarray(alpha.T), axis=1
+                )
+            self._norms = norms
+        return self._norms
+
+    def attribution_table(self) -> list[dict]:
+        """Nonzero blocks as rows {src, dst, lag, kernel, block_norm},
+        sorted by (lag, src, dst, kernel)."""
+        norms = self.block_norms().transpose(1, 2, 3, 0)
+        idx = np.nonzero(norms)
+        return [
+            {"src": i, "dst": j, "lag": l, "kernel": p, "block_norm": v}
+            for l, i, j, p, v in zip(*(a.tolist() for a in idx), norms[idx].tolist())
+        ]
+
+    def kernel_share(self) -> np.ndarray:
+        """Fraction of total block-norm mass carried by each kernel.
+
+        Sums to 1 when any block is nonzero; an all-zero tensor yields the
+        all-zero share vector.
+        """
+        mass = self.block_norms().sum(axis=(1, 2, 3))
+        total = mass.sum()
+        if total == 0.0:
+            return np.zeros(self.n_kernels)
+        return mass / total
 
 
 @dataclass
@@ -274,8 +330,8 @@ class _StackedFactor:
 
     def __init__(self, kms: KernelMatrixSet):
         n = kms.n_nodes
-        ranks = np.array([b.rank for b in kms.blocks], dtype=int)
-        starts = np.concatenate([[0], np.cumsum(ranks)]).astype(int)
+        starts = _block_starts(kms)
+        ranks = np.diff(starts)
         self.total_rank = int(starts[-1])
         active = np.flatnonzero(ranks > 0)
         self.seg_starts = starts[active]
@@ -384,31 +440,35 @@ def _check_fit_inputs(targets: np.ndarray, kms: KernelMatrixSet) -> np.ndarray:
     return y
 
 
-def _rank_groups(kms: KernelMatrixSet):
-    """Blocks batched by rank: the blocks, their (kernel, lag, node) index
-    arrays, their stacked factors (m, T', r) and their rows (m, r) in factor
-    coordinates."""
-    starts = np.cumsum([0] + [b.rank for b in kms.blocks])
+def _block_starts(kms: KernelMatrixSet) -> np.ndarray:
+    """First coordinate row of every block in the stacked (R, N) layout,
+    followed by R."""
+    return np.concatenate([[0], np.cumsum([b.rank for b in kms.blocks])]).astype(int)
+
+
+def _gram_pinvs(kms: KernelMatrixSet):
+    """(position, block, (B^T B)^+) for every block of nonzero rank, the
+    pseudo-inverses computed in one batch per rank; B (B^T B)^+ c is the
+    minimum-norm coefficient vector whose factor coordinates are c."""
     groups: dict[int, list[int]] = {}
     for pos, block in enumerate(kms.blocks):
         if block.rank:
             groups.setdefault(block.rank, []).append(pos)
-    for r, positions in groups.items():
-        blocks = [kms.blocks[pos] for pos in positions]
-        idx = tuple(np.array(v) for v in zip(*[(b.kernel_index, b.lag, b.node) for b in blocks]))
-        factors = np.stack([b.factor for b in blocks])
-        yield blocks, idx, factors, starts[positions][:, None] + np.arange(r)
+    for positions in groups.values():
+        factors = np.stack([kms.blocks[pos].factor for pos in positions])
+        pinvs = np.linalg.pinv(factors.transpose(0, 2, 1) @ factors, hermitian=True)
+        for pos, pinv in zip(positions, pinvs):
+            yield pos, kms.blocks[pos], pinv
 
 
-def _alpha_from_reduced(kms: KernelMatrixSet, a: np.ndarray) -> np.ndarray:
-    """Map factor coordinates back to minimum-norm coefficient blocks."""
-    n = kms.n_nodes
-    coeffs = np.zeros((kms.n_kernels, kms.lag + 1, n, n, kms.n_targets))
-    for _, idx, factors, rows in _rank_groups(kms):
-        gram = factors.transpose(0, 2, 1) @ factors
-        alpha = factors @ (np.linalg.pinv(gram, hermitian=True) @ a[rows])
-        coeffs[idx] = alpha.transpose(0, 2, 1)
-    return coeffs
+def _block_coefficients(kms: KernelMatrixSet, coords: np.ndarray):
+    """(block, a_b) for every block with a nonzero coordinate in ``coords``,
+    a_b = B_b (B_b^T B_b)^+ c_b of shape (T', N); the other blocks are zero."""
+    starts = _block_starts(kms)
+    for pos, block, pinv in _gram_pinvs(kms):
+        c = coords[starts[pos] : starts[pos + 1]]
+        if c.any():
+            yield block, block.factor @ (pinv @ c)
 
 
 def _prediction_map(kms: KernelMatrixSet, view: LagAlignedView) -> np.ndarray:
@@ -418,25 +478,25 @@ def _prediction_map(kms: KernelMatrixSet, view: LagAlignedView) -> np.ndarray:
     between the view's samples and the training ones, so Phi @ c is the
     prediction of the minimum-norm coefficients with coordinates c.
     """
-    phi = np.zeros((view.n_targets, sum(b.rank for b in kms.blocks)))
-    for blocks, _, factors, rows in _rank_groups(kms):
-        if any(b.spec is None or b.samples is None for b in blocks):
+    starts = _block_starts(kms)
+    phi = np.zeros((view.n_targets, starts[-1]))
+    for pos, b, pinv in _gram_pinvs(kms):
+        if b.spec is None or b.samples is None:
             raise ConfigError("prediction on new data needs kernel blocks built from samples")
-        kc = np.stack(
-            [cross_gram(b.spec, view.regressor_series(b.node, b.lag), b.samples) for b in blocks]
-        )
-        gram = factors.transpose(0, 2, 1) @ factors
-        phi[:, rows] = (kc @ (factors @ np.linalg.pinv(gram, hermitian=True))).transpose(1, 0, 2)
+        kc = cross_gram(b.spec, view.regressor_series(b.node, b.lag), b.samples)
+        phi[:, starts[pos] : starts[pos + 1]] = kc @ (b.factor @ pinv)
     return phi
 
 
 def rkhs_block_norms(kms: KernelMatrixSet, tensor: CoefficientTensor) -> np.ndarray:
-    """||K_b^{1/2} a_bj||_2 for every block, shape (P, L+1, N, N)."""
+    """||K_b^{1/2} a_bj||_2 = ||c_bj||_2 for every block, shape (P, L+1, N, N)."""
     n = kms.n_nodes
     out = np.zeros((kms.n_kernels, kms.lag + 1, n, n))
-    for _, idx, factors, _ in _rank_groups(kms):
-        c = factors.transpose(0, 2, 1) @ tensor.coeffs[idx].transpose(0, 2, 1)
-        out[idx] = np.linalg.norm(c, axis=1)
+    starts = _block_starts(kms)
+    for pos, b in enumerate(kms.blocks):
+        out[b.kernel_index, b.lag, b.node] = np.linalg.norm(
+            tensor.coords[starts[pos] : starts[pos + 1]], axis=0
+        )
     return out
 
 
@@ -445,14 +505,15 @@ def predict(
     kms: KernelMatrixSet,
     view: LagAlignedView | None = None,
 ) -> np.ndarray:
-    """Fitted values sum_b K_b a_bj per column; with ``view``, kernel
+    """Fitted values sum_b K_b a_bj = F c per column; with ``view``, kernel
     evaluations are taken between the new aligned samples and the training
     ones (one-step-ahead prediction)."""
-    if (
-        tensor.n_kernels != kms.n_kernels
-        or tensor.lag != kms.lag
-        or tensor.n_nodes != kms.n_nodes
-        or tensor.n_basis != kms.n_targets
+    if (tensor.n_kernels, tensor.lag, tensor.n_nodes, tensor.n_basis, tensor.coords.shape[0]) != (
+        kms.n_kernels,
+        kms.lag,
+        kms.n_nodes,
+        kms.n_targets,
+        sum(b.rank for b in kms.blocks),
     ):
         raise ShapeMismatch("coefficient tensor does not match the kernel set")
     if view is None:
@@ -461,10 +522,7 @@ def predict(
         raise ShapeMismatch("view does not match the kernel set")
     else:
         basis = _prediction_map(kms, view)
-    coords = np.zeros((basis.shape[1], kms.n_nodes))  # c_b = B_b^T a_b, stacked
-    for _, idx, factors, rows in _rank_groups(kms):
-        coords[rows] = factors.transpose(0, 2, 1) @ tensor.coeffs[idx].transpose(0, 2, 1)
-    return basis @ coords
+    return basis @ tensor.coords
 
 
 def lambda_zero_bound(targets: np.ndarray, kms: KernelMatrixSet) -> float:
@@ -606,8 +664,7 @@ def admm_fit(
         raise ConfigError("group-sparse fitting needs lam > 0")
     y = _check_fit_inputs(targets, kms)
     [(g, xi, diagnostics)] = _admm(y, _FactorSystem(kms, cfg.rho, cfg.jitter), [cfg.lam], cfg)
-    tensor = CoefficientTensor(coeffs=_alpha_from_reduced(kms, g))
-    return tensor, DualState(gamma=g, xi=xi), diagnostics
+    return CoefficientTensor(coords=g, kernels=kms), DualState(gamma=g, xi=xi), diagnostics
 
 
 def _ridge_coordinates(
@@ -624,14 +681,13 @@ def ridge_fit(
     """Closed-form fit under the squared RKHS-norm penalty.
 
     Per column, solves (Bbar_j^T Bbar_j + 2 lam I) c_j = Bbar_j^T y_j in
-    factor coordinates and maps back to minimum-norm coefficients; this is
-    the trace-form regularized least squares, column-independent.
+    factor coordinates; this is the trace-form regularized least squares,
+    column-independent.
     """
     if cfg.regularizer != "squared":
         raise ConfigError("ridge_fit handles regularizer='squared' only")
     y = _check_fit_inputs(targets, kms)
-    coords = _ridge_coordinates(y, kms, cfg.lam, cfg.jitter)
-    return CoefficientTensor(coeffs=_alpha_from_reduced(kms, coords))
+    return CoefficientTensor(coords=_ridge_coordinates(y, kms, cfg.lam, cfg.jitter), kernels=kms)
 
 
 def threshold_edges(
@@ -760,9 +816,15 @@ def select_lag_bic(
 ) -> int:
     """Order selection: ridge fit per candidate lag, scored by BIC.
 
-    BIC = T' N log(RSS / (T' N)) + k log(T' N) with k counting fitted block
-    coefficients, T' blocks for every block norm above tau_alpha.  Ties go
-    to the smaller lag.
+    Every candidate is fit on the same n target rows, Lmax..T-1 for the
+    largest candidate Lmax, so the residual sums compare.  A column's model
+    size is its ridge fit's effective degrees of freedom (ESL eq. 3.50),
+    df_j = sum_i s_i^2 / (s_i^2 + 2 lam) over the singular values s_i of
+    its kept factor Bbar_j, and with m = n N observations
+
+        BIC = m log(RSS / m) + sum_j df_j log m.
+
+    ``cfg.tau_alpha`` plays no part.  Ties go to the smaller lag.
     """
     if not candidates:
         raise ConfigError("lag candidates must be nonempty")
@@ -773,18 +835,22 @@ def select_lag_bic(
             raise ConfigError(
                 f"lag candidate {cand} must be smaller than T = {panel.n_samples}"
             )
-    rcfg = replace(cfg, regularizer="squared")
+    lags = sorted(set(int(c) for c in candidates))
+    rows = np.arange(lags[-1], panel.n_samples)
+    n_obs = rows.size * panel.n_nodes
+    penalty = 2.0 * cfg.lam
     best_lag = None
     best_bic = np.inf
-    for cand in sorted(set(int(c) for c in candidates)):
-        view = lag_view(panel, cand)
-        kms = build_kernel_set(view, kernel)
-        tensor = ridge_fit(view.targets, kms, rcfg)
-        resid = view.targets - predict(tensor, kms)
+    for cand in lags:
+        view = lag_view_for_rows(panel, cand, rows)
+        system = _FactorSystem(build_kernel_set(view, kernel), penalty, cfg.jitter)
+        resid = view.targets - system.F @ system.solve(system.project(view.targets))[0]
         rss = float(np.sum(resid * resid))
-        n_obs = view.n_targets * view.n_nodes
-        k = int((tensor.block_norms() > cfg.tau_alpha).sum()) * view.n_targets
-        bic = n_obs * np.log(max(rss, 1e-300) / n_obs) + k * np.log(n_obs)
+        df = 0.0
+        for deleted in system.deleted:
+            s2 = np.linalg.svd(np.delete(system.F, deleted, axis=1), compute_uv=False) ** 2
+            df += float(np.divide(s2, s2 + penalty, out=np.zeros_like(s2), where=s2 > 0).sum())
+        bic = n_obs * np.log(max(rss, 1e-300) / n_obs) + df * np.log(n_obs)
         if bic < best_bic:
             best_bic = bic
             best_lag = cand

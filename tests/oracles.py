@@ -6,11 +6,13 @@ accelerated proximal-gradient group-lasso solver certified by duality gap,
 a normal-equations ridge solve, and exhaustive path-enumeration graph
 metrics in exact rational arithmetic.  The exceptions are former package
 code kept unchanged as references: ``brandes_betweenness``, the per-source
-``Fraction`` betweenness, exact for graphs too large to enumerate; and the
-Gram-space ADMM pieces (``admm_column_update``, ``dual_update``), the
-objective evaluated from coefficient blocks (``objective_value``), the
-per-block cross-Gram ``heldout_prediction`` that cross-validation used, and
-the dictionary-fit wrappers ``expand_dictionary``, ``mkl_fit`` and
+``Fraction`` betweenness, exact for graphs too large to enumerate; the
+dense Gram layout (``kbar``, ``dmat``, ``dsqrt`` and their deleted forms,
+``psd_sqrt``, and the stacked coefficients ``w_stacked``); the Gram-space
+ADMM pieces (``admm_column_update``, ``dual_update``), the objective
+evaluated from coefficient blocks (``objective_value``), the per-block
+cross-Gram ``heldout_prediction`` that cross-validation used, and the
+dictionary-fit wrappers ``expand_dictionary``, ``mkl_fit`` and
 ``mkl_fit_with_diagnostics``.
 """
 
@@ -22,17 +24,19 @@ from math import comb
 
 import numpy as np
 
-from ksvar.errors import ShapeMismatch, SingularSystem
+from ksvar.errors import NotSymmetric, ShapeMismatch, SingularSystem
 from ksvar.kernels import (
+    PSD_ATOL,
     KernelDictionary,
     KernelMatrixSet,
     KernelSpec,
+    assemble,
     build_kernel_set,
     cross_gram,
 )
-from ksvar.mkl import MklCoefficientTensor
 from ksvar.panel import TimeSeriesPanel, lag_view
 from ksvar.solver import (
+    CoefficientTensor,
     DualState,
     EffectiveNetwork,
     FitDiagnostics,
@@ -212,6 +216,107 @@ def ridge_reference(
 
 
 # ---------------------------------------------------------------------------
+# dense Gram layout, formerly in ksvar.kernels and ksvar.solver: blocks in
+# (lag, node, kernel) order side by side in the wide matrix
+# Kbar = [K^0_1 ... K^L_N] and on the diagonal of D; column j drops its own
+# instantaneous blocks, the flat columns index_set(j)
+
+
+def psd_sqrt(matrix: np.ndarray, jitter: float | None = None) -> np.ndarray:
+    """Symmetric square root of a symmetric PSD matrix, with eigenvalue repair.
+
+    Eigenvalues below ``jitter`` (default 1e-10 * trace / T') are clamped up
+    to it before taking the root.  Raises NotSymmetric when the input is
+    asymmetric beyond 1e-10 (relative to its magnitude) or has an eigenvalue
+    below the PSD tolerance.
+    """
+    k = np.asarray(matrix, dtype=float)
+    if k.ndim != 2 or k.shape[0] != k.shape[1]:
+        raise ShapeMismatch("psd_sqrt needs a square matrix")
+    scale = max(1.0, float(np.abs(k).max()) if k.size else 0.0)
+    if float(np.abs(k - k.T).max() if k.size else 0.0) > 1e-10 * scale:
+        raise NotSymmetric("matrix is asymmetric beyond tolerance")
+    if jitter is None:
+        jitter = 1e-10 * float(np.trace(k)) / max(1, k.shape[0])
+        jitter = max(jitter, 0.0)
+    w, v = np.linalg.eigh((k + k.T) / 2.0)
+    if w.size and w.min() < -PSD_ATOL * scale:
+        raise NotSymmetric(
+            f"matrix has eigenvalue {w.min():.3e}; not PSD within tolerance"
+        )
+    w = np.clip(w, jitter, None)
+    return (v * np.sqrt(w)) @ v.T
+
+
+def total_columns(kms) -> int:
+    return kms.n_blocks * kms.n_targets
+
+
+def columns_of(kms, position: int) -> slice:
+    return slice(position * kms.n_targets, (position + 1) * kms.n_targets)
+
+
+def index_set(kms, j: int) -> np.ndarray:
+    """Flat Kbar column indices I_j removed for target column j."""
+    idx = [np.arange(kms.n_targets) + pos * kms.n_targets for pos in kms.deleted_positions(j)]
+    return np.concatenate(idx)
+
+
+def kbar(kms) -> np.ndarray:
+    return np.hstack([b.gram() for b in kms.blocks])
+
+
+def dmat(kms) -> np.ndarray:
+    out = np.zeros((total_columns(kms), total_columns(kms)))
+    for pos, b in enumerate(kms.blocks):
+        cols = columns_of(kms, pos)
+        out[cols, cols] = b.gram()
+    return out
+
+
+def dsqrt(kms, jitter: float | None = None) -> np.ndarray:
+    out = np.zeros((total_columns(kms), total_columns(kms)))
+    for pos, b in enumerate(kms.blocks):
+        cols = columns_of(kms, pos)
+        out[cols, cols] = psd_sqrt(b.gram(), jitter)
+    return out
+
+
+def kbar_deleted(kms, j: int) -> np.ndarray:
+    keep = np.setdiff1d(np.arange(total_columns(kms)), index_set(kms, j))
+    return kbar(kms)[:, keep]
+
+
+def dmat_deleted(kms, j: int) -> np.ndarray:
+    keep = np.setdiff1d(np.arange(total_columns(kms)), index_set(kms, j))
+    return dmat(kms)[np.ix_(keep, keep)]
+
+
+def unit_tensor(
+    entries: dict, n: int, lag: int = 0, kernels: int = 1, t: int = 1
+) -> CoefficientTensor:
+    """Coefficients over identity Gram blocks of size t, where the factor
+    coordinates are the coefficients themselves: ``entries[(p, l, i, j)]``
+    is block (p, l, i, j)'s length-t vector (a scalar fills its first
+    entry), and every other block is zero."""
+    kms = assemble(
+        {(i, l, p): np.eye(t) for i in range(n) for l in range(lag + 1) for p in range(kernels)}
+    )
+    coords = np.zeros((kms.n_blocks * t, n))
+    for (p, l, i, j), value in entries.items():
+        rows = columns_of(kms, kms.position(i, l, p))
+        coords[rows, j][: np.size(value)] = value
+    return CoefficientTensor(coords=coords, kernels=kms)
+
+
+def w_stacked(tensor) -> np.ndarray:
+    """All lags (and kernels) of the dense coefficients stacked in (lag,
+    source, kernel) block order, matching kbar."""
+    arr = tensor.coeffs.transpose(1, 2, 0, 4, 3)
+    return arr.reshape(-1, tensor.n_nodes)
+
+
+# ---------------------------------------------------------------------------
 # Gram-space ADMM pieces, objective and held-out prediction, formerly in
 # ksvar.solver: the dense column solve and the multiplier step in the full
 # coefficient layout, the objective at a coefficient tensor, and one
@@ -248,8 +353,8 @@ def admm_column_update(
     y_j = np.asarray(y_j, dtype=float)
     if y_j.shape != (kms.n_targets,):
         raise ShapeMismatch("y_j must be a length-T' vector")
-    kbar_j = kms.kbar_deleted(j)
-    d_j = kms.dmat_deleted(j)
+    kbar_j = kbar_deleted(kms, j)
+    d_j = dmat_deleted(kms, j)
     dim = kbar_j.shape[1]
     q = kbar_j.T @ y_j
     if gamma_j is not None or xi_j is not None:
@@ -257,8 +362,8 @@ def admm_column_update(
         xi_j = np.zeros(dim) if xi_j is None else np.asarray(xi_j, float)
         if gamma_j.shape != (dim,) or xi_j.shape != (dim,):
             raise ShapeMismatch("gamma_j/xi_j must match the deleted column layout")
-        keep = np.setdiff1d(np.arange(kms.total_columns), kms.index_set(j))
-        d_sqrt = kms.dsqrt()[np.ix_(keep, keep)]
+        keep = np.setdiff1d(np.arange(total_columns(kms)), index_set(kms, j))
+        d_sqrt = dsqrt(kms)[np.ix_(keep, keep)]
         q = q + d_sqrt @ (rho * gamma_j - xi_j)
     m = kbar_j.T @ kbar_j + rho * d_j + jitter * np.eye(dim)
     try:
@@ -310,7 +415,7 @@ def mkl_fit(
     kms: KernelMatrixSet,
     cfg: SolverConfig,
     node_labels: tuple[str, ...] | None = None,
-) -> tuple[MklCoefficientTensor, EffectiveNetwork]:
+) -> tuple[CoefficientTensor, EffectiveNetwork]:
     """Group-sparse fit on an expanded set, with per-kernel attribution.
 
     Same ADMM as the base solver; the enlarged block set is the only
@@ -326,15 +431,10 @@ def mkl_fit_with_diagnostics(
     kms: KernelMatrixSet,
     cfg: SolverConfig,
     node_labels: tuple[str, ...] | None = None,
-) -> tuple[MklCoefficientTensor, EffectiveNetwork, FitDiagnostics]:
+) -> tuple[CoefficientTensor, EffectiveNetwork, FitDiagnostics]:
     """As ``mkl_fit`` but keeps the convergence record for reporting."""
     base, _, diagnostics = admm_fit(targets, kms, cfg)
-    specs = tuple(b.spec for b in kms.blocks[: kms.n_kernels]) if kms.blocks else None
-    if specs is not None and any(s is None for s in specs):
-        specs = None
-    tensor = MklCoefficientTensor(
-        coeffs=base.coeffs, node_labels=node_labels, kernel_specs=specs
-    )
+    tensor = CoefficientTensor(coords=base.coords, kernels=kms, node_labels=node_labels)
     net = threshold_edges(tensor, cfg.tau_alpha)
     return tensor, net, diagnostics
 

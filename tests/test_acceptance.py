@@ -491,3 +491,17 @@ def test_criterion_11(capsys):
     ok = hits >= 40
     report_line(capsys, 11, ok, f"lag selected correctly in {hits}/50 trials >= 40")
     assert ok
+
+
+@pytest.mark.parametrize("true_lag", [2, 3])
+def test_bic_selects_longer_lags(capsys, true_lag):
+    # order selection must also find lags above the smallest candidate
+    hits = 0
+    cfg_fit = SolverConfig(lam=1.0, tau_alpha=0.0)
+    for seed in range(20):
+        cfg = bench_config(seed, lag=true_lag)
+        panel = simulate(generate_truth(cfg), cfg)
+        hits += select_lag_bic(panel, LINEAR, [1, 2, 3], cfg_fit) == true_lag
+    with capsys.disabled():
+        print(f"\nBIC order selection, true lag {true_lag}: {hits}/20 correct >= 16", flush=True)
+    assert hits >= 16

@@ -3,13 +3,19 @@
 import numpy as np
 import pytest
 
-from ksvar.errors import ConfigError
 from ksvar.kernels import KernelDictionary, KernelSpec, build_kernel_set
 from ksvar.mkl import MklCoefficientTensor
 from ksvar.panel import TimeSeriesPanel, lag_view
 from ksvar.solver import SolverConfig, admm_fit, lambda_zero_bound
 
-from oracles import expand_dictionary, mkl_fit, mkl_fit_with_diagnostics, objective_value
+from oracles import (
+    expand_dictionary,
+    kbar,
+    mkl_fit,
+    mkl_fit_with_diagnostics,
+    objective_value,
+    unit_tensor,
+)
 
 LINEAR = KernelSpec(kind="linear")
 POLY20 = KernelSpec(kind="polynomial", degree=2, offset=0.0)
@@ -39,7 +45,7 @@ class TestExpandDictionary:
         kms = expand_dictionary(KernelDictionary(kernels=(LINEAR, GAUSS1)), panel, 1)
         # N=2, L=1, P=2, T'=3: 8 blocks of 3 columns each
         assert kms.n_blocks == 8
-        assert kms.kbar().shape == (3, 24)
+        assert kbar(kms).shape == (3, 24)
         assert kms.block(0, 0, 0).spec == LINEAR
         assert kms.block(0, 0, 1).spec == GAUSS1
         assert kms.block(1, 1, 1).spec == GAUSS1
@@ -61,21 +67,14 @@ class TestExpandDictionary:
 
 
 class TestMklTensor:
-    def make_tensor(self, norms, specs=None):
+    def make_tensor(self, norms):
         # norms keyed by (p, l, i, j); basis size 1
         p = 1 + max(k[0] for k in norms) if norms else 1
         l = 1 + max(k[1] for k in norms) if norms else 1
-        n = 2
-        c = np.zeros((p, l, n, n, 1))
-        for (pi, li, i, j), v in norms.items():
-            c[pi, li, i, j, 0] = v
-        return MklCoefficientTensor(coeffs=c, kernel_specs=specs)
+        return unit_tensor(norms, n=2, lag=l - 1, kernels=p)
 
     def test_attribution_rows_sorted_and_nonzero_only(self):
-        t = self.make_tensor(
-            {(0, 1, 0, 1): 0.5, (1, 0, 1, 0): 0.25, (0, 0, 0, 1): 0.125},
-            specs=(LINEAR, GAUSS1),
-        )
+        t = self.make_tensor({(0, 1, 0, 1): 0.5, (1, 0, 1, 0): 0.25, (0, 0, 0, 1): 0.125})
         rows = t.attribution_table()
         assert [(r["lag"], r["src"], r["dst"], r["kernel"]) for r in rows] == [
             (0, 0, 1, 0),
@@ -91,14 +90,17 @@ class TestMklTensor:
         assert share.sum() == pytest.approx(1.0)
 
     def test_kernel_share_of_zero_tensor_is_zero(self):
-        t = MklCoefficientTensor(coeffs=np.zeros((2, 1, 2, 2, 3)))
+        t = unit_tensor({}, n=2, kernels=2, t=3)
         np.testing.assert_array_equal(t.kernel_share(), np.zeros(2))
 
     def test_spec_count_must_match(self):
-        with pytest.raises(ConfigError):
-            MklCoefficientTensor(
-                coeffs=np.zeros((2, 1, 2, 2, 3)), kernel_specs=(LINEAR,)
-            )
+        # the specs come from the kernel set: one per slice, or none for Grams
+        # given without them
+        kms = build_kernel_set(lag_view(make_panel(seed=11), 1), [LINEAR, GAUSS1])
+        t = MklCoefficientTensor(coords=np.zeros((sum(b.rank for b in kms.blocks), 2)), kernels=kms)
+        assert t.kernel_specs == (LINEAR, GAUSS1)
+        assert len(t.kernel_specs) == t.n_kernels
+        assert unit_tensor({}, n=2, kernels=2).kernel_specs is None
 
 
 class TestMklFit:

@@ -1,5 +1,6 @@
 """ADMM group-sparse fit, ridge fit, thresholding, prediction, CV, and BIC."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -39,11 +40,19 @@ from ksvar.solver import (
 from oracles import (
     admm_column_update,
     column_designs,
+    dmat_deleted,
+    dsqrt,
     dual_update,
     group_lasso_objective,
     heldout_prediction,
+    index_set,
+    kbar,
+    kbar_deleted,
     objective_value,
     ridge_reference,
+    total_columns,
+    unit_tensor,
+    w_stacked,
 )
 
 LINEAR = KernelSpec(kind="linear")
@@ -92,39 +101,50 @@ class TestSolverConfig:
 
 
 class TestCoefficientTensor:
+    def unit_kernels(self, n=2, lag=0, kernels=1, t=3):
+        return unit_tensor({}, n, lag, kernels, t).kernels
+
     def test_shape_and_properties(self):
-        t = CoefficientTensor(coeffs=np.zeros((2, 3, 4, 4, 5)))
+        t = unit_tensor({}, n=4, lag=2, kernels=2, t=5)
+        assert t.coords.shape == (2 * 3 * 4 * 5, 4)
         assert (t.n_kernels, t.lag, t.n_nodes, t.n_basis) == (2, 2, 4, 5)
+        assert t.coeffs.shape == (2, 3, 4, 4, 5)
 
     def test_rejects_wrong_ndim(self):
+        kms = self.unit_kernels()
         with pytest.raises(ShapeMismatch):
-            CoefficientTensor(coeffs=np.zeros((2, 3, 4, 5)))
+            CoefficientTensor(coords=np.zeros(6 * 2), kernels=kms)
 
     def test_rejects_nonsquare_node_axes(self):
+        # one coordinate column per target node, and one row per factor column
+        kms = self.unit_kernels()
         with pytest.raises(ShapeMismatch):
-            CoefficientTensor(coeffs=np.zeros((1, 1, 2, 3, 4)))
+            CoefficientTensor(coords=np.zeros((6, 3)), kernels=kms)
+        with pytest.raises(ShapeMismatch):
+            CoefficientTensor(coords=np.zeros((7, 2)), kernels=kms)
 
     def test_rejects_nan(self):
-        c = np.zeros((1, 1, 2, 2, 3))
-        c[0, 0, 0, 1, 0] = np.nan
+        kms = self.unit_kernels()
+        c = np.zeros((6, 2))
+        c[0, 1] = np.nan
         with pytest.raises(NonFinite):
-            CoefficientTensor(coeffs=c)
+            CoefficientTensor(coords=c, kernels=kms)
 
     def test_rejects_instantaneous_self_coupling(self):
-        c = np.zeros((1, 2, 2, 2, 3))
-        c[0, 0, 1, 1, 0] = 0.5
+        kms = self.unit_kernels(lag=1)
+        c = np.zeros((12, 2))
+        c[3 * kms.position(1, 0), 1] = 0.5
         with pytest.raises(ConfigError):
-            CoefficientTensor(coeffs=c)
+            CoefficientTensor(coords=c, kernels=kms)
 
     def test_lagged_self_coupling_allowed(self):
-        c = np.zeros((1, 2, 2, 2, 3))
-        c[0, 1, 1, 1, 0] = 0.5
-        CoefficientTensor(coeffs=c)
+        kms = self.unit_kernels(lag=1)
+        c = np.zeros((12, 2))
+        c[3 * kms.position(1, 1), 1] = 0.5
+        CoefficientTensor(coords=c, kernels=kms)
 
     def test_block_norms(self):
-        c = np.zeros((1, 1, 2, 2, 2))
-        c[0, 0, 0, 1] = [3.0, 4.0]
-        t = CoefficientTensor(coeffs=c)
+        t = unit_tensor({(0, 0, 0, 1): [3.0, 4.0]}, n=2, t=2)
         norms = t.block_norms()
         assert norms.shape == (1, 1, 2, 2)
         assert norms[0, 0, 0, 1] == 5.0
@@ -133,12 +153,45 @@ class TestCoefficientTensor:
         # Kbar @ w_stacked must reproduce predict()
         _, view, kms = make_problem(seed=1)
         rng = np.random.default_rng(2)
-        c = rng.normal(size=(1, 2, 2, 2, view.n_targets))
-        c[0, 0, np.arange(2), np.arange(2), :] = 0.0
-        tensor = CoefficientTensor(coeffs=c)
+        c = _StackedFactor(kms).mask_deleted(rng.normal(size=(1, kms.n_blocks, 2)))[0]
+        tensor = CoefficientTensor(coords=c, kernels=kms)
         np.testing.assert_allclose(
-            kms.kbar() @ tensor.w_stacked(), predict(tensor, kms), atol=1e-10
+            kbar(kms) @ w_stacked(tensor), predict(tensor, kms), atol=1e-10
         )
+
+    @pytest.mark.parametrize("spec", [LINEAR, [LINEAR, GAUSS1]])
+    def test_weights_equal_dense_block_norms(self, spec):
+        _, view, kms = make_problem(t=30, n=4, seed=5, spec=spec)
+        lam = 0.3 * lambda_zero_bound(view.targets, kms)
+        tensor, _, _ = admm_fit(view.targets, kms, SolverConfig(lam=lam, max_iter=200))
+        weights = threshold_edges(tensor, 0.0).weights
+        assert (weights == 0.0).any() and (weights > 0.0).any()
+        np.testing.assert_array_equal(weights, np.linalg.norm(tensor.coeffs, axis=4).max(axis=0))
+
+    def test_fit_and_report_never_hold_the_dense_tensor(self):
+        # N=40 nodes against a Gaussian rank of about 8 per block: the dense
+        # (P, L+1, N, N, T') tensor, 10 MB, outweighs the factors and the
+        # ADMM state together
+        rng = np.random.default_rng(6)
+        panel = TimeSeriesPanel(
+            values=rng.normal(size=(201, 40)),
+            node_labels=tuple(f"n{i}" for i in range(40)),
+            sample_rate_hz=1.0,
+        )
+        view = lag_view(panel, 1)
+        kms = build_kernel_set(view, [LINEAR, KernelSpec(kind="gaussian", bandwidth=5.0)])
+        dense_bytes = 2 * 2 * 40 * 40 * view.n_targets * 8
+        cfg = SolverConfig(lam=0.1 * lambda_zero_bound(view.targets, kms), max_iter=30)
+        tracemalloc.start()
+        try:
+            tensor, _, _ = admm_fit(view.targets, kms, cfg)
+            threshold_edges(tensor, 0.05)
+            rows = tensor.attribution_table()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows
+        assert peak < dense_bytes
 
 
 class TestDualState:
@@ -239,16 +292,16 @@ class TestColumnUpdate:
         rng = np.random.default_rng(7)
         _, _, kms = make_problem(t=10, n=2, lag=1, seed=7)
         j = 1
-        dim = kms.kbar_deleted(j).shape[1]
+        dim = kbar_deleted(kms, j).shape[1]
         y_j = rng.normal(size=kms.n_targets)
         gamma_j = rng.normal(size=dim)
         xi_j = rng.normal(size=dim)
         rho = 0.7
         out = admm_column_update(j, y_j, gamma_j, xi_j, kms, rho=rho, jitter=1e-10)
-        kbar_j = kms.kbar_deleted(j)
-        d_j = kms.dmat_deleted(j)
-        keep = np.setdiff1d(np.arange(kms.total_columns), kms.index_set(j))
-        d_sqrt = kms.dsqrt()[np.ix_(keep, keep)]
+        kbar_j = kbar_deleted(kms, j)
+        d_j = dmat_deleted(kms, j)
+        keep = np.setdiff1d(np.arange(total_columns(kms)), index_set(kms, j))
+        d_sqrt = dsqrt(kms)[np.ix_(keep, keep)]
         q = kbar_j.T @ y_j + d_sqrt @ (rho * gamma_j - xi_j)
         m = kbar_j.T @ kbar_j + rho * d_j + 1e-10 * np.eye(dim)
         np.testing.assert_allclose(m @ out, q, atol=1e-8)
@@ -616,10 +669,7 @@ class TestSharedSolve:
 
 class TestThresholdEdges:
     def tensor_with_norms(self, entries, n=2, lag=0, p=1, t=1):
-        c = np.zeros((p, lag + 1, n, n, t))
-        for (pi, l, i, j), val in entries.items():
-            c[pi, l, i, j, 0] = val
-        return CoefficientTensor(coeffs=c)
+        return unit_tensor(entries, n, lag, p, t)
 
     def test_straddling_threshold(self):
         t = self.tensor_with_norms({(0, 0, 0, 1): 0.011, (0, 0, 1, 0): 0.009})
@@ -689,14 +739,15 @@ class TestPredict:
 
     def test_rejects_mismatched_tensor(self):
         _, view, kms = make_problem(seed=30)
-        wrong = CoefficientTensor(coeffs=np.zeros((1, 1, 3, 3, kms.n_targets)))
+        _, _, other = make_problem(n=3, seed=30)
+        wrong = CoefficientTensor(coords=np.zeros((other.n_blocks, 3)), kernels=other)
         with pytest.raises(ShapeMismatch):
             predict(wrong, kms)
 
     def test_assembled_grams_cannot_project_new_data(self):
         grams = {(i, l): np.eye(3) for i in range(2) for l in range(2)}
         kms = assemble(grams)
-        tensor = CoefficientTensor(coeffs=zero_tensor(kms))
+        tensor = CoefficientTensor(coords=np.zeros((3 * kms.n_blocks, 2)), kernels=kms)
         panel = TimeSeriesPanel(
             values=np.random.default_rng(31).normal(size=(4, 2)),
             node_labels=("n0", "n1"),
