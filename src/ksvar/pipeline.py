@@ -322,15 +322,15 @@ def _process_segment(idx: int, seg_panel: TimeSeriesPanel, cfg: PipelineConfig, 
     specs = cfg.kernel_specs()
     # model selection gets a definite penalty weight before CV has run
     pilot_lam = cfg.lam if cfg.lam is not None else cfg.lambda_grid[len(cfg.lambda_grid) // 2]
+    kernels_arg = specs[0] if cfg.kernel is not None else specs
     if cfg.lag is not None:
         chosen_lag = cfg.lag
     else:
         with _timed(timings, "lag_selection"):
             chosen_lag = select_lag_bic(
-                work, specs[0], list(cfg.bic_candidates), cfg.solver_config(pilot_lam)
+                work, kernels_arg, list(cfg.bic_candidates), cfg.solver_config(pilot_lam), cfg.seed
             )
     view = lag_view(work, chosen_lag)
-    kernels_arg = specs[0] if cfg.kernel is not None else specs
     with _timed(timings, "kernels"):
         kms = build_kernel_set(view, kernels_arg, seed=cfg.seed)
 

@@ -22,7 +22,12 @@ Grams.  Block norms expand one block at a time, and only the dense
 ``CoefficientTensor.coeffs`` builds all of them.
 
 All linear solves (ADMM, ridge, cross-validation, BIC) share one thin SVD
-of the stacked factor per fit; see ``_FactorSystem``.  Cross-validation
+of the stacked factor per fit; see ``_FactorSystem``.  Inside, the solver
+works node-major, on (K, N, R) arrays whose factor columns are grouped by
+block rank, so block norms and shrinkage are one reduction per distinct
+rank and the solves are plain row-major products; ``_StackedFactor`` owns
+that order and alone converts results to the public (R, N) block order of
+``CoefficientTensor.coords`` and ``DualState``.  Cross-validation
 builds one per fold and runs the whole lambda grid through one batched
 ADMM loop, predicting held-out rows straight from factor coordinates.
 Every fit is certified by a duality gap (``FitDiagnostics.relative_gap``):
@@ -51,7 +56,7 @@ from .errors import (
     ShapeMismatch,
     SingularSystem,
 )
-from .kernels import KernelMatrixSet, KernelSpec, build_kernel_set, cross_gram
+from .kernels import KernelDictionary, KernelMatrixSet, KernelSpec, build_kernel_set, cross_gram
 from .panel import (
     LagAlignedView,
     TimeSeriesPanel,
@@ -324,42 +329,87 @@ def block_shrinkage(z: np.ndarray, threshold: float) -> np.ndarray:
 
 
 class _StackedFactor:
-    """The stacked T' x R factor F of a kernel set and the layout every
-    columnwise computation shares: each active block's first row and rank,
-    and each column's deleted rows D_j (its own instantaneous blocks)."""
+    """The stacked T' x R factor F of a kernel set in the solver's working
+    layout.
+
+    F's columns are the blocks' factor columns with the blocks stably
+    sorted by rank, so blocks of equal rank sit next to each other: each
+    distinct nonzero rank is one ``groups`` entry (start, stop, rank) of
+    contiguous columns.  Working coordinates are node-major, shape
+    (K, N, R), and ``to_public`` returns one (N, R) array in the public
+    block-order (R, N) layout of ``CoefficientTensor.coords`` and
+    ``DualState``; no other code converts between the two.  ``deleted[j]``
+    lists the working columns D_j that target node j deletes (its own
+    instantaneous blocks).
+    """
 
     def __init__(self, kms: KernelMatrixSet):
         n = kms.n_nodes
         starts = _block_starts(kms)
         ranks = np.diff(starts)
-        self.total_rank = int(starts[-1])
-        active = np.flatnonzero(ranks > 0)
-        self.seg_starts = starts[active]
-        self.seg_ranks = ranks[active]
-        self.F = np.hstack([b.factor for b in kms.blocks])
+        order = np.argsort(ranks, kind="stable")
+        sorted_ranks = ranks[order]
+        first = np.concatenate([[0], np.cumsum(sorted_ranks)])
+        self.total_rank = int(first[-1])
+        self.F = np.hstack([kms.blocks[pos].factor for pos in order])
+        # rows[c] is the public row of working column c
+        self.rows = np.concatenate([np.arange(starts[pos], starts[pos + 1]) for pos in order])
+        self.groups = []
+        for rank in np.unique(sorted_ranks[sorted_ranks > 0]).tolist():
+            lo, hi = np.searchsorted(sorted_ranks, [rank, rank + 1])
+            self.groups.append((int(first[lo]), int(first[hi]), rank))
+        col_of = np.empty_like(ranks)
+        col_of[order] = first[:-1]
         self.deleted = [
-            np.concatenate([np.arange(starts[p], starts[p + 1]) for p in kms.deleted_positions(j)])
+            np.concatenate(
+                [np.arange(col_of[p], col_of[p] + ranks[p]) for p in kms.deleted_positions(j)]
+            )
             for j in range(n)
         ]
-        self.deleted_sizes = np.array([rows.size for rows in self.deleted], dtype=int)
+        self.deleted_sizes = np.array([cols.size for cols in self.deleted], dtype=int)
         self.kept_dim = int(n * self.total_rank - self.deleted_sizes.sum())
-        self.deleted_rows = np.concatenate(self.deleted)
-        self.deleted_cols = np.repeat(np.arange(n), self.deleted_sizes)
+        self.deleted_nodes = np.concatenate(
+            [np.full(cols.size, j) for j, cols in enumerate(self.deleted)]
+        )
+        self.deleted_cols = np.concatenate(self.deleted)
+
+    def to_public(self, a: np.ndarray) -> np.ndarray:
+        """Working (N, R) coordinates in the public block-order (R, N) layout."""
+        out = np.empty(a.shape[::-1])
+        out[self.rows] = a.T
+        return out
+
+    def grouped(self, a: np.ndarray) -> list[np.ndarray]:
+        """Views of (..., R) ``a``, one per rank group, shaped (..., blocks, rank)."""
+        return [a[..., lo:hi].reshape(a.shape[:-1] + (-1, rank)) for lo, hi, rank in self.groups]
 
     def mask_deleted(self, arr: np.ndarray) -> np.ndarray:
-        arr[:, self.deleted_rows, self.deleted_cols] = 0.0
+        arr[:, self.deleted_nodes, self.deleted_cols] = 0.0
         return arr
 
     def project(self, y: np.ndarray) -> np.ndarray:
-        """F^T y with deleted rows zeroed, shape (1, R, N)."""
-        return self.mask_deleted((self.F.T @ y)[None])
+        """F^T y_j with deleted columns zeroed, shape (1, N, R)."""
+        return self.mask_deleted((y.T @ self.F)[None])
+
+    def residual(self, y: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """y_j - F g_j for (K, N, R) g, shape (K, N, T')."""
+        return y.T - g @ self.F.T
+
+    def block_norms(self, a: np.ndarray) -> list[np.ndarray]:
+        """Norms of the blocks of (..., R) ``a``, one (..., blocks) array per
+        rank group; sqrt(x * x) is |x| exactly, so rank-1 blocks skip the sum."""
+        return [
+            np.abs(b[..., 0]) if b.shape[-1] == 1 else np.sqrt(np.vecdot(b, b))
+            for b in self.grouped(a)
+        ]
 
     def dual_norms(self, r: np.ndarray) -> np.ndarray:
-        """max_b ||B_b^T r_j|| over each column's kept blocks, for (K, T', N)
+        """max_b ||B_b^T r_j|| over each column's kept blocks, for (K, N, T')
         r; shape (K, N)."""
-        corr = self.mask_deleted(self.F.T @ r)
-        sumsq = np.add.reduceat(corr * corr, self.seg_starts, axis=1)
-        return np.sqrt(sumsq.max(axis=1, initial=0.0))
+        best = np.zeros(r.shape[:-1])
+        for norms in self.block_norms(self.mask_deleted(r @ self.F)):
+            np.maximum(best, norms.max(axis=-1), out=best)
+        return best
 
 
 class _FactorSystem(_StackedFactor):
@@ -368,20 +418,23 @@ class _FactorSystem(_StackedFactor):
     Solves (Bbar_j^T Bbar_j + penalty I) x_j = q_j for all columns j at once,
     where Bbar_j stacks every block factor except column j's instantaneous
     ones.  Vectors span all R stacked factor columns; a column's deleted
-    rows D_j are pinned to zero, and q must already be zero there.  With
+    columns D_j are pinned to zero, and q must already be zero there.  With
     F = U S V^T the thin SVD of the stacked T' x R factor,
 
-        H = (F^T F + penalty I)^{-1} = V diag(1/(s^2 + penalty)) V^T + (I - V V^T) / penalty
+        H = (F^T F + penalty I)^{-1} = V diag(w) V^T + (I - V V^T) / penalty
 
-    (the last term vanishes when R <= T'), and deleting D_j is a rank-r_j
-    Schur-complement correction, x_j = u_j - H[:, D_j] H[D_j, D_j]^{-1} u_j[D_j]
-    with u = H q.  The r_j x r_j inverses are built once per fit and padded
-    to the largest r_j with zero rows of V, so a solve is a few batched
-    products whatever the kernels' ranks.  A zero penalty is singular unless
-    R <= T'; a rank-deficient F then takes ``jitter`` instead.
+    with span weights w = 1/(s^2 + penalty) (the last term vanishes when
+    R <= T'), and deleting D_j is a rank-r_j Schur-complement correction,
+    x_j = u_j - H[:, D_j] H[D_j, D_j]^{-1} u_j[D_j] with u = H q.  The
+    r_j x r_j inverses are built once per fit and padded to the largest r_j
+    with zero rows of V, so a solve is two products with V, two batched
+    per-node products and one scaling by w, whatever the kernels' ranks.
+    A zero penalty is singular unless R <= T'; a rank-deficient F then
+    takes ``jitter`` instead.
 
-    Coordinate arrays have shape (K, R, N), K right-hand sides per node (one
-    per lambda of a batched ADMM run).
+    Everything is in the working layout of ``_StackedFactor``: q and x have
+    shape (K, N, R), K right-hand sides per node (one per lambda of a
+    batched ADMM run), and V's rows follow F's grouped columns.
     """
 
     def __init__(self, kms: KernelMatrixSet, penalty: float, jitter: float):
@@ -401,28 +454,29 @@ class _FactorSystem(_StackedFactor):
                 penalty = jitter
         # H = null_weight I + V diag(span_weight) V^T
         self.null_weight = 0.0 if full_span else 1.0 / penalty
-        span_weight = 1.0 / (s2 + penalty) - self.null_weight
-        self.v_weighted = self.vt.T * span_weight
+        self.span_weight = 1.0 / (s2 + penalty) - self.null_weight
 
         r_max = int(self.deleted_sizes.max(initial=0))
-        vd = np.zeros((n, r_max, s.size))
-        for j, rows in enumerate(self.deleted):
-            vd[j, : rows.size] = self.vt.T[rows]
-        self.left = vd * span_weight  # u[D_j] = left_j @ (V^T q_j)
-        hdd = self.left @ vd.transpose(0, 2, 1)
+        vd = np.zeros((n, s.size, r_max))  # V[D_j]^T, padded with zero columns
+        for j, cols in enumerate(self.deleted):
+            vd[j, :, : cols.size] = self.vt[:, cols]
+        self.left = vd * self.span_weight[:, None]  # u[D_j] = (V^T q_j) @ left_j
+        hdd = vd.mT @ self.left
         idx = np.arange(r_max)
         hdd[:, idx, idx] += np.where(idx >= self.deleted_sizes[:, None], 1.0, self.null_weight)
         try:
-            self.right = vd.transpose(0, 2, 1) @ np.linalg.inv(hdd)
+            self.right = np.linalg.inv(hdd).mT @ vd.mT
         except np.linalg.LinAlgError as exc:
             raise SingularSystem("deleted-block system is singular") from exc
 
     def solve(self, q: np.ndarray) -> np.ndarray:
-        """Columnwise solve of (K, R, N) q, already zero at deleted rows."""
-        t = self.vt @ q
-        u_del = np.einsum("nrs,ksn->knr", self.left, t)
-        t -= np.einsum("nsr,knr->ksn", self.right, u_del)
-        x = self.v_weighted @ t
+        """Columnwise solve of (K, N, R) q, already zero at deleted columns."""
+        k, n, r = q.shape
+        t = (q.reshape(k * n, r) @ self.vt.T).reshape(k, n, -1)
+        by_node = t.transpose(1, 0, 2)  # a view: the correction lands in t
+        by_node -= (by_node @ self.left) @ self.right
+        t *= self.span_weight
+        x = (t.reshape(k * n, -1) @ self.vt).reshape(k, n, r)
         if self.null_weight:
             x += self.null_weight * q
         return self.mask_deleted(x)
@@ -529,7 +583,7 @@ def lambda_zero_bound(targets: np.ndarray, kms: KernelMatrixSet) -> float:
     """Smallest lambda at which the all-zero tensor is optimal: the largest
     ||B_b^T y_j|| over every column's kept blocks."""
     y = _check_fit_inputs(targets, kms)
-    return float(_StackedFactor(kms).dual_norms(y[None]).max())
+    return float(_StackedFactor(kms).dual_norms(y.T[None]).max())
 
 
 def _sumsq_each(a: np.ndarray) -> list[float]:
@@ -539,10 +593,9 @@ def _sumsq_each(a: np.ndarray) -> list[float]:
 
 
 def _certificate(
-    y: np.ndarray, system: _StackedFactor, g: np.ndarray, norms: np.ndarray, lam: np.ndarray
+    y: np.ndarray, system: _StackedFactor, g: np.ndarray, lam: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Duality-gap certificate of K iterates g (K, R, N), one per lambda,
-    given their block norms (K, blocks, N).
+    """Duality-gap certificate of K iterates g (K, N, R), one per lambda.
 
     Per column j, the residual r_j = y_j - F g_j scaled into the dual
     feasible set, theta_j = r_j / max(1, max_b ||B_b^T r_j|| / lambda) over
@@ -552,28 +605,29 @@ def _certificate(
     P_j = 0), each of shape (K, N).
     """
     lam = lam[:, None]
-    r = y - system.F @ g
-    fidelity = 0.5 * np.vecdot(r, r, axis=1)
-    penalty = lam * norms.sum(axis=1)
-    theta = r / np.maximum(1.0, system.dual_norms(r) / lam)[:, None, :]
+    r = system.residual(y, g)
+    fidelity = 0.5 * np.vecdot(r, r)
+    penalty = lam * sum(norms.sum(axis=-1) for norms in system.block_norms(g))
+    theta = r / np.maximum(1.0, system.dual_norms(r) / lam)[..., None]
     primal = fidelity + penalty
-    gap = primal - 0.5 * (np.vecdot(y, y, axis=0) - np.vecdot(y - theta, y - theta, axis=1))
+    yt = y.T
+    gap = primal - 0.5 * (np.vecdot(yt, yt) - np.vecdot(yt - theta, yt - theta))
     return fidelity, penalty, np.divide(gap, primal, out=np.zeros_like(gap), where=primal > 0)
 
 
 def _admm(
     y: np.ndarray, system: _FactorSystem, lams, cfg: SolverConfig
 ) -> list[tuple[np.ndarray, np.ndarray, FitDiagnostics]]:
-    """ADMM for every lambda in ``lams`` at once, one (g, xi, diagnostics)
+    """ADMM for every lambda in ``lams`` at once, one (g, u, diagnostics)
     per lambda.
 
     The columns are (lambda, node) pairs sharing ``system``; each lambda
     shrinks at its own threshold lambda/rho and stops on its own residual
     test, and its iterate is kept at the iteration where it converged or
-    at ``max_iter``.  g and xi are the post-shrinkage iterate and the
-    multiplier in factor coordinates, shape (R, N).  The objective and its
-    duality gap are evaluated only every ``_GAP_EVERY`` iterations and where
-    a lambda stops.
+    at ``max_iter``.  g is the post-shrinkage iterate and u = xi / rho the
+    scaled multiplier, both (N, R) in the working layout of ``system``.
+    The objective and its duality gap are evaluated only every
+    ``_GAP_EVERY`` iterations and where a lambda stops.
     """
     rho = cfg.rho
     scale_dim = math.sqrt(max(system.kept_dim, 1))
@@ -583,24 +637,30 @@ def _admm(
     lam_live = np.asarray(lams, dtype=float)
     kappa = (lam_live / rho)[:, None, None]
     g = np.zeros((len(lams),) + c0.shape[1:])
-    xi = np.zeros_like(g)
+    u = np.zeros_like(g)
     history: list[list] = [[] for _ in lams]
     gaps: list[dict] = [{} for _ in lams]
     out: list = [None] * len(lams)
 
     for it in range(1, cfg.max_iter + 1):
-        x = system.solve(c0 + rho * g - xi)
-        v = x + xi / rho
-        norms = np.sqrt(np.add.reduceat(v * v, system.seg_starts, axis=1))
-        shrunk = np.maximum(norms - kappa, 0.0)
-        # shrunk is 0 wherever norms <= kappa, so kappa > 0 guards the division
-        factor = shrunk / np.maximum(norms, kappa)
-        g_new = v * np.repeat(factor, system.seg_ranks, axis=1)
+        x = system.solve(c0 + rho * (g - u))
+        v = x + u
+        g_new = np.empty_like(v)
+        for v_b, g_b in zip(system.grouped(v), system.grouped(g_new)):
+            if v_b.shape[-1] == 1:
+                # scalar blocks: v - clip(v, -kappa, kappa), exactly 0 inside
+                v_b, g_b = v_b[..., 0], g_b[..., 0]
+                np.subtract(v_b, np.minimum(np.maximum(v_b, -kappa), kappa), out=g_b)
+            else:
+                norms = np.sqrt(np.vecdot(v_b, v_b))
+                # 0 wherever norms <= kappa, so kappa > 0 guards the division
+                factor = np.maximum(norms - kappa, 0.0) / np.maximum(norms, kappa)
+                np.multiply(v_b, factor[..., None], out=g_b)
         step = x - g_new
         primal = _sumsq_each(step)
         dual = _sumsq_each(g_new - g)
         g = g_new
-        xi = xi + rho * step
+        u += step
         stop = []
         for i, pos in enumerate(live):
             p, d = math.sqrt(primal[i]), rho * math.sqrt(dual[i])
@@ -612,7 +672,7 @@ def _admm(
         checked = range(len(live)) if it % _GAP_EVERY == 0 else stop
         if not checked:
             continue
-        fid, pen, rel = _certificate(y, system, g[checked], shrunk[checked], lam_live[checked])
+        fid, pen, rel = _certificate(y, system, g[checked], lam_live[checked])
         certified = {}
         for i, fid_i, pen_i, rel_i in zip(
             checked, fid.sum(axis=1).tolist(), pen.sum(axis=1).tolist(), rel.max(axis=1).tolist()
@@ -626,7 +686,7 @@ def _admm(
             fid, pen = certified[i]
             out[pos] = (
                 g[i],
-                xi[i],
+                u[i],
                 FitDiagnostics(
                     iterations=it,
                     converged=p <= tol_primal and d <= tol_dual,
@@ -644,7 +704,7 @@ def _admm(
         if stop:
             keep = [i for i in range(len(live)) if i not in stop]
             live = [live[i] for i in keep]
-            lam_live, kappa, g, xi = lam_live[keep], kappa[keep], g[keep], xi[keep]
+            lam_live, kappa, g, u = lam_live[keep], kappa[keep], g[keep], u[keep]
     return out
 
 
@@ -663,8 +723,11 @@ def admm_fit(
     if cfg.lam <= 0:
         raise ConfigError("group-sparse fitting needs lam > 0")
     y = _check_fit_inputs(targets, kms)
-    [(g, xi, diagnostics)] = _admm(y, _FactorSystem(kms, cfg.rho, cfg.jitter), [cfg.lam], cfg)
-    return CoefficientTensor(coords=g, kernels=kms), DualState(gamma=g, xi=xi), diagnostics
+    system = _FactorSystem(kms, cfg.rho, cfg.jitter)
+    [(g, u, diagnostics)] = _admm(y, system, [cfg.lam], cfg)
+    gamma = system.to_public(g)
+    dual = DualState(gamma=gamma, xi=system.to_public(cfg.rho * u))
+    return CoefficientTensor(coords=gamma, kernels=kms), dual, diagnostics
 
 
 def _ridge_coordinates(
@@ -672,7 +735,7 @@ def _ridge_coordinates(
 ) -> np.ndarray:
     """Ridge solution in factor coordinates, shape (R, N)."""
     system = _FactorSystem(kms, 2.0 * lam, jitter)
-    return system.solve(system.project(y))[0]
+    return system.to_public(system.solve(system.project(y))[0])
 
 
 def ridge_fit(
@@ -784,7 +847,7 @@ def cross_validate_lambda(
         kms_train = build_kernel_set(train, specs)
         if group:
             system = _FactorSystem(kms_train, cfg.rho, cfg.jitter)
-            coords = [g for g, _, _ in _admm(train.targets, system, grid, cfg)]
+            coords = [system.to_public(g) for g, _, _ in _admm(train.targets, system, grid, cfg)]
         else:
             coords = [_ridge_coordinates(train.targets, kms_train, l, cfg.jitter) for l in grid]
         phi = _prediction_map(kms_train, test)
@@ -810,14 +873,17 @@ def cross_validate_lambda(
 
 def select_lag_bic(
     panel: TimeSeriesPanel,
-    kernel: KernelSpec,
+    kernels: KernelSpec | KernelDictionary | list[KernelSpec],
     candidates: list[int],
     cfg: SolverConfig,
+    seed: int = 0,
 ) -> int:
     """Order selection: ridge fit per candidate lag, scored by BIC.
 
-    Every candidate is fit on the same n target rows, Lmax..T-1 for the
-    largest candidate Lmax, so the residual sums compare.  A column's model
+    ``kernels`` and ``seed`` build each candidate's kernel set as
+    ``build_kernel_set`` does, so a dictionary run scores every kernel it
+    will fit.  Every candidate is fit on the same n target rows, Lmax..T-1
+    for the largest candidate Lmax, so the residual sums compare.  A column's model
     size is its ridge fit's effective degrees of freedom (ESL eq. 3.50),
     df_j = sum_i s_i^2 / (s_i^2 + 2 lam) over the singular values s_i of
     its kept factor Bbar_j, and with m = n N observations
@@ -843,8 +909,8 @@ def select_lag_bic(
     best_bic = np.inf
     for cand in lags:
         view = lag_view_for_rows(panel, cand, rows)
-        system = _FactorSystem(build_kernel_set(view, kernel), penalty, cfg.jitter)
-        resid = view.targets - system.F @ system.solve(system.project(view.targets))[0]
+        system = _FactorSystem(build_kernel_set(view, kernels, seed=seed), penalty, cfg.jitter)
+        resid = system.residual(view.targets, system.solve(system.project(view.targets)))
         rss = float(np.sum(resid * resid))
         df = 0.0
         for deleted in system.deleted:

@@ -194,6 +194,20 @@ def group_lasso_objective(
     return total, total_gap
 
 
+def kernel_set_objective(targets: np.ndarray, kms, lam: float) -> tuple[float, float]:
+    """``group_lasso_objective`` for a kernel set given by its Gram
+    matrices, such as one from ``assemble``."""
+    total = 0.0
+    total_gap = 0.0
+    for j in range(kms.n_nodes):
+        deleted = kms.deleted_positions(j)
+        mats = [psd_root(b.gram()) for pos, b in enumerate(kms.blocks) if pos not in deleted]
+        _, obj, gap = fista_group_lasso(targets[:, j], mats, lam)
+        total += obj
+        total_gap += max(gap, 0.0)
+    return total, total_gap
+
+
 # ---------------------------------------------------------------------------
 # ridge reference: plain normal equations in root coordinates
 

@@ -24,6 +24,7 @@ from ksvar.pipeline import (
     run_pipeline,
     save_network,
 )
+from ksvar import solver
 from ksvar.solver import EffectiveNetwork
 from ksvar.synth import SynthConfig, generate_truth, simulate
 
@@ -276,6 +277,40 @@ class TestRunPipeline:
             base_config(inp, out, lag=None, bic_candidates=(1, 2))
         )
         assert manifest["segments"][0]["lag"] in (1, 2)
+
+    def test_bic_run_scores_the_dictionary(self, tmp_path, monkeypatch):
+        # b follows a(t-2)^2, which only the Gaussian kernel can see: lag
+        # selection must score the run's whole dictionary, with its seed
+        rng = np.random.default_rng(0)
+        y = np.zeros((120, 2))
+        y[:, 0] = rng.normal(size=120)
+        y[2:, 1] = y[:-2, 0] ** 2 + 0.1 * rng.normal(size=118)
+        inp = tmp_path / "panel.csv"
+        write_csv_panel(
+            TimeSeriesPanel(values=y, node_labels=("a", "b"), sample_rate_hz=1.0), str(inp)
+        )
+        calls = []
+        build = solver.build_kernel_set
+
+        def recording_build(view, kernels, seed=0):
+            calls.append((kernels, seed))
+            return build(view, kernels, seed=seed)
+
+        monkeypatch.setattr(solver, "build_kernel_set", recording_build)
+        cfg = base_config(
+            inp,
+            tmp_path / "run",
+            lag=None,
+            bic_candidates=(1, 2, 3),
+            kernel=None,
+            dictionary=("linear", "gaussian:sigma=median"),
+            max_iter=50,
+            seed=5,
+        )
+        manifest = run_pipeline(cfg)
+        assert manifest["segments"][0]["lag"] == 2
+        assert len(calls) == 3
+        assert all(kernels == cfg.kernel_specs() and seed == 5 for kernels, seed in calls)
 
     def test_outputs_deterministic_up_to_timestamp(self, tmp_path):
         inp = tmp_path / "panel.csv"

@@ -48,6 +48,7 @@ from oracles import (
     index_set,
     kbar,
     kbar_deleted,
+    kernel_set_objective,
     objective_value,
     ridge_reference,
     total_columns,
@@ -153,7 +154,8 @@ class TestCoefficientTensor:
         # Kbar @ w_stacked must reproduce predict()
         _, view, kms = make_problem(seed=1)
         rng = np.random.default_rng(2)
-        c = _StackedFactor(kms).mask_deleted(rng.normal(size=(1, kms.n_blocks, 2)))[0]
+        system = _StackedFactor(kms)
+        c = system.to_public(system.mask_deleted(rng.normal(size=(1, 2, system.total_rank)))[0])
         tensor = CoefficientTensor(coords=c, kernels=kms)
         np.testing.assert_allclose(
             kbar(kms) @ w_stacked(tensor), predict(tensor, kms), atol=1e-10
@@ -389,8 +391,9 @@ class TestAdmmFit:
         diag_blocks = tensor.coeffs[:, 0, np.arange(3), np.arange(3), :]
         assert np.array_equal(diag_blocks, np.zeros_like(diag_blocks))
 
-    def test_diagnostics_are_consistent(self):
-        _, view, kms = make_problem(seed=16)
+    @pytest.mark.parametrize("spec", [LINEAR, [LINEAR, GAUSS1]])
+    def test_diagnostics_are_consistent(self, spec):
+        _, view, kms = make_problem(seed=16, spec=spec)
         tensor, dual, diag = admm_fit(view.targets, kms, TIGHT)
         assert diag.iterations == len(diag.primal_residuals)
         assert diag.iterations == len(diag.dual_residuals)
@@ -414,9 +417,10 @@ class TestAdmmFit:
                 assert "relative_gap" not in record
         assert records[-1]["relative_gap"] == diag.relative_gap
 
-    def test_dual_state_shapes(self):
+    @pytest.mark.parametrize("spec", [LINEAR, [LINEAR, GAUSS1]])
+    def test_dual_state_shapes(self, spec):
         # factor coordinates: one row per stacked factor column, one column per node
-        _, view, kms = make_problem(seed=17)
+        _, view, kms = make_problem(seed=17, spec=spec)
         _, dual, _ = admm_fit(view.targets, kms, SolverConfig(lam=0.2))
         want = (sum(b.rank for b in kms.blocks), kms.n_nodes)
         assert dual.gamma.shape == want
@@ -435,6 +439,34 @@ class TestAdmmFit:
         want, gap = group_lasso_objective(vals, 1, specs, view.targets, lam)
         tol = gap + 1e-7 * (1.0 + abs(want))
         assert abs(diag.final_objective - want) <= tol
+
+        # lag 2 and Gram ranks 0 to 3 mixed across (node, lag), so the
+        # solver's rank grouping reorders the blocks; node 0's instantaneous
+        # Gram is zero, and nodes 1 and 2 delete blocks of rank 1 and 2
+        t, n = 12, 3
+        grams = {}
+        for i in range(n):
+            for l in range(3):
+                a = rng.normal(size=(t, (i + l) % 4))
+                grams[(i, l)] = a @ a.T
+        kms = assemble(grams)
+        assert {b.rank for b in kms.blocks} == {0, 1, 2, 3}
+        y = rng.normal(size=(t, n))
+        lam = 0.3 * lambda_zero_bound(y, kms)
+        tensor, dual, diag = admm_fit(y, kms, replace(cfg, lam=lam))
+        want, gap = kernel_set_objective(y, kms, lam)
+        assert abs(diag.final_objective - want) <= gap + 1e-7 * (1.0 + abs(want))
+        # the public coordinates carry the same objective, block by block
+        assert objective_value(y, kms, tensor, lam)[0] == pytest.approx(
+            diag.final_objective, rel=1e-10
+        )
+        starts = np.concatenate([[0], np.cumsum([b.rank for b in kms.blocks])])
+        for j in range(n):
+            for pos in kms.deleted_positions(j):
+                rows = slice(starts[pos], starts[pos + 1])
+                for arr in (tensor.coords, dual.gamma, dual.xi):
+                    assert not arr[rows, j].any()
+        assert tensor.block_norms().max() > 0.0
 
     def test_rejects_wrong_mode_and_lambda(self):
         _, view, kms = make_problem(seed=19)
@@ -463,17 +495,19 @@ class TestDualityGap:
             _, view, kms = make_problem(t=16, n=3, seed=seed, spec=spec)
             system = _StackedFactor(kms)
             lams = lambda_zero_bound(view.targets, kms) * np.array([0.02, 0.3, 0.9, 1.5])
-            shape = (lams.size, system.total_rank, kms.n_nodes)
+            shape = (lams.size, kms.n_nodes, system.total_rank)
             g = system.mask_deleted(rng.normal(scale=0.3, size=shape))
             # zero about half the blocks, as the shrinkage does
-            live = rng.random((lams.size, system.seg_starts.size, kms.n_nodes)) < 0.5
-            g *= np.repeat(live, system.seg_ranks, axis=1)
-            norms = np.sqrt(np.add.reduceat(g * g, system.seg_starts, axis=1))
-            fidelity, penalty, relative = _certificate(view.targets, system, g, norms, lams)
+            live = []
+            for blocks in system.grouped(g):
+                live.append(rng.random(blocks.shape[:-1]) < 0.5)
+                blocks *= live[-1][..., None]
+            live = np.concatenate(live, axis=-1)
+            fidelity, penalty, relative = _certificate(view.targets, system, g, lams)
             assert (fidelity + penalty > 0).all()
             assert (relative >= -1e-12).all()
             # the dual point is the residual itself once it is feasible
-            assert relative[-1][(live[-1] == 0).all(axis=0)] == pytest.approx(0.0, abs=1e-12)
+            assert relative[-1][(live[-1] == 0).all(axis=-1)] == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("spec", [LINEAR, [LINEAR, GAUSS1]])
     @pytest.mark.parametrize("rho", [1.0, 4.0])
@@ -931,6 +965,30 @@ class TestSelectLagBic:
         panel = self.lagged_panel()
         got = select_lag_bic(panel, LINEAR, [1, 2, 3], SolverConfig(lam=0.1))
         assert got == 1
+
+    def test_candidates_share_target_rows(self):
+        # a burst in node b's first rows: scored as targets only by the
+        # candidates whose own lag_view starts there, it would push the
+        # choice away from the true lag 1
+        for seed in range(5):
+            panel = self.lagged_panel(seed=seed)
+            values = panel.values.copy()
+            values[1:3, 1] *= 30.0
+            burst = TimeSeriesPanel(values=values, node_labels=("a", "b"), sample_rate_hz=1.0)
+            assert select_lag_bic(burst, LINEAR, [1, 2, 3], SolverConfig(lam=0.1)) == 1
+
+    def test_dictionary_scores_every_kernel(self):
+        # b follows a(t-2)^2: invisible to a linear kernel, which keeps the
+        # shortest lag, and found once the Gaussian kernel is scored too
+        rng = np.random.default_rng(0)
+        y = np.zeros((120, 2))
+        y[:, 0] = rng.normal(size=120)
+        y[2:, 1] = y[:-2, 0] ** 2 + 0.1 * rng.normal(size=118)
+        panel = TimeSeriesPanel(values=y, node_labels=("a", "b"), sample_rate_hz=1.0)
+        cfg = SolverConfig(lam=0.5)
+        gauss = KernelSpec(kind="gaussian", bandwidth="median")
+        assert select_lag_bic(panel, LINEAR, [1, 2, 3], cfg) == 1
+        assert select_lag_bic(panel, [LINEAR, gauss], [1, 2, 3], cfg, seed=3) == 2
 
     def test_rejects_lag_not_below_sample_count(self):
         panel = self.lagged_panel(t=10)
