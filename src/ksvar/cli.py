@@ -19,7 +19,7 @@ from . import __version__
 from .errors import KsvarError
 from .kernels import build_kernel_set, parse_kernel_spec
 from .metrics import compute_report
-from .panel import lag_view, read_csv_panel, standardize, write_csv_panel
+from .panel import NoiseModel, lag_view, read_csv_panel, standardize, write_csv_panel
 from .pipeline import (
     PipelineConfig,
     _atomic_open,
@@ -28,10 +28,10 @@ from .pipeline import (
     compare_runs,
     load_network,
     run_pipeline,
+    save_network,
 )
 from .solver import SolverConfig, cross_validate_lambda
 from .synth import SynthConfig, generate_truth, simulate
-from .panel import NoiseModel
 
 
 def _fail(exc: Exception) -> None:
@@ -59,65 +59,42 @@ def main() -> None:
     """Sparse directed-network inference from multivariate time series."""
 
 
+def _parsed(parse):
+    """Click callback that parses a list flag, leaving an absent one None."""
+    return lambda ctx, param, value: parse(value) if value else None
+
+
+# every option but --config is stored under the PipelineConfig field it sets
 @main.command()
 @click.option("--input", "-i", "input_path", type=click.Path(), help="panel CSV")
 @click.option("--output-dir", "-o", type=click.Path(), help="artifact directory")
 @click.option("--config", "-c", "config_path", type=click.Path(), help="JSON config; flags override")
-@click.option("--rate", type=float, help="sample rate in Hz (else CSV sidecar)")
-@click.option("--window", type=float, help="segment window in seconds")
-@click.option("--overlap", type=float, help="segment overlap in seconds")
+@click.option("--rate", "sample_rate_hz", type=float, help="sample rate in Hz (else CSV sidecar)")
+@click.option("--window", "window_s", type=float, help="segment window in seconds")
+@click.option("--overlap", "overlap_s", type=float, help="segment overlap in seconds")
 @click.option("--lag", type=int, help="fixed model order")
-@click.option("--bic-candidates", help="comma-separated lag candidates for BIC")
+@click.option("--bic-candidates", callback=_parsed(_ints), help="comma-separated lag candidates for BIC")
 @click.option("--kernel", help="kernel spec, e.g. linear or poly:d=2,c=1")
-@click.option("--dictionary", multiple=True, help="kernel spec; repeat for a dictionary")
+@click.option("--dictionary", multiple=True, callback=_parsed(tuple), help="kernel spec; repeat for a dictionary")
 @click.option("--lam", type=float, help="fixed penalty weight")
-@click.option("--lambda-grid", help="comma-separated penalty grid for CV")
-@click.option("--folds", type=int, help="CV folds")
+@click.option("--lambda-grid", callback=_parsed(_floats), help="comma-separated penalty grid for CV")
+@click.option("--folds", "cv_folds", type=int, help="CV folds")
 @click.option("--rho", type=float, help="ADMM penalty parameter")
 @click.option("--tau-alpha", type=float, help="edge threshold on block norms")
 @click.option("--max-iter", type=int, help="ADMM iteration cap")
 @click.option("--tol-primal", type=float)
 @click.option("--tol-dual", type=float)
-@click.option("--jitter", type=float)
 @click.option("--regularizer", type=click.Choice(["group_l1", "squared"]))
-@click.option("--standardize/--no-standardize", "standardize_flag", default=None)
+@click.option("--standardize/--no-standardize", default=None)
 @click.option("--aggregate", type=click.Choice(["union", "majority"]))
 @click.option("--seed", type=int)
-@click.option("--workers", type=int)
-def infer(config_path, **flags) -> None:
+def infer(config_path, **overrides) -> None:
     """Run the full pipeline on a panel CSV."""
-    overrides = {
-        "input_path": flags["input_path"],
-        "output_dir": flags["output_dir"],
-        "sample_rate_hz": flags["rate"],
-        "window_s": flags["window"],
-        "overlap_s": flags["overlap"],
-        "lag": flags["lag"],
-        "bic_candidates": _ints(flags["bic_candidates"]) if flags["bic_candidates"] else None,
-        "kernel": flags["kernel"],
-        "dictionary": tuple(flags["dictionary"]) or None,
-        "lam": flags["lam"],
-        "lambda_grid": _floats(flags["lambda_grid"]) if flags["lambda_grid"] else None,
-        "cv_folds": flags["folds"],
-        "rho": flags["rho"],
-        "tau_alpha": flags["tau_alpha"],
-        "max_iter": flags["max_iter"],
-        "tol_primal": flags["tol_primal"],
-        "tol_dual": flags["tol_dual"],
-        "jitter": flags["jitter"],
-        "regularizer": flags["regularizer"],
-        "standardize": flags["standardize_flag"],
-        "aggregate": flags["aggregate"],
-        "seed": flags["seed"],
-        "workers": flags["workers"],
-    }
     try:
         if config_path is not None:
             cfg = PipelineConfig.from_json(config_path, **overrides)
         else:
-            cfg = PipelineConfig.from_dict(
-                {k: v for k, v in overrides.items() if v is not None}
-            )
+            cfg = PipelineConfig.from_dict({k: v for k, v in overrides.items() if v is not None})
         manifest = run_pipeline(cfg)
     except (KsvarError, OSError, json.JSONDecodeError) as exc:
         _fail(exc)
@@ -174,8 +151,6 @@ def synth(output, truth, edges, nodes, samples, lag, density, coupling, scale,
                 },
             )
         if edges:
-            from .pipeline import save_network
-
             save_network(gt.network(), edges)
     except (KsvarError, OSError) as exc:
         _fail(exc)

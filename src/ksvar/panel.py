@@ -17,7 +17,6 @@ Contents
 from __future__ import annotations
 
 import json
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -270,6 +269,13 @@ def stack_views(views: list[LagAlignedView]) -> LagAlignedView:
     )
 
 
+def _json_number(value, kind=(int, float)):
+    """``value`` if it is a JSON number of ``kind`` (not a bool), else TypeError."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
+
+
 def read_csv_panel(path: str, sample_rate_hz: float | None = None) -> TimeSeriesPanel:
     """Load a panel from CSV: header row of node labels, one row per sample.
 
@@ -299,15 +305,14 @@ def read_csv_panel(path: str, sample_rate_hz: float | None = None) -> TimeSeries
         raise NonFinite(f"{path}: data contains NaN or infinity")
     if sample_rate_hz is None:
         sidecar = path + ".json"
-        if not os.path.exists(sidecar):
+        try:
+            with open(sidecar, "r", encoding="utf-8") as fh:
+                # indexing anything but a JSON object raises TypeError
+                sample_rate_hz = float(_json_number(json.load(fh)["sample_rate_hz"]))
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(
-                f"no sample rate given and no sidecar config at {sidecar}"
-            )
-        with open(sidecar, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-        if "sample_rate_hz" not in meta:
-            raise ConfigError(f"{sidecar} lacks a sample_rate_hz field")
-        sample_rate_hz = float(meta["sample_rate_hz"])
+                f"no sample rate given and no numeric sample_rate_hz in {sidecar} ({exc!r})"
+            ) from exc
     return TimeSeriesPanel(values=values, node_labels=labels, sample_rate_hz=sample_rate_hz)
 
 

@@ -23,10 +23,10 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from itertools import chain
 
 import numpy as np
 import scipy
@@ -38,6 +38,7 @@ from .metrics import MetricsReport, compute_report
 from .panel import (
     SegmentationConfig,
     TimeSeriesPanel,
+    _json_number,
     lag_view,
     read_csv_panel,
     segment,
@@ -88,12 +89,10 @@ class PipelineConfig:
     max_iter: int = 500
     tol_primal: float = 1e-5
     tol_dual: float = 1e-5
-    jitter: float = 1e-10
     regularizer: str = "group_l1"
     standardize: bool = True
     aggregate: str | None = None
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if (self.lam is None) == (self.lambda_grid is None):
@@ -127,8 +126,8 @@ class PipelineConfig:
             raise ConfigError("overlap_s needs window_s")
         if self.aggregate is not None and self.aggregate not in AGGREGATE_RULES:
             raise ConfigError(f"aggregate must be one of {AGGREGATE_RULES} or null")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
+        if self.tau_alpha < 0:
+            raise ConfigError("tau_alpha must be nonnegative")
         self.kernel_specs()
         self.solver_config(lams[0])
 
@@ -142,11 +141,9 @@ class PipelineConfig:
         return SolverConfig(
             lam=lam,
             rho=self.rho,
-            tau_alpha=self.tau_alpha,
             max_iter=self.max_iter,
             tol_primal=self.tol_primal,
             tol_dual=self.tol_dual,
-            jitter=self.jitter,
             regularizer=self.regularizer,
         )
 
@@ -159,16 +156,12 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        for key in ("bic_candidates", "dictionary", "lambda_grid"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = tuple(kwargs[key])
         try:
-            return cls(**kwargs)
+            # __post_init__ turns the JSON lists into tuples
+            return cls(**data)
         except TypeError as exc:
             raise ConfigError(f"incomplete config: {exc}") from exc
 
@@ -243,15 +236,21 @@ def load_network(path: str) -> EffectiveNetwork:
         data = json.load(handle)
     try:
         labels = tuple(str(s) for s in data["nodes"])
-        lag = int(data["lags"])
-        tau = float(data["tau_alpha"])
-        entries = data["edges"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed network file {path}: {exc}") from exc
-    n = len(labels)
-    weights = np.zeros((lag + 1, n, n))
-    for e in entries:
-        weights[int(e["lag"]), int(e["src"]), int(e["dst"])] = float(e["weight"])
+        lag = _json_number(data["lags"], int)
+        tau = float(_json_number(data["tau_alpha"]))
+        n = len(labels)
+        index = [[e[key] for e in data["edges"]] for key in ("lag", "src", "dst")]
+        weight = [e["weight"] for e in data["edges"]]
+        # type() is exact, so JSON's true and false do not pass for integers
+        if set(map(type, chain(*index))) - {int} or set(map(type, weight)) - {int, float}:
+            raise TypeError("edge lag, src and dst must be integers and weight a number")
+        l, i, j = np.array(index, dtype=np.int64)
+        if not ((0 <= l) & (l <= lag) & (0 <= i) & (i < n) & (0 <= j) & (j < n)).all():
+            raise ValueError(f"an edge lies outside lags 0..{lag} or nodes 0..{n - 1}")
+        weights = np.zeros((lag + 1, n, n))
+        weights[l, i, j] = weight
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"malformed network file {path}: {exc!r}") from exc
     supports = (weights >= tau) & (weights > 0.0)
     return EffectiveNetwork(
         supports=supports, weights=weights, tau_alpha=tau, node_labels=labels
@@ -446,22 +445,23 @@ def aggregate_networks(
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """Execute the full run; returns the manifest written to disk.
 
-    Any KsvarError is recorded to ``error.json`` (stage, message, completed
-    segments) before being re-raised, so partial runs are inspectable; a
-    successful run removes an ``error.json`` left by an earlier one.  Each
+    Segments are fitted one after another.  Any KsvarError is recorded to
+    ``error.json`` (stage, message, and the segments whose directories were
+    fully written) before being re-raised, so partial runs are inspectable;
+    a successful run removes an ``error.json`` left by an earlier one.  Each
     segment that stops at ``max_iter`` without converging is logged as a
     warning on the ``ksvar`` logger and listed in the manifest's
     ``convergence`` block, which also gives the worst ratio of a final
     ADMM residual to its tolerance over segments (above 1 when some fit
     stopped unconverged) and the worst relative duality gap (the share of
     a fit's objective by which it may exceed the optimum); closed-form
-    ridge fits count 0 in both.  Each segment
-    whose cross-validation chose the smallest or largest lambda of its
-    grid is logged likewise and listed under the manifest's ``warnings``.
+    ridge fits count 0 in both.  Each segment whose cross-validation
+    chose the smallest or largest lambda of its grid is logged likewise
+    and listed under the manifest's ``warnings``.
     """
     os.makedirs(cfg.output_dir, exist_ok=True)
     stage = "read input"
-    completed: list[str] = []
+    summaries, nets = [], []
     try:
         panel = read_csv_panel(cfg.input_path, sample_rate_hz=cfg.sample_rate_hz)
         stage = "segment"
@@ -471,21 +471,10 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         else:
             panels = [panel]
         stage = "fit segments"
-        if cfg.workers > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                futures = [
-                    pool.submit(_process_segment, i, p, cfg, cfg.output_dir)
-                    for i, p in enumerate(panels)
-                ]
-                results = [f.result() for f in futures]
-        else:
-            results = [
-                _process_segment(i, p, cfg, cfg.output_dir)
-                for i, p in enumerate(panels)
-            ]
-        summaries = [r[0] for r in results]
-        completed = [s["name"] for s in summaries]
-        nets = [r[1] for r in results]
+        for i, p in enumerate(panels):
+            summary, net = _process_segment(i, p, cfg, cfg.output_dir)
+            summaries.append(summary)
+            nets.append(net)
         if cfg.aggregate is not None:
             stage = "aggregate"
             agg = aggregate_networks(nets, cfg.aggregate, cfg.tau_alpha)
@@ -541,7 +530,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                 "error": type(exc).__name__,
                 "message": str(exc),
                 "stage": stage,
-                "completed_segments": completed,
+                "completed_segments": [s["name"] for s in summaries],
             },
         )
         raise

@@ -66,6 +66,7 @@ from .panel import (
 )
 
 _GAP_EVERY = 10  # ADMM iterations between duality-gap certificates
+_JITTER = 1e-10  # stands in for a zero penalty on a rank-deficient factor
 
 
 @dataclass(frozen=True)
@@ -73,18 +74,16 @@ class SolverConfig:
     """Estimator settings.
 
     ``lam`` weighs the sparsity (or squared) penalty, ``rho`` is the ADMM
-    penalty parameter, ``tau_alpha`` the edge threshold on block norms.
-    ``regularizer`` selects the estimator: ``group_l1`` for the sparse ADMM
-    path, ``squared`` for the closed-form ridge path.
+    penalty parameter, and ``regularizer`` selects the estimator:
+    ``group_l1`` for the sparse ADMM path, ``squared`` for the closed-form
+    ridge path.  The edge threshold is an argument of ``threshold_edges``.
     """
 
     lam: float
     rho: float = 1.0
-    tau_alpha: float = 0.01
     max_iter: int = 500
     tol_primal: float = 1e-5
     tol_dual: float = 1e-5
-    jitter: float = 1e-10
     regularizer: str = "group_l1"
 
     def __post_init__(self) -> None:
@@ -92,14 +91,10 @@ class SolverConfig:
             raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
         if not (self.rho > 0):
             raise ConfigError(f"rho must be positive, got {self.rho}")
-        if self.tau_alpha < 0:
-            raise ConfigError("tau_alpha must be nonnegative")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be at least 1")
         if not (self.tol_primal > 0 and self.tol_dual > 0):
             raise ConfigError("tolerances must be positive")
-        if self.jitter < 0:
-            raise ConfigError("jitter must be nonnegative")
         if self.regularizer not in ("group_l1", "squared"):
             raise ConfigError(f"unknown regularizer {self.regularizer!r}")
 
@@ -430,14 +425,14 @@ class _FactorSystem(_StackedFactor):
     with zero rows of V, so a solve is two products with V, two batched
     per-node products and one scaling by w, whatever the kernels' ranks.
     A zero penalty is singular unless R <= T'; a rank-deficient F then
-    takes ``jitter`` instead.
+    takes ``_JITTER`` instead.
 
     Everything is in the working layout of ``_StackedFactor``: q and x have
     shape (K, N, R), K right-hand sides per node (one per lambda of a
     batched ADMM run), and V's rows follow F's grouped columns.
     """
 
-    def __init__(self, kms: KernelMatrixSet, penalty: float, jitter: float):
+    def __init__(self, kms: KernelMatrixSet, penalty: float):
         super().__init__(kms)
         t, n = kms.n_targets, kms.n_nodes
         _, s, self.vt = np.linalg.svd(self.F, full_matrices=False)
@@ -449,9 +444,7 @@ class _FactorSystem(_StackedFactor):
                     f"zero penalty with stacked rank {self.total_rank} > T'={t} is singular"
                 )
             if s2.size and s2.min() <= self.total_rank * np.finfo(float).eps * s2.max():
-                if jitter <= 0:
-                    raise SingularSystem("stacked factor is rank deficient and jitter is 0")
-                penalty = jitter
+                penalty = _JITTER
         # H = null_weight I + V diag(span_weight) V^T
         self.null_weight = 0.0 if full_span else 1.0 / penalty
         self.span_weight = 1.0 / (s2 + penalty) - self.null_weight
@@ -723,18 +716,16 @@ def admm_fit(
     if cfg.lam <= 0:
         raise ConfigError("group-sparse fitting needs lam > 0")
     y = _check_fit_inputs(targets, kms)
-    system = _FactorSystem(kms, cfg.rho, cfg.jitter)
+    system = _FactorSystem(kms, cfg.rho)
     [(g, u, diagnostics)] = _admm(y, system, [cfg.lam], cfg)
     gamma = system.to_public(g)
     dual = DualState(gamma=gamma, xi=system.to_public(cfg.rho * u))
     return CoefficientTensor(coords=gamma, kernels=kms), dual, diagnostics
 
 
-def _ridge_coordinates(
-    y: np.ndarray, kms: KernelMatrixSet, lam: float, jitter: float
-) -> np.ndarray:
+def _ridge_coordinates(y: np.ndarray, kms: KernelMatrixSet, lam: float) -> np.ndarray:
     """Ridge solution in factor coordinates, shape (R, N)."""
-    system = _FactorSystem(kms, 2.0 * lam, jitter)
+    system = _FactorSystem(kms, 2.0 * lam)
     return system.to_public(system.solve(system.project(y))[0])
 
 
@@ -750,7 +741,7 @@ def ridge_fit(
     if cfg.regularizer != "squared":
         raise ConfigError("ridge_fit handles regularizer='squared' only")
     y = _check_fit_inputs(targets, kms)
-    return CoefficientTensor(coords=_ridge_coordinates(y, kms, cfg.lam, cfg.jitter), kernels=kms)
+    return CoefficientTensor(coords=_ridge_coordinates(y, kms, cfg.lam), kernels=kms)
 
 
 def threshold_edges(
@@ -846,10 +837,10 @@ def cross_validate_lambda(
     for f, (train, test) in enumerate(_fold_views(panel, kms.lag, folds)):
         kms_train = build_kernel_set(train, specs)
         if group:
-            system = _FactorSystem(kms_train, cfg.rho, cfg.jitter)
+            system = _FactorSystem(kms_train, cfg.rho)
             coords = [system.to_public(g) for g, _, _ in _admm(train.targets, system, grid, cfg)]
         else:
-            coords = [_ridge_coordinates(train.targets, kms_train, l, cfg.jitter) for l in grid]
+            coords = [_ridge_coordinates(train.targets, kms_train, l) for l in grid]
         phi = _prediction_map(kms_train, test)
         for gi, c in enumerate(coords):
             err = test.targets - phi @ c
@@ -890,7 +881,7 @@ def select_lag_bic(
 
         BIC = m log(RSS / m) + sum_j df_j log m.
 
-    ``cfg.tau_alpha`` plays no part.  Ties go to the smaller lag.
+    The edge threshold plays no part.  Ties go to the smaller lag.
     """
     if not candidates:
         raise ConfigError("lag candidates must be nonempty")
@@ -909,7 +900,7 @@ def select_lag_bic(
     best_bic = np.inf
     for cand in lags:
         view = lag_view_for_rows(panel, cand, rows)
-        system = _FactorSystem(build_kernel_set(view, kernels, seed=seed), penalty, cfg.jitter)
+        system = _FactorSystem(build_kernel_set(view, kernels, seed=seed), penalty)
         resid = system.residual(view.targets, system.solve(system.project(view.targets)))
         rss = float(np.sum(resid * resid))
         df = 0.0

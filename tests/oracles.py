@@ -429,14 +429,15 @@ def mkl_fit(
     kms: KernelMatrixSet,
     cfg: SolverConfig,
     node_labels: tuple[str, ...] | None = None,
+    tau_alpha: float = 0.01,
 ) -> tuple[CoefficientTensor, EffectiveNetwork]:
     """Group-sparse fit on an expanded set, with per-kernel attribution.
 
     Same ADMM as the base solver; the enlarged block set is the only
     difference.  An edge is active when any (lag, kernel) block of the pair
-    clears the threshold.
+    reaches ``tau_alpha``.
     """
-    tensor, net, _ = mkl_fit_with_diagnostics(targets, kms, cfg, node_labels)
+    tensor, net, _ = mkl_fit_with_diagnostics(targets, kms, cfg, node_labels, tau_alpha)
     return tensor, net
 
 
@@ -445,11 +446,12 @@ def mkl_fit_with_diagnostics(
     kms: KernelMatrixSet,
     cfg: SolverConfig,
     node_labels: tuple[str, ...] | None = None,
+    tau_alpha: float = 0.01,
 ) -> tuple[CoefficientTensor, EffectiveNetwork, FitDiagnostics]:
     """As ``mkl_fit`` but keeps the convergence record for reporting."""
     base, _, diagnostics = admm_fit(targets, kms, cfg)
     tensor = CoefficientTensor(coords=base.coords, kernels=kms, node_labels=node_labels)
-    net = threshold_edges(tensor, cfg.tau_alpha)
+    net = threshold_edges(tensor, tau_alpha)
     return tensor, net, diagnostics
 
 

@@ -145,7 +145,7 @@ def test_criterion_03(capsys):
         spec = spec_pool[i % len(spec_pool)]
         lam = float(rng.uniform(0.1, 0.8))
         vals, view, kms = random_problem(rng, n, t, 1, [spec])
-        cfg = SolverConfig(lam=lam, regularizer="squared", jitter=0.0)
+        cfg = SolverConfig(lam=lam, regularizer="squared")
         tensor = ridge_fit(view.targets, kms, cfg)
 
         # flatten to factor coordinates, where the objective is smooth
@@ -440,7 +440,6 @@ def test_criterion_10(capsys, tmp_path):
                 lam=0.1,
                 tau_alpha=0.05,
                 max_iter=300,
-                workers=4,
             )
         )
         assert len(manifest["segments"]) == 20
@@ -479,10 +478,10 @@ def test_criterion_10(capsys, tmp_path):
 
 
 def test_criterion_11(capsys):
-    # order selection: one-lag truth against candidates {1, 2, 3}; with
-    # tau_alpha=0 every fitted block counts toward model complexity
+    # order selection: one-lag truth against candidates {1, 2, 3}, scored
+    # by BIC with ridge degrees of freedom
     hits = 0
-    cfg_fit = SolverConfig(lam=1.0, tau_alpha=0.0)
+    cfg_fit = SolverConfig(lam=1.0)
     for seed in range(50):
         cfg = bench_config(seed)
         truth = generate_truth(cfg)
@@ -497,7 +496,7 @@ def test_criterion_11(capsys):
 def test_bic_selects_longer_lags(capsys, true_lag):
     # order selection must also find lags above the smallest candidate
     hits = 0
-    cfg_fit = SolverConfig(lam=1.0, tau_alpha=0.0)
+    cfg_fit = SolverConfig(lam=1.0)
     for seed in range(20):
         cfg = bench_config(seed, lag=true_lag)
         panel = simulate(generate_truth(cfg), cfg)

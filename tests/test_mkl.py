@@ -174,7 +174,7 @@ class TestMklFit:
         kms = expand_dictionary([LINEAR, POLY20], panel, 1)
         lam = 0.05 * lambda_zero_bound(view.targets, kms)
         tensor, net = mkl_fit(
-            view.targets, kms, SolverConfig(lam=lam, max_iter=5000, tau_alpha=0.05)
+            view.targets, kms, SolverConfig(lam=lam, max_iter=5000), tau_alpha=0.05
         )
         share = tensor.kernel_share()
         assert share[0] > 0.8

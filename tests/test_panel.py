@@ -259,6 +259,28 @@ class TestCsvRoundTrip:
         with pytest.raises(ConfigError):
             read_csv_panel(path)
 
+    @pytest.mark.parametrize(
+        "sidecar",
+        [
+            '{"sample_rate_hz": "fast"}',
+            '{"sample_rate_hz": true}',
+            '{"sample_rate_hz": null}',
+            '{"rate": 10.0}',
+            "5",
+            "[10.0]",
+            '"10.0"',
+            '{"sample_rate_hz": ',
+        ],
+    )
+    def test_malformed_sidecar(self, tmp_path, sidecar):
+        panel = make_panel(np.ones((3, 2)) * np.arange(3)[:, None])
+        path = str(tmp_path / "p.csv")
+        write_csv_panel(panel, path, sidecar=False)
+        with open(path + ".json", "w") as handle:
+            handle.write(sidecar)
+        with pytest.raises(ConfigError):
+            read_csv_panel(path)
+
     def test_missing_cell_is_hard_error(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1.0,2.0\n3.0,\n")

@@ -3,13 +3,20 @@
 import json
 import logging
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from ksvar.cli import main as cli_main
-from ksvar.errors import ConfigError, InsufficientSamples, LabelMismatch, WindowTooLong
+from ksvar.errors import (
+    ConfigError,
+    ConstantColumn,
+    InsufficientSamples,
+    LabelMismatch,
+    WindowTooLong,
+)
 from ksvar.panel import NoiseModel, TimeSeriesPanel, read_csv_panel, write_csv_panel
 from ksvar.pipeline import (
     GLOBAL_METRICS,
@@ -97,7 +104,7 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError):
             base_config(inp, out, aggregate="intersection")
         with pytest.raises(ConfigError):
-            base_config(inp, out, workers=0)
+            base_config(inp, out, tau_alpha=-0.1)
         with pytest.raises(ConfigError):
             base_config(inp, out, kernel="poly:q=3")
         with pytest.raises(ConfigError):
@@ -119,6 +126,10 @@ class TestPipelineConfig:
         data["typo_key"] = 1
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict(data)
+        # settings that were removed are unknown keys, not silently ignored
+        for removed in ({"workers": 1}, {"jitter": 1e-10}):
+            with pytest.raises(ConfigError, match="unknown config keys"):
+                PipelineConfig.from_dict({**cfg.to_dict(), **removed})
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict({"lag": 1})
 
@@ -193,6 +204,30 @@ class TestNetworkRoundTrip:
         path.write_text(json.dumps({"nodes": ["a"], "edges": []}))
         with pytest.raises(ConfigError):
             load_network(str(path))
+        good = {"src": 0, "dst": 1, "lag": 1, "weight": 0.5}
+        bad_edges = [
+            {**good, "src": -1},  # would wrap round to the last node
+            {**good, "src": 5},
+            {**good, "dst": 3},
+            {**good, "lag": 2},
+            {**good, "lag": -1},
+            {key: v for key, v in good.items() if key != "lag"},
+            {**good, "src": 1.5},
+            {**good, "src": True},
+            {**good, "dst": 10**30},  # overflows int64
+            {**good, "weight": "heavy"},
+            {key: v for key, v in good.items() if key != "weight"},
+            [0, 1, 1, 0.5],
+        ]
+        header = {"nodes": ["a", "b", "c"], "lags": 1, "tau_alpha": 0.1}
+        for edge in bad_edges:
+            path.write_text(json.dumps({**header, "edges": [good, edge]}))
+            with pytest.raises(ConfigError):
+                load_network(str(path))
+        for bad_header in ({"lags": 1.7}, {"lags": "1"}, {"tau_alpha": "0.1"}):
+            path.write_text(json.dumps({**header, **bad_header, "edges": [good]}))
+            with pytest.raises(ConfigError):
+                load_network(str(path))
 
 
 class TestRunPipeline:
@@ -355,18 +390,6 @@ class TestRunPipeline:
         on_disk = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert on_disk["segments"][0]["timings"] == timings
 
-    def test_worker_count_does_not_change_results(self, tmp_path):
-        inp = tmp_path / "panel.csv"
-        write_panel_csv(inp, t=100, rate=10.0)
-        out1, out2 = tmp_path / "serial", tmp_path / "threaded"
-        run_pipeline(base_config(inp, out1, window_s=2.0, workers=1))
-        run_pipeline(base_config(inp, out2, window_s=2.0, workers=3))
-        a, b = tree_bytes(out1), tree_bytes(out2)
-        assert set(a) == set(b)
-        for rel in a:
-            if rel != "manifest.json":
-                assert a[rel] == b[rel], rel
-
     def test_no_standardize_changes_fit(self, tmp_path):
         inp = tmp_path / "panel.csv"
         write_panel_csv(inp)
@@ -399,6 +422,24 @@ class TestRunPipeline:
         err = json.loads((out / "error.json").read_text())
         assert err["stage"] == "fit segments"
 
+    def test_error_record_lists_segments_written_before_the_failure(self, tmp_path):
+        values = np.random.default_rng(0).normal(size=(60, 3))
+        values[40:, 0] = 1.0  # column a is constant in the third 20 s window
+        inp = tmp_path / "panel.csv"
+        write_csv_panel(
+            TimeSeriesPanel(values=values, node_labels=("a", "b", "c"), sample_rate_hz=1.0),
+            str(inp),
+        )
+        out = tmp_path / "run"
+        with pytest.raises(ConstantColumn):
+            run_pipeline(base_config(inp, out, window_s=20.0))
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ConstantColumn"
+        assert err["stage"] == "fit segments"
+        assert err["completed_segments"] == ["seg_000", "seg_001"]
+        for name in err["completed_segments"]:
+            assert (out / name / "metrics.json").exists()
+        assert not (out / "manifest.json").exists()
 
     def test_success_removes_stale_error_record(self, tmp_path):
         inp = tmp_path / "panel.csv"
@@ -816,6 +857,51 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["lam"] == 1.5
         assert manifest["config"]["output_dir"] == str(out)
+
+    def test_infer_options_are_the_config_fields(self):
+        # each option is stored under the field it sets; none is mapped by hand
+        dests = {param.name for param in cli_main.commands["infer"].params}
+        assert dests - {"config_path"} == {f.name for f in fields(PipelineConfig)}
+
+    def test_infer_flags_reach_their_fields(self, tmp_path):
+        csv_path = tmp_path / "sim.csv"
+        write_panel_csv(csv_path, t=100, rate=10.0)
+        out = tmp_path / "out"
+        res = self.invoke(
+            "infer", "-i", str(csv_path), "-o", str(out), "--rate", "5",
+            "--window", "10", "--overlap", "5", "--bic-candidates", "1,2",
+            "--kernel", "linear", "--lambda-grid", "0.1,1", "--folds", "3",
+            "--no-standardize", "--seed", "2",
+        )
+        assert res.exit_code == 0, res.output
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        expected = {
+            "sample_rate_hz": 5.0,
+            "window_s": 10.0,
+            "overlap_s": 5.0,
+            "lag": None,
+            "bic_candidates": [1, 2],
+            "dictionary": None,
+            "lambda_grid": [0.1, 1.0],
+            "cv_folds": 3,
+            "standardize": False,
+            "seed": 2,
+        }
+        assert {key: config[key] for key in expected} == expected
+        assert "workers" not in config and "jitter" not in config
+
+    def test_infer_bad_sidecar_fails_cleanly(self, tmp_path):
+        csv_path = tmp_path / "sim.csv"
+        write_panel_csv(csv_path)
+        (tmp_path / "sim.csv.json").write_text('{"sample_rate_hz": "fast"}')
+        out = tmp_path / "out"
+        res = self.invoke(
+            "infer", "-i", str(csv_path), "-o", str(out),
+            "--lag", "1", "--kernel", "linear", "--lam", "0.5",
+        )
+        assert res.exit_code == 1
+        assert res.stderr.startswith("error: ConfigError")
+        assert json.loads((out / "error.json").read_text())["stage"] == "read input"
 
     def test_synth_rejects_bad_density(self, tmp_path):
         res = self.invoke(

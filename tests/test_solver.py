@@ -89,10 +89,8 @@ class TestSolverConfig:
             {"lam": -1.0},
             {"lam": np.nan},
             {"lam": 1.0, "rho": 0.0},
-            {"lam": 1.0, "tau_alpha": -0.1},
             {"lam": 1.0, "max_iter": 0},
             {"lam": 1.0, "tol_primal": 0.0},
-            {"lam": 1.0, "jitter": -1e-3},
             {"lam": 1.0, "regularizer": "elastic"},
         ],
     )
@@ -538,7 +536,7 @@ class TestDualityGap:
         _, view, kms = make_problem(t=30, n=3, seed=47)
         grid = lambda_zero_bound(view.targets, kms) * np.array([0.8, 0.5, 0.05])
         cfg = SolverConfig(lam=1.0, rho=10.0, max_iter=40)
-        system = _FactorSystem(kms, cfg.rho, cfg.jitter)
+        system = _FactorSystem(kms, cfg.rho)
         batched = [diag for _, _, diag in _admm(view.targets, system, grid, cfg)]
         assert [diag.converged for diag in batched] == [False, True, True]
         assert batched[2].iterations < batched[1].iterations < 40
@@ -563,7 +561,7 @@ class TestRidgeFit:
     def test_fitted_values_match_normal_equations(self, spec):
         vals, view, kms = make_problem(t=15, n=2, seed=22, spec=spec)
         lam = 0.3
-        cfg = SolverConfig(lam=lam, regularizer="squared", jitter=0.0)
+        cfg = SolverConfig(lam=lam, regularizer="squared")
         tensor = ridge_fit(view.targets, kms, cfg)
         fitted, obj = ridge_reference(vals, 1, [spec], view.targets, lam)
         np.testing.assert_allclose(predict(tensor, kms), fitted, atol=1e-8)
@@ -576,9 +574,7 @@ class TestRidgeFit:
         # gradient in factor coordinates: F^T (F c - y) + 2 lam c = 0
         _, view, kms = make_problem(t=15, n=3, seed=23)
         lam = 0.2
-        tensor = ridge_fit(
-            view.targets, kms, SolverConfig(lam=lam, regularizer="squared", jitter=0.0)
-        )
+        tensor = ridge_fit(view.targets, kms, SolverConfig(lam=lam, regularizer="squared"))
         fitted = predict(tensor, kms)
         for j in range(kms.n_nodes):
             deleted = set(kms.deleted_positions(j))
@@ -597,9 +593,7 @@ class TestRidgeFit:
         # numeric directional derivatives vanish at the minimizer
         vals, view, kms = make_problem(t=12, n=2, seed=24)
         lam = 0.4
-        tensor = ridge_fit(
-            view.targets, kms, SolverConfig(lam=lam, regularizer="squared", jitter=0.0)
-        )
+        tensor = ridge_fit(view.targets, kms, SolverConfig(lam=lam, regularizer="squared"))
 
         def c_vec(t):
             segs = []
