@@ -3,7 +3,8 @@
 Artifacts land under the output directory:
 
     manifest.json                run summary; config echo, versions, choices,
-                                 stage timings, convergence tally, warnings
+                                 worker count, stage timings, convergence
+                                 tally, warnings
     seg_000/edges.json           every nonzero block norm, with the threshold
     seg_000/metrics.json|csv     topology report of the thresholded network
     seg_000/diagnostics.ndjson   solver residual trace, duality gap at checks
@@ -402,6 +403,103 @@ def _process_segment(idx: int, seg_panel: TimeSeriesPanel, cfg: PipelineConfig, 
     return summary, net
 
 
+# thread-count setters by library: the first one a loaded library exports
+# is used; numpy's and scipy's wheels bundle suffixed OpenBLAS builds
+_BLAS_SETTERS = {
+    "openblas": (
+        "scipy_openblas_set_num_threads64_",
+        "scipy_openblas_set_num_threads",
+        "openblas_set_num_threads",
+    ),
+    "mkl": ("MKL_Set_Num_Threads",),
+}
+
+
+def _blas_thread_setters() -> list | None:
+    """The thread-count setter of every OpenBLAS and MKL loaded into this
+    process, or None when one of them exports none of ``_BLAS_SETTERS``
+    or the process's memory map cannot be read."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as handle:
+            rows = [line.split(maxsplit=5) for line in handle]
+    except OSError:
+        return None
+    paths = {row[5].strip() for row in rows if len(row) == 6}
+    setters = []
+    for path in sorted(paths):
+        name = os.path.basename(path).lower()
+        symbols = next((v for k, v in _BLAS_SETTERS.items() if k in name), None)
+        if symbols is None:
+            continue
+        lib = ctypes.CDLL(path)
+        setter = next((getattr(lib, s) for s in symbols if hasattr(lib, s)), None)
+        if setter is None:
+            return None
+        setters.append(setter)
+    return setters
+
+
+def _pin_blas_to_one_thread() -> None:
+    """Pool worker initializer; the pool runs only where setters exist."""
+    for setter in _blas_thread_setters() or ():
+        setter(1)
+
+
+def _pool_size(n_segments: int) -> int:
+    """Processes to fit ``n_segments`` with; 1 means in this process.
+
+    One per CPU this process may run on, at most one per segment.  It is
+    1 as well where ``fork`` is unavailable or a loaded BLAS cannot be set
+    to one thread, since pooled fits must not compete for cores.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    workers = min(n_segments, cpus)
+    if workers < 2:
+        return 1
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods() or _blas_thread_setters() is None:
+        return 1
+    return workers
+
+
+def _fit_in_pool(panels: list[TimeSeriesPanel], cfg: PipelineConfig, workers: int):
+    """Run ``_process_segment`` on every panel in ``workers`` forked processes.
+
+    Returns (the results of the segments that finished, in index order,
+    the exception of the lowest-index segment that failed or None).  On a
+    failure, segments not yet started are cancelled and those running are
+    waited for, so the results name every segment directory written.
+    """
+    import multiprocessing
+    from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+
+    # fork, because a spawned worker would import numpy, scipy and ksvar
+    # again, which costs more than a whole short segment fit
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_pin_blas_to_one_thread,
+    )
+    try:
+        futures = [
+            pool.submit(_process_segment, i, p, cfg, cfg.output_dir) for i, p in enumerate(panels)
+        ]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        # also on an interrupt: drop the segments not yet started, wait
+        # for the running ones and join every worker
+        pool.shutdown(cancel_futures=True)
+    finished = [f for f in futures if not f.cancelled()]
+    failure = next((f.exception() for f in finished if f.exception() is not None), None)
+    return [f.result() for f in finished if f.exception() is None], failure
+
+
 def _padded(arrays: list[np.ndarray], lag_max: int, fill) -> list[np.ndarray]:
     out = []
     for a in arrays:
@@ -445,10 +543,22 @@ def aggregate_networks(
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """Execute the full run; returns the manifest written to disk.
 
-    Segments are fitted one after another.  Any KsvarError is recorded to
-    ``error.json`` (stage, message, and the segments whose directories were
-    fully written) before being re-raised, so partial runs are inspectable;
-    a successful run removes an ``error.json`` left by an earlier one.  Each
+    Segments are fitted in a pool of forked processes, one per CPU this
+    process may run on (``os.sched_getaffinity``, else ``os.cpu_count``)
+    and at most one per segment; the manifest's ``workers`` gives the
+    count.  Each worker sets every loaded OpenBLAS or MKL to one thread
+    before it fits anything.  The segments are fitted one after another
+    in this process, and ``workers`` is 1, when that count is 1, when
+    ``fork`` is unavailable or when a loaded BLAS exports no thread-count
+    setter.  Artifacts are byte-identical for a fixed BLAS thread count,
+    and pooled segments always use one.  No worker outlives the call.
+
+    Any KsvarError is recorded to ``error.json`` (stage, message, and the
+    segments whose directories were fully written) before being re-raised,
+    so partial runs are inspectable; when a pooled segment fails, the
+    segments already running are waited for, every one that finished is
+    listed and the failure of the lowest-index segment is raised.  A
+    successful run removes an ``error.json`` left by an earlier one.  Each
     segment that stops at ``max_iter`` without converging is logged as a
     warning on the ``ksvar`` logger and listed in the manifest's
     ``convergence`` block, which also gives the worst ratio of a final
@@ -471,10 +581,18 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         else:
             panels = [panel]
         stage = "fit segments"
-        for i, p in enumerate(panels):
-            summary, net = _process_segment(i, p, cfg, cfg.output_dir)
-            summaries.append(summary)
-            nets.append(net)
+        workers = _pool_size(len(panels))
+        if workers == 1:
+            for i, p in enumerate(panels):
+                summary, net = _process_segment(i, p, cfg, cfg.output_dir)
+                summaries.append(summary)
+                nets.append(net)
+        else:
+            results, failure = _fit_in_pool(panels, cfg, workers)
+            summaries = [summary for summary, _ in results]
+            nets = [net for _, net in results]
+            if failure is not None:
+                raise failure
         if cfg.aggregate is not None:
             stage = "aggregate"
             agg = aggregate_networks(nets, cfg.aggregate, cfg.tau_alpha)
@@ -506,6 +624,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             "seed": cfg.seed,
             "config": cfg.to_dict(),
             "n_segments": len(summaries),
+            "workers": workers,
             "segments": summaries,
             "convergence": {
                 "converged": len(summaries) - len(not_converged),
@@ -561,9 +680,17 @@ def _read_run_metrics(run_dir: str) -> tuple[list[str], list[dict]]:
         raise ConfigError(f"{run_dir} has no manifest.json; not a finished run")
     with open(manifest_path) as handle:
         manifest = json.load(handle)
+    segments = manifest.get("segments") if isinstance(manifest, dict) else None
+    if not isinstance(segments, list):
+        raise ConfigError(f"{manifest_path} is not a JSON object with a list of segments")
     reports = []
-    for seg in manifest["segments"]:
-        with open(os.path.join(run_dir, seg["name"], "metrics.json")) as handle:
+    for seg in segments:
+        if not isinstance(seg, dict) or not isinstance(seg.get("name"), str):
+            raise ConfigError(f"{manifest_path} lists a segment without a name: {seg!r}")
+        report_path = os.path.join(run_dir, seg["name"], "metrics.json")
+        if not os.path.exists(report_path):
+            raise ConfigError(f"{run_dir} lists segment {seg['name']} but has no {report_path}")
+        with open(report_path) as handle:
             reports.append(json.load(handle))
     if not reports:
         raise ConfigError(f"{run_dir} contains no segments")

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import multiprocessing
 import os
 from dataclasses import fields
 
@@ -23,6 +24,7 @@ from ksvar.pipeline import (
     PER_NODE_METRICS,
     SEGMENT_STAGES,
     PipelineConfig,
+    _pin_blas_to_one_thread,
     _write_json,
     _write_ndjson,
     aggregate_networks,
@@ -75,6 +77,11 @@ def tree_bytes(root):
             with open(full, "rb") as handle:
                 out[rel] = handle.read()
     return out
+
+
+def _run_with_one_blas_thread(cfg):
+    _pin_blas_to_one_thread()
+    run_pipeline(cfg)
 
 
 class TestPipelineConfig:
@@ -441,6 +448,71 @@ class TestRunPipeline:
             assert (out / name / "metrics.json").exists()
         assert not (out / "manifest.json").exists()
 
+    def test_pooled_failure_lists_every_segment_written(self, tmp_path, monkeypatch):
+        # with two workers seg_002 may finish after seg_001 has failed; the
+        # record must name exactly the segments whose reports are on disk
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        values = np.random.default_rng(0).normal(size=(60, 3))
+        values[20:40, 0] = 1.0  # column a is constant in the second 20 s window
+        inp = tmp_path / "panel.csv"
+        write_csv_panel(
+            TimeSeriesPanel(values=values, node_labels=("a", "b", "c"), sample_rate_hz=1.0),
+            str(inp),
+        )
+        out = tmp_path / "run"
+        with pytest.raises(ConstantColumn):
+            run_pipeline(base_config(inp, out, window_s=20.0))
+        assert multiprocessing.active_children() == []
+        err = json.loads((out / "error.json").read_text())
+        assert err["stage"] == "fit segments"
+        written = sorted(p.parent.name for p in out.glob("seg_*/metrics.json"))
+        assert "seg_000" in written and "seg_001" not in written
+        assert err["completed_segments"] == written
+        assert not (out / "manifest.json").exists()
+        values[20:40, 0] = np.random.default_rng(1).normal(size=20)
+        write_csv_panel(
+            TimeSeriesPanel(values=values, node_labels=("a", "b", "c"), sample_rate_hz=1.0),
+            str(inp),
+        )
+        manifest = run_pipeline(base_config(inp, out, window_s=20.0))
+        assert multiprocessing.active_children() == []
+        assert manifest["workers"] == 2
+        assert not (out / "error.json").exists()
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="the pool needs fork"
+    )
+    def test_pool_writes_the_serial_bytes(self, tmp_path, monkeypatch):
+        inp = tmp_path / "panel.csv"
+        write_panel_csv(inp, t=100, rate=10.0)
+        kwargs = dict(
+            window_s=2.0,
+            kernel=None,
+            dictionary=("linear", "gaussian:sigma=median"),
+            aggregate="union",
+        )
+        # pooled fits use one BLAS thread, so the serial run does as well;
+        # it runs in a forked child to leave this process's BLAS as it was
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial_cfg = base_config(inp, tmp_path / "serial", **kwargs)
+        child = multiprocessing.get_context("fork").Process(
+            target=_run_with_one_blas_thread, args=(serial_cfg,)
+        )
+        child.start()
+        child.join(timeout=120)
+        assert not child.is_alive() and child.exitcode == 0
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        pooled = run_pipeline(base_config(inp, tmp_path / "pool", **kwargs))
+        assert pooled["workers"] == 2
+        serial = json.loads((tmp_path / "serial" / "manifest.json").read_text())
+        assert serial["workers"] == 1
+        a, b = tree_bytes(tmp_path / "serial"), tree_bytes(tmp_path / "pool")
+        assert set(a) == set(b)
+        assert len([rel for rel in a if rel.endswith("attribution.csv")]) == 5
+        for rel in a:
+            if rel != "manifest.json":
+                assert a[rel] == b[rel], rel
+
     def test_success_removes_stale_error_record(self, tmp_path):
         inp = tmp_path / "panel.csv"
         write_panel_csv(inp, t=40)
@@ -693,6 +765,24 @@ class TestCompareRuns:
         empty.mkdir()
         with pytest.raises(ConfigError):
             compare_runs(str(a), str(empty))
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [{}, [], {"segments": None}, {"segments": [{}]}, {"segments": [{"name": 3}]}],
+    )
+    def test_malformed_manifest_rejected(self, tmp_path, manifest):
+        a = self.run_once(tmp_path, "a4")
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError):
+            compare_runs(str(a), str(bad))
+
+    def test_missing_segment_report_rejected(self, tmp_path):
+        a = self.run_once(tmp_path, "a5")
+        (a / "seg_000" / "metrics.json").unlink()
+        with pytest.raises(ConfigError, match="seg_000"):
+            compare_runs(str(self.run_once(tmp_path, "b5")), str(a))
 
 
 class TestCli:
