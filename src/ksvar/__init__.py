@@ -16,7 +16,6 @@ from .errors import (
     KsvarError,
     LabelMismatch,
     NonFinite,
-    NotSymmetric,
     ShapeMismatch,
     SingularSystem,
     WindowTooLong,
@@ -36,10 +35,7 @@ from .kernels import (
     KernelDictionary,
     KernelMatrixSet,
     KernelSpec,
-    assemble,
-    build_gram,
     build_kernel_set,
-    eval_kernel,
     median_bandwidth,
     parse_kernel_spec,
 )

@@ -30,10 +30,6 @@ class InsufficientSamples(KsvarError):
     """Too few samples remain after lag alignment or windowing."""
 
 
-class NotSymmetric(KsvarError):
-    """A matrix expected to be symmetric is not, beyond tolerance."""
-
-
 class DegenerateSeries(KsvarError):
     """A series lacks the variation needed for a data-driven bandwidth."""
 

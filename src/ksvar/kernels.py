@@ -5,13 +5,13 @@ regressor samples z = {y_i(t-l)} with themselves gives a T'xT' Gram block.
 Blocks are kept in (lag, node, kernel) order; column j of the model drops
 its own instantaneous block(s).
 
-Every block also carries a factor B with B @ B.T equal to the (repaired)
-Gram.  Linear and polynomial kernels get exact finite feature maps; the
-Gaussian kernel gets a pivoted-Cholesky factor, trimmed to the rank and
-spectrum of the truncated eigenfactor, without its T'xT' Gram ever being
-formed.  The solvers work in factor coordinates throughout, which is both
-faster and immune to the junk directions a near-singular Gram would
-otherwise inject.  A block builds its dense Gram only when asked.
+Every block carries a factor B with B @ B.T equal to its Gram up to the
+directions below ``RANK_RTOL``; no block keeps its Gram.  Linear and
+polynomial kernels get exact finite feature maps; the Gaussian kernel gets
+a pivoted-Cholesky factor, trimmed to the rank and spectrum of the
+truncated eigenfactor, without its T'xT' Gram ever being formed.  The
+solvers work in factor coordinates throughout, which is both faster and
+immune to the junk directions a near-singular Gram would otherwise inject.
 """
 
 from __future__ import annotations
@@ -21,18 +21,11 @@ from math import comb
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegenerateSeries,
-    NotSymmetric,
-    ShapeMismatch,
-)
+from .errors import ConfigError, DegenerateSeries, ShapeMismatch
 from .panel import LagAlignedView
 
 # Relative eigenvalue cutoff below which a Gram direction is treated as null.
 RANK_RTOL = 1e-12
-# Pre-repair floor: a Gram eigenvalue below this signals a non-kernel input.
-PSD_ATOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -148,11 +141,6 @@ class KernelDictionary:
         return len(self.kernels)
 
 
-def eval_kernel(spec: KernelSpec, y: float, psi: float) -> float:
-    """Evaluate one kernel at a pair of scalars."""
-    return float(_kernel_array(spec, np.asarray([y], float), np.asarray([psi], float))[0, 0])
-
-
 def _kernel_array(spec: KernelSpec, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     prod = np.multiply.outer(z, w)
     if spec.kind == "linear":
@@ -166,39 +154,11 @@ def _kernel_array(spec: KernelSpec, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.exp(-(diff**2) / (2.0 * sigma**2))
 
 
-def gram_matrix(spec: KernelSpec, samples: np.ndarray) -> np.ndarray:
-    """Gram matrix of one aligned sample vector with itself."""
-    z = np.asarray(samples, dtype=float)
-    if z.ndim != 1:
-        raise ShapeMismatch("samples must be a vector")
-    return _kernel_array(spec, z, z)
-
-
 def cross_gram(spec: KernelSpec, new_samples: np.ndarray, ref_samples: np.ndarray) -> np.ndarray:
     """Kernel evaluations of new samples against the reference (training) ones."""
     return _kernel_array(
         spec, np.asarray(new_samples, float), np.asarray(ref_samples, float)
     )
-
-
-def build_gram(
-    spec: KernelSpec, series: np.ndarray, lag: int, view: LagAlignedView
-) -> np.ndarray:
-    """Gram matrix over target rows for one raw series at one lag.
-
-    Entry (t, tau) compares the lag-shifted samples of both rows, so the
-    matrix is symmetric by construction.
-    """
-    series = np.asarray(series, dtype=float)
-    if series.ndim != 1 or series.shape[0] != view.n_targets + view.lag:
-        raise ShapeMismatch(
-            f"series of length {series.shape} does not match view with "
-            f"T' = {view.n_targets}, L = {view.lag}"
-        )
-    if not 0 <= lag <= view.lag:
-        raise ConfigError(f"lag {lag} outside 0..{view.lag}")
-    n = series.shape[0]
-    return gram_matrix(spec, series[view.lag - lag : n - lag])
 
 
 def median_bandwidth(series: np.ndarray, max_pairs: int = 1000, seed: int = 0) -> float:
@@ -256,25 +216,9 @@ def feature_factor(spec: KernelSpec, samples: np.ndarray) -> np.ndarray | None:
     return cols[:, keep]
 
 
-def eigen_factor(gram: np.ndarray, rank_rtol: float = RANK_RTOL) -> np.ndarray:
-    """Rank-truncated factor B = U sqrt(W) of a symmetric PSD matrix."""
-    k = np.asarray(gram, dtype=float)
-    scale = max(1.0, float(np.abs(k).max()) if k.size else 0.0)
-    if float(np.abs(k - k.T).max() if k.size else 0.0) > 1e-10 * scale:
-        raise NotSymmetric("Gram matrix is asymmetric beyond tolerance")
-    w, v = np.linalg.eigh((k + k.T) / 2.0)
-    if w.size and w.min() < -PSD_ATOL * scale:
-        raise NotSymmetric(
-            f"Gram matrix has eigenvalue {w.min():.3e}; not PSD within tolerance"
-        )
-    cutoff = rank_rtol * max(float(w.max()) if w.size else 0.0, 0.0)
-    keep = w > max(cutoff, 0.0)
-    return v[:, keep] * np.sqrt(w[keep])
-
-
 @dataclass
 class KernelBlock:
-    """One (node, lag, kernel) block: samples, factor, and lazy Gram."""
+    """One (node, lag, kernel) block: its samples and a factor B of its Gram."""
 
     node: int
     lag: int
@@ -282,16 +226,10 @@ class KernelBlock:
     spec: KernelSpec | None
     samples: np.ndarray | None
     factor: np.ndarray
-    _gram: np.ndarray | None = None
 
     @property
     def rank(self) -> int:
         return self.factor.shape[1]
-
-    def gram(self) -> np.ndarray:
-        if self._gram is None:
-            self._gram = self.factor @ self.factor.T
-        return self._gram
 
 
 def _pivoted_factor(spec: KernelSpec, samples: np.ndarray) -> np.ndarray:
@@ -303,7 +241,8 @@ def _pivoted_factor(spec: KernelSpec, samples: np.ndarray) -> np.ndarray:
     at rounding level, eps * T' times the largest diagonal.  A thin QR of
     the pivoted factor and an eigensolve of the r x r matrix R R^T then keep
     the directions above ``RANK_RTOL`` times the largest eigenvalue, the cut
-    ``eigen_factor`` applies to the full Gram, so rank and spectrum match.
+    a truncated eigenfactor of the full Gram applies, so rank and spectrum
+    match.
     """
     z = np.asarray(samples, dtype=float)
     n = z.shape[0]
@@ -333,7 +272,6 @@ def _pivoted_factor(spec: KernelSpec, samples: np.ndarray) -> np.ndarray:
 def _block_from_samples(
     spec: KernelSpec, samples: np.ndarray, node: int, lag: int, kernel_index: int
 ) -> KernelBlock:
-    # no Gram is held: gram() forms B @ B.T only for callers that ask
     factor = feature_factor(spec, samples)
     if factor is None:
         factor = _pivoted_factor(spec, samples)
@@ -376,61 +314,8 @@ class KernelMatrixSet:
     def block(self, node: int, lag: int, kernel_index: int = 0) -> KernelBlock:
         return self.blocks[self.position(node, lag, kernel_index)]
 
-    def gram(self, node: int, lag: int, kernel_index: int = 0) -> np.ndarray:
-        return self.block(node, lag, kernel_index).gram()
-
     def deleted_positions(self, j: int) -> list[int]:
         return [self.position(j, 0, p) for p in range(self.n_kernels)]
-
-
-def assemble(grams: dict) -> KernelMatrixSet:
-    """Build a KernelMatrixSet from explicit Gram matrices.
-
-    Keys are (node, lag) pairs or (node, lag, kernel) triples; the set must
-    be complete over nodes 0..N-1, lags 0..L, kernels 0..P-1, and all
-    matrices must share one square shape.
-    """
-    if not grams:
-        raise ShapeMismatch("no Gram matrices given")
-    keys = list(grams)
-    triples = [(k if len(k) == 3 else (k[0], k[1], 0)) for k in keys]
-    n_nodes = max(t[0] for t in triples) + 1
-    lag = max(t[1] for t in triples)
-    n_kernels = max(t[2] for t in triples) + 1
-    expected = {(i, l, p) for i in range(n_nodes) for l in range(lag + 1) for p in range(n_kernels)}
-    if set(triples) != expected:
-        raise ShapeMismatch("Gram matrices must cover every (node, lag, kernel)")
-    by_triple = {t: np.asarray(grams[k], float) for t, k in zip(triples, keys)}
-    t_prime = by_triple[(0, 0, 0)].shape[0]
-    blocks = []
-    for l in range(lag + 1):
-        for i in range(n_nodes):
-            for p in range(n_kernels):
-                k = by_triple[(i, l, p)]
-                if k.shape != (t_prime, t_prime):
-                    raise ShapeMismatch(
-                        f"Gram for node {i}, lag {l} has shape {k.shape}; "
-                        f"expected {(t_prime, t_prime)}"
-                    )
-                factor = eigen_factor(k)
-                blocks.append(
-                    KernelBlock(
-                        node=i,
-                        lag=l,
-                        kernel_index=p,
-                        spec=None,
-                        samples=None,
-                        factor=factor,
-                        _gram=k,
-                    )
-                )
-    return KernelMatrixSet(
-        blocks=blocks,
-        n_nodes=n_nodes,
-        lag=lag,
-        n_kernels=n_kernels,
-        n_targets=t_prime,
-    )
 
 
 def resolve_bandwidth(spec: KernelSpec, samples: np.ndarray, seed: int = 0) -> KernelSpec:

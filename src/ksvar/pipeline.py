@@ -24,7 +24,7 @@ import json
 import logging
 import os
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from itertools import chain
@@ -245,9 +245,16 @@ def load_network(path: str) -> EffectiveNetwork:
         # type() is exact, so JSON's true and false do not pass for integers
         if set(map(type, chain(*index))) - {int} or set(map(type, weight)) - {int, float}:
             raise TypeError("edge lag, src and dst must be integers and weight a number")
+        if len(set(labels)) != n:
+            raise ValueError("node labels must be distinct")
+        if not (lag >= 0 and tau >= 0.0):
+            raise ValueError("lags and tau_alpha must be non-negative")
         l, i, j = np.array(index, dtype=np.int64)
         if not ((0 <= l) & (l <= lag) & (0 <= i) & (i < n) & (0 <= j) & (j < n)).all():
             raise ValueError(f"an edge lies outside lags 0..{lag} or nodes 0..{n - 1}")
+        weight = np.array(weight, dtype=float)
+        if not (np.isfinite(weight) & (weight >= 0.0)).all():
+            raise ValueError("edge weights must be finite and non-negative")
         weights = np.zeros((lag + 1, n, n))
         weights[l, i, j] = weight
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -553,12 +560,13 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     setter.  Artifacts are byte-identical for a fixed BLAS thread count,
     and pooled segments always use one.  No worker outlives the call.
 
-    Any KsvarError is recorded to ``error.json`` (stage, message, and the
+    A ``manifest.json`` or ``error.json`` left in the output directory by
+    an earlier run is removed before anything else.  Any KsvarError or
+    OSError is recorded to ``error.json`` (stage, message, and the
     segments whose directories were fully written) before being re-raised,
     so partial runs are inspectable; when a pooled segment fails, the
     segments already running are waited for, every one that finished is
-    listed and the failure of the lowest-index segment is raised.  A
-    successful run removes an ``error.json`` left by an earlier one.  Each
+    listed and the failure of the lowest-index segment is raised.  Each
     segment that stops at ``max_iter`` without converging is logged as a
     warning on the ``ksvar`` logger and listed in the manifest's
     ``convergence`` block, which also gives the worst ratio of a final
@@ -570,6 +578,10 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     and listed under the manifest's ``warnings``.
     """
     os.makedirs(cfg.output_dir, exist_ok=True)
+    # records of an earlier run into this directory would describe that run
+    for name in ("manifest.json", "error.json"):
+        with suppress(FileNotFoundError):
+            os.remove(os.path.join(cfg.output_dir, name))
     stage = "read input"
     summaries, nets = [], []
     try:
@@ -636,12 +648,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             "warnings": {"lambda_at_grid_edge": at_grid_edge},
         }
         _write_json(os.path.join(cfg.output_dir, "manifest.json"), manifest)
-        # an error record from an earlier failed run into this directory is stale
-        stale = os.path.join(cfg.output_dir, "error.json")
-        if os.path.exists(stale):
-            os.remove(stale)
         return manifest
-    except KsvarError as exc:
+    except (KsvarError, OSError) as exc:
         _write_json(
             os.path.join(cfg.output_dir, "error.json"),
             {

@@ -154,7 +154,7 @@ class CoefficientTensor:
     @property
     def kernel_specs(self) -> tuple[KernelSpec, ...] | None:
         """The kernel behind each slice p, as resolved for node 0 at lag 0;
-        None for Gram matrices given without specs."""
+        None when a block carries no spec."""
         specs = tuple(b.spec for b in self.kernels.blocks[: self.n_kernels])
         return None if any(s is None for s in specs) else specs
 

@@ -5,10 +5,15 @@ statements, not against the package internals: raw kernel arithmetic, an
 accelerated proximal-gradient group-lasso solver certified by duality gap,
 a normal-equations ridge solve, and exhaustive path-enumeration graph
 metrics in exact rational arithmetic.  The exceptions are former package
-code kept unchanged as references: ``brandes_betweenness``, the per-source
+code kept as references: ``brandes_betweenness``, the per-source
 ``Fraction`` betweenness, exact for graphs too large to enumerate; the
-dense Gram layout (``kbar``, ``dmat``, ``dsqrt`` and their deleted forms,
-``psd_sqrt``, and the stacked coefficients ``w_stacked``); the Gram-space
+Gram helpers (``block_gram``, a block's dense Gram B @ B.T from the factor
+the solver uses; ``eigen_factor`` and ``psd_sqrt``, a factor and a root of
+an explicit Gram, behind one symmetric-PSD check that raises ``NotPsd``;
+``assemble``, a kernel set over explicit Grams, such as the identity
+blocks of ``unit_tensor``); the dense Gram layout (``kbar``, ``dmat``,
+``dsqrt`` and their deleted forms, and the stacked coefficients
+``w_stacked``); the Gram-space
 ADMM pieces (``admm_column_update``, ``dual_update``), the objective
 evaluated from coefficient blocks (``objective_value``), the per-block
 cross-Gram ``heldout_prediction`` that cross-validation used, and the
@@ -24,13 +29,13 @@ from math import comb
 
 import numpy as np
 
-from ksvar.errors import NotSymmetric, ShapeMismatch, SingularSystem
+from ksvar.errors import ShapeMismatch, SingularSystem
 from ksvar.kernels import (
-    PSD_ATOL,
+    RANK_RTOL,
+    KernelBlock,
     KernelDictionary,
     KernelMatrixSet,
     KernelSpec,
-    assemble,
     build_kernel_set,
     cross_gram,
 )
@@ -69,12 +74,6 @@ def gram(spec, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def psd_root(k: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(0.5 * (k + k.T))
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.T
-
-
 def column_designs(panel_values: np.ndarray, lag: int, specs) -> list[list[np.ndarray]]:
     """Per target column j, the PSD roots of its retained Gram blocks in
     (lag, node, kernel) order with the instantaneous self-blocks removed."""
@@ -84,7 +83,7 @@ def column_designs(panel_values: np.ndarray, lag: int, specs) -> list[list[np.nd
         for i in range(n):
             z = panel_values[lag - l : t - l, i]
             for p, spec in enumerate(specs):
-                roots[(l, i, p)] = psd_root(gram(spec, z))
+                roots[(l, i, p)] = psd_sqrt(gram(spec, z), jitter=0.0)
     designs = []
     for j in range(n):
         mats = []
@@ -195,13 +194,14 @@ def group_lasso_objective(
 
 
 def kernel_set_objective(targets: np.ndarray, kms, lam: float) -> tuple[float, float]:
-    """``group_lasso_objective`` for a kernel set given by its Gram
-    matrices, such as one from ``assemble``."""
+    """``group_lasso_objective`` for a kernel set given by its factors,
+    such as one from ``assemble``."""
     total = 0.0
     total_gap = 0.0
     for j in range(kms.n_nodes):
         deleted = kms.deleted_positions(j)
-        mats = [psd_root(b.gram()) for pos, b in enumerate(kms.blocks) if pos not in deleted]
+        kept = (b for pos, b in enumerate(kms.blocks) if pos not in deleted)
+        mats = [psd_sqrt(block_gram(b), jitter=0.0) for b in kept]
         _, obj, gap = fista_group_lasso(targets[:, j], mats, lam)
         total += obj
         total_gap += max(gap, 0.0)
@@ -230,36 +230,84 @@ def ridge_reference(
 
 
 # ---------------------------------------------------------------------------
-# dense Gram layout, formerly in ksvar.kernels and ksvar.solver: blocks in
-# (lag, node, kernel) order side by side in the wide matrix
-# Kbar = [K^0_1 ... K^L_N] and on the diagonal of D; column j drops its own
-# instantaneous blocks, the flat columns index_set(j)
+# Gram helpers: a block's dense Gram from its factor, and the factor and
+# root of an explicit Gram behind one symmetric-PSD check
+
+# Pre-repair floor: a Gram eigenvalue below this signals a non-kernel input.
+PSD_ATOL = 1e-8
+
+
+class NotPsd(Exception):
+    """A matrix is asymmetric or indefinite beyond tolerance."""
+
+
+def block_gram(block) -> np.ndarray:
+    return block.factor @ block.factor.T
+
+
+def _psd_eigh(matrix: np.ndarray):
+    """Eigenpairs of a matrix that is symmetric within 1e-10 and has no
+    eigenvalue below -PSD_ATOL, both relative to its largest entry (at
+    least 1); raises NotPsd otherwise."""
+    k = np.asarray(matrix, dtype=float)
+    scale = max(1.0, float(np.abs(k).max(initial=0.0)))
+    if float(np.abs(k - k.T).max(initial=0.0)) > 1e-10 * scale:
+        raise NotPsd("matrix is asymmetric beyond tolerance")
+    w, v = np.linalg.eigh((k + k.T) / 2.0)
+    if w.size and w.min() < -PSD_ATOL * scale:
+        raise NotPsd(f"matrix has eigenvalue {w.min():.3e}; not PSD within tolerance")
+    return w, v
+
+
+def eigen_factor(gram: np.ndarray) -> np.ndarray:
+    """Rank-truncated factor B = U sqrt(W) of a symmetric PSD matrix,
+    keeping the eigenvalues above RANK_RTOL times the largest."""
+    w, v = _psd_eigh(gram)
+    keep = w > RANK_RTOL * w.max(initial=0.0)
+    return v[:, keep] * np.sqrt(w[keep])
 
 
 def psd_sqrt(matrix: np.ndarray, jitter: float | None = None) -> np.ndarray:
     """Symmetric square root of a symmetric PSD matrix, with eigenvalue repair.
 
     Eigenvalues below ``jitter`` (default 1e-10 * trace / T') are clamped up
-    to it before taking the root.  Raises NotSymmetric when the input is
-    asymmetric beyond 1e-10 (relative to its magnitude) or has an eigenvalue
-    below the PSD tolerance.
+    to it before taking the root.
     """
     k = np.asarray(matrix, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ShapeMismatch("psd_sqrt needs a square matrix")
-    scale = max(1.0, float(np.abs(k).max()) if k.size else 0.0)
-    if float(np.abs(k - k.T).max() if k.size else 0.0) > 1e-10 * scale:
-        raise NotSymmetric("matrix is asymmetric beyond tolerance")
     if jitter is None:
-        jitter = 1e-10 * float(np.trace(k)) / max(1, k.shape[0])
-        jitter = max(jitter, 0.0)
-    w, v = np.linalg.eigh((k + k.T) / 2.0)
-    if w.size and w.min() < -PSD_ATOL * scale:
-        raise NotSymmetric(
-            f"matrix has eigenvalue {w.min():.3e}; not PSD within tolerance"
-        )
+        jitter = max(1e-10 * float(np.trace(k)) / max(1, k.shape[0]), 0.0)
+    w, v = _psd_eigh(k)
     w = np.clip(w, jitter, None)
     return (v * np.sqrt(w)) @ v.T
+
+
+def assemble(grams: dict) -> KernelMatrixSet:
+    """Kernel set over explicit Gram matrices, each factored by
+    ``eigen_factor``, with neither spec nor samples.  Keys are (node, lag)
+    pairs or (node, lag, kernel) triples covering every combination, and
+    the matrices share one shape."""
+    grams = {(key if len(key) == 3 else (*key, 0)): g for key, g in grams.items()}
+    n_nodes, n_lags, n_kernels = (1 + max(key[a] for key in grams) for a in range(3))
+    blocks = [
+        KernelBlock(
+            node=i, lag=l, kernel_index=p, spec=None, samples=None,
+            factor=eigen_factor(grams[(i, l, p)]),
+        )
+        for l in range(n_lags)
+        for i in range(n_nodes)
+        for p in range(n_kernels)
+    ]
+    t_prime = len(grams[(0, 0, 0)])
+    return KernelMatrixSet(blocks, n_nodes, lag=n_lags - 1, n_kernels=n_kernels, n_targets=t_prime)
+
+
+# ---------------------------------------------------------------------------
+# dense Gram layout, formerly in ksvar.kernels and ksvar.solver: blocks in
+# (lag, node, kernel) order side by side in the wide matrix
+# Kbar = [K^0_1 ... K^L_N] and on the diagonal of D; column j drops its own
+# instantaneous blocks, the flat columns index_set(j)
 
 
 def total_columns(kms) -> int:
@@ -277,14 +325,14 @@ def index_set(kms, j: int) -> np.ndarray:
 
 
 def kbar(kms) -> np.ndarray:
-    return np.hstack([b.gram() for b in kms.blocks])
+    return np.hstack([block_gram(b) for b in kms.blocks])
 
 
 def dmat(kms) -> np.ndarray:
     out = np.zeros((total_columns(kms), total_columns(kms)))
     for pos, b in enumerate(kms.blocks):
         cols = columns_of(kms, pos)
-        out[cols, cols] = b.gram()
+        out[cols, cols] = block_gram(b)
     return out
 
 
@@ -292,7 +340,7 @@ def dsqrt(kms, jitter: float | None = None) -> np.ndarray:
     out = np.zeros((total_columns(kms), total_columns(kms)))
     for pos, b in enumerate(kms.blocks):
         cols = columns_of(kms, pos)
-        out[cols, cols] = psd_sqrt(b.gram(), jitter)
+        out[cols, cols] = psd_sqrt(block_gram(b), jitter)
     return out
 
 

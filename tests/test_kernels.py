@@ -1,37 +1,33 @@
-"""Kernel specs, Gram construction, PSD roots, factors, and block assembly."""
+"""Kernel specs, kernel evaluation, factors, kernel sets, and the Gram
+oracles' PSD roots and dense layout."""
 
 import numpy as np
 import pytest
 
-from ksvar.errors import (
-    ConfigError,
-    DegenerateSeries,
-    NotSymmetric,
-    ShapeMismatch,
-)
+from ksvar.errors import ConfigError, DegenerateSeries, ShapeMismatch
 from ksvar.kernels import (
-    PSD_ATOL,
     RANK_RTOL,
     KernelDictionary,
     KernelSpec,
-    assemble,
-    build_gram,
+    _pivoted_factor,
     build_kernel_set,
     cross_gram,
-    eigen_factor,
-    eval_kernel,
     feature_factor,
-    gram_matrix,
     median_bandwidth,
     parse_kernel_spec,
 )
 from ksvar.panel import TimeSeriesPanel, lag_view
 
 from oracles import (
+    PSD_ATOL,
+    NotPsd,
+    assemble,
+    block_gram,
     columns_of,
     dmat,
     dmat_deleted,
     dsqrt,
+    eigen_factor,
     index_set,
     kbar,
     kbar_deleted,
@@ -130,7 +126,13 @@ class TestDictionary:
             KernelDictionary(kernels=())
 
 
+def eval_kernel(spec, y, psi):
+    return cross_gram(spec, [y], [psi])[0, 0]
+
+
 class TestEvalKernel:
+    """Pointwise kernel values, through ``cross_gram`` at single samples."""
+
     def test_linear_is_a_product(self):
         assert eval_kernel(LINEAR, 2.0, 3.0) == 6.0
 
@@ -151,81 +153,51 @@ class TestEvalKernel:
 
     @pytest.mark.parametrize("spec", [LINEAR, POLY21, GAUSS1])
     def test_matches_scalar_oracle(self, spec):
-        rng = np.random.default_rng(4)
-        for y, psi in rng.normal(size=(25, 2)):
-            assert eval_kernel(spec, y, psi) == pytest.approx(
-                oracle_kernel_value(spec, y, psi), abs=1e-12
-            )
+        # two different sample vectors, so every entry is a fresh pair
+        y, psi = np.random.default_rng(4).normal(size=(2, 25))
+        want = [[oracle_kernel_value(spec, a, b) for b in psi] for a in y]
+        np.testing.assert_allclose(cross_gram(spec, y, psi), want, rtol=0, atol=1e-12)
 
     def test_unresolved_bandwidth_rejected(self):
         with pytest.raises(ConfigError):
-            eval_kernel(KernelSpec(kind="gaussian", bandwidth="median"), 0.0, 1.0)
+            cross_gram(KernelSpec(kind="gaussian", bandwidth="median"), [0.0], [1.0])
 
 
 class TestGramMatrix:
+    """Gram matrices of one sample vector, as ``cross_gram(spec, z, z)``."""
+
     def test_linear_gram_is_outer_product(self):
         z = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(gram_matrix(LINEAR, z), np.outer(z, z))
+        np.testing.assert_array_equal(cross_gram(LINEAR, z, z), np.outer(z, z))
 
     def test_gaussian_two_points(self):
-        g = gram_matrix(GAUSS1, np.array([0.0, 1.0]))
+        z = np.array([0.0, 1.0])
         e = np.exp(-0.5)
-        np.testing.assert_allclose(g, [[1.0, e], [e, 1.0]])
-
-    def test_rejects_matrix_input(self):
-        with pytest.raises(ShapeMismatch):
-            gram_matrix(LINEAR, np.ones((3, 2)))
+        np.testing.assert_allclose(cross_gram(GAUSS1, z, z), [[1.0, e], [e, 1.0]])
 
     @pytest.mark.parametrize("spec", [LINEAR, POLY21, GAUSS1])
     def test_entrywise_against_oracle(self, spec):
         rng = np.random.default_rng(11)
         z = rng.normal(size=9)
-        np.testing.assert_allclose(gram_matrix(spec, z), oracle_gram(spec, z), atol=1e-12)
+        np.testing.assert_allclose(cross_gram(spec, z, z), oracle_gram(spec, z), atol=1e-12)
 
     @pytest.mark.parametrize("spec", [LINEAR, POLY21, GAUSS1])
     def test_gram_is_psd(self, spec):
         # random samples; eigenvalues may dip slightly negative in float
         rng = np.random.default_rng(12)
         for _ in range(5):
-            g = gram_matrix(spec, rng.normal(size=14))
+            z = rng.normal(size=14)
+            g = cross_gram(spec, z, z)
             w = np.linalg.eigvalsh(g)
             assert w.min() >= -1e-9 * max(1.0, abs(g).max())
 
     def test_cross_gram_extends_gram(self):
         rng = np.random.default_rng(13)
         z = rng.normal(size=6)
-        np.testing.assert_allclose(cross_gram(GAUSS1, z, z), gram_matrix(GAUSS1, z))
         rect = cross_gram(GAUSS1, z[:2], z)
         assert rect.shape == (2, 6)
-        np.testing.assert_allclose(rect, gram_matrix(GAUSS1, z)[:2])
-
-
-class TestBuildGram:
-    def test_lag_shift_alignment(self):
-        vals = np.arange(10, dtype=float).reshape(5, 2)
-        _, view = view_from(vals, lag=2)
-        series = vals[:, 0]
-        for lag in range(3):
-            got = build_gram(LINEAR, series, lag, view)
-            want = np.outer(series[2 - lag : 5 - lag], series[2 - lag : 5 - lag])
-            np.testing.assert_array_equal(got, want)
-
-    def test_lag_zero_matches_targets(self):
-        vals = np.random.default_rng(0).normal(size=(8, 2))
-        _, view = view_from(vals, lag=1)
-        got = build_gram(LINEAR, vals[:, 1], 0, view)
-        np.testing.assert_array_equal(got, np.outer(vals[1:, 1], vals[1:, 1]))
-
-    def test_rejects_wrong_length(self):
-        _, view = view_from(np.random.default_rng(1).normal(size=(6, 2)), lag=1)
-        with pytest.raises(ShapeMismatch):
-            build_gram(LINEAR, np.ones(4), 0, view)
-
-    def test_rejects_lag_out_of_range(self):
-        vals = np.random.default_rng(2).normal(size=(6, 2))
-        _, view = view_from(vals, lag=1)
-        with pytest.raises(ConfigError):
-            build_gram(LINEAR, vals[:, 0], 2, view)
+        np.testing.assert_array_equal(rect, cross_gram(GAUSS1, z, z)[:2])
+        np.testing.assert_allclose(rect, oracle_gram(GAUSS1, z)[:2], atol=1e-12)
 
 
 class TestMedianBandwidth:
@@ -286,11 +258,11 @@ class TestPsdSqrt:
             assert np.abs(s @ s - k_rep).max() <= 10 * jitter * t
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(NotSymmetric):
+        with pytest.raises(NotPsd):
             psd_sqrt(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     def test_rejects_indefinite(self):
-        with pytest.raises(NotSymmetric):
+        with pytest.raises(NotPsd):
             psd_sqrt(np.diag([1.0, -1.0]))
 
     def test_rejects_non_square(self):
@@ -313,8 +285,8 @@ class TestFactors:
         z = rng.normal(size=12)
         b = feature_factor(spec, z)
         if b is None:
-            b = eigen_factor(gram_matrix(spec, z))
-        np.testing.assert_allclose(b @ b.T, gram_matrix(spec, z), atol=1e-9)
+            b = _pivoted_factor(spec, z)
+        np.testing.assert_allclose(b @ b.T, oracle_gram(spec, z), atol=1e-9)
 
     def test_linear_factor_is_the_samples(self):
         z = np.array([1.0, -2.0, 0.5])
@@ -337,7 +309,7 @@ class TestFactors:
         np.testing.assert_allclose(b @ b.T, np.outer(z, z), atol=1e-12)
 
     def test_eigen_factor_rejects_asymmetric(self):
-        with pytest.raises(NotSymmetric):
+        with pytest.raises(NotPsd):
             eigen_factor(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
@@ -406,22 +378,6 @@ class TestAssemble:
         assert kms.deleted_positions(0) == [kms.position(0, 0, 0), kms.position(0, 0, 1)]
         assert index_set(kms, 0).size == 6
 
-    def test_rejects_incomplete_cover(self):
-        grams = self.grams(2, 1, 3)
-        del grams[(1, 1)]
-        with pytest.raises(ShapeMismatch):
-            assemble(grams)
-
-    def test_rejects_mismatched_shapes(self):
-        grams = self.grams(2, 0, 3)
-        grams[(1, 0)] = np.eye(4)
-        with pytest.raises(ShapeMismatch):
-            assemble(grams)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ShapeMismatch):
-            assemble({})
-
 
 class TestBuildKernelSet:
     def test_layout_and_samples(self):
@@ -434,7 +390,7 @@ class TestBuildKernelSet:
             for i in range(3):
                 blk = kms.block(i, l)
                 np.testing.assert_array_equal(blk.samples, vals[2 - l : 7 - l, i])
-                np.testing.assert_allclose(blk.gram(), np.outer(blk.samples, blk.samples))
+                np.testing.assert_allclose(block_gram(blk), np.outer(blk.samples, blk.samples))
 
     def test_dictionary_interleaves_kernels(self):
         vals = np.random.default_rng(10).normal(size=(6, 2))
@@ -449,7 +405,7 @@ class TestBuildKernelSet:
         vals = np.random.default_rng(14).normal(size=(6, 2))
         _, view = view_from(vals, lag=1)
         kms = build_kernel_set(view, [LINEAR, LINEAR])
-        np.testing.assert_array_equal(kms.block(0, 1, 0).gram(), kms.block(0, 1, 1).gram())
+        np.testing.assert_array_equal(kms.block(0, 1, 0).factor, kms.block(0, 1, 1).factor)
 
     def test_median_bandwidth_resolution_is_reproducible(self):
         vals = np.random.default_rng(15).normal(size=(8, 2))
@@ -459,7 +415,7 @@ class TestBuildKernelSet:
         b = build_kernel_set(view, spec, seed=1)
         for pa, pb in zip(a.blocks, b.blocks):
             assert pa.spec == pb.spec
-            np.testing.assert_array_equal(pa.gram(), pb.gram())
+            np.testing.assert_array_equal(pa.factor, pb.factor)
         # resolved per series, so the bandwidth varies across blocks
         sigmas = {blk.spec.bandwidth for blk in a.blocks}
         assert len(sigmas) > 1
@@ -481,12 +437,11 @@ class TestBuildKernelSet:
 
 class TestGaussianFactorBuild:
     """Gaussian blocks from build_kernel_set: pivoted-Cholesky factors that
-    match the truncated eigenfactor of the full Gram, with no Gram held."""
+    match the truncated eigenfactor of the full Gram."""
 
     def check_blocks(self, kms, exact=False):
         for blk in kms.blocks:
-            assert blk._gram is None
-            gram = gram_matrix(blk.spec, blk.samples)
+            gram = cross_gram(blk.spec, blk.samples, blk.samples)
             ref = eigen_factor(gram)
             assert blk.rank == ref.shape[1]
             bbt = blk.factor @ blk.factor.T
@@ -496,7 +451,6 @@ class TestGaussianFactorBuild:
             t = kms.n_targets
             atol = 1e-12 if exact else t * t * RANK_RTOL
             np.testing.assert_allclose(bbt, gram, rtol=0, atol=atol)
-            np.testing.assert_array_equal(blk.gram(), bbt)
 
     @pytest.mark.parametrize(
         "spec", [GAUSS1, KernelSpec(kind="gaussian", bandwidth=0.3), GAUSS_MEDIAN]

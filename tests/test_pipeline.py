@@ -223,6 +223,9 @@ class TestNetworkRoundTrip:
             {**good, "src": True},
             {**good, "dst": 10**30},  # overflows int64
             {**good, "weight": "heavy"},
+            {**good, "weight": float("nan")},
+            {**good, "weight": float("inf")},
+            {**good, "weight": -0.5},
             {key: v for key, v in good.items() if key != "weight"},
             [0, 1, 1, 0.5],
         ]
@@ -231,10 +234,20 @@ class TestNetworkRoundTrip:
             path.write_text(json.dumps({**header, "edges": [good, edge]}))
             with pytest.raises(ConfigError):
                 load_network(str(path))
-        for bad_header in ({"lags": 1.7}, {"lags": "1"}, {"tau_alpha": "0.1"}):
+        for bad_header in (
+            {"lags": 1.7},
+            {"lags": "1"},
+            {"tau_alpha": "0.1"},
+            {"tau_alpha": float("nan")},
+            {"tau_alpha": -0.1},
+            {"nodes": ["a", "a", "c"]},  # a report keyed by label would merge them
+        ):
             path.write_text(json.dumps({**header, **bad_header, "edges": [good]}))
             with pytest.raises(ConfigError):
                 load_network(str(path))
+        path.write_text(json.dumps({**header, "lags": -1, "edges": []}))
+        with pytest.raises(ConfigError):
+            load_network(str(path))
 
 
 class TestRunPipeline:
@@ -524,6 +537,22 @@ class TestRunPipeline:
         assert not (out / "error.json").exists()
         assert (out / "manifest.json").exists()
 
+    def test_failed_rerun_leaves_only_its_own_record(self, tmp_path):
+        inp = tmp_path / "panel.csv"
+        write_panel_csv(inp)
+        out = tmp_path / "run"
+        assert run_pipeline(base_config(inp, out, window_s=20.0))["n_segments"] == 3
+        with pytest.raises(WindowTooLong):
+            run_pipeline(base_config(inp, out, window_s=500.0))
+        assert not (out / "manifest.json").exists()
+        assert json.loads((out / "error.json").read_text())["error"] == "WindowTooLong"
+        with pytest.raises(ConfigError, match="no manifest.json"):
+            compare_runs(str(out), str(out))
+        with pytest.raises(FileNotFoundError):
+            run_pipeline(base_config(tmp_path / "missing.csv", out))
+        record = json.loads((out / "error.json").read_text())
+        assert (record["error"], record["stage"]) == ("FileNotFoundError", "read input")
+
     def test_non_convergence_is_reported(self, tmp_path, caplog):
         inp = tmp_path / "panel.csv"
         write_panel_csv(inp, t=100, rate=10.0)
@@ -788,6 +817,19 @@ class TestCompareRuns:
 class TestCli:
     def invoke(self, *args):
         return CliRunner().invoke(cli_main, list(args))
+
+    def test_readme_library_example_runs(self, tmp_path, monkeypatch, capsys):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as handle:
+            section = handle.read().split("## Library example", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        monkeypatch.chdir(tmp_path)
+        res = self.invoke(
+            "synth", "-o", "panel.csv", "--nodes", "4", "--samples", "80", "--density", "0.3"
+        )
+        assert res.exit_code == 0, res.output
+        exec(compile(code, "README.md", "exec"), {})
+        assert len(capsys.readouterr().out.splitlines()) == 4  # one adjacency row per node
 
     def test_synth_then_infer_then_metrics_then_compare(self, tmp_path):
         csv_path = tmp_path / "sim.csv"

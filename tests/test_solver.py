@@ -13,7 +13,7 @@ from ksvar.errors import (
     ShapeMismatch,
     SingularSystem,
 )
-from ksvar.kernels import KernelSpec, assemble, build_kernel_set
+from ksvar.kernels import KernelSpec, build_kernel_set
 from ksvar.panel import TimeSeriesPanel, lag_view
 from ksvar.solver import (
     CoefficientTensor,
@@ -39,6 +39,7 @@ from ksvar.solver import (
 
 from oracles import (
     admm_column_update,
+    assemble,
     column_designs,
     dmat_deleted,
     dsqrt,
