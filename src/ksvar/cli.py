@@ -79,7 +79,7 @@ def _parsed(parse):
 @click.option("--lam", type=float, help="fixed penalty weight")
 @click.option("--lambda-grid", callback=_parsed(_floats), help="comma-separated penalty grid for CV")
 @click.option("--folds", "cv_folds", type=int, help="CV folds")
-@click.option("--rho", type=float, help="ADMM penalty parameter")
+@click.option("--rho", type=float, help="ADMM penalty parameter [default: 10 x lambda]")
 @click.option("--tau-alpha", type=float, help="edge threshold on block norms")
 @click.option("--max-iter", type=int, help="ADMM iteration cap")
 @click.option("--tol-primal", type=float)
@@ -205,7 +205,7 @@ def compare(dir_a, dir_b, output) -> None:
 @click.option("--lag", type=int, required=True)
 @click.option("--kernel", default="linear", show_default=True)
 @click.option("--rate", type=float, help="sample rate in Hz (else CSV sidecar)")
-@click.option("--rho", type=float, default=1.0, show_default=True)
+@click.option("--rho", type=float, help="ADMM penalty parameter [default: 10 x each lambda]")
 @click.option("--regularizer", type=click.Choice(["group_l1", "squared"]), default="group_l1", show_default=True)
 @click.option("--standardize/--no-standardize", "standardize_flag", default=True)
 @click.option("--seed", type=int, default=0, show_default=True)

@@ -70,7 +70,8 @@ class PipelineConfig:
 
     Exactly one of ``lam``/``lambda_grid``, of ``kernel``/``dictionary``,
     and of ``lag``/``bic_candidates`` must be set.  ``window_s`` of None
-    treats the whole panel as a single segment.
+    treats the whole panel as a single segment, and ``rho`` of None gives
+    each ADMM fit rho = 10 lambda.
     """
 
     input_path: str
@@ -85,7 +86,7 @@ class PipelineConfig:
     lam: float | None = None
     lambda_grid: tuple[float, ...] | None = None
     cv_folds: int = 5
-    rho: float = 1.0
+    rho: float | None = None
     tau_alpha: float = 0.01
     max_iter: int = 500
     tol_primal: float = 1e-5
@@ -245,10 +246,10 @@ def load_network(path: str) -> EffectiveNetwork:
         # type() is exact, so JSON's true and false do not pass for integers
         if set(map(type, chain(*index))) - {int} or set(map(type, weight)) - {int, float}:
             raise TypeError("edge lag, src and dst must be integers and weight a number")
-        if len(set(labels)) != n:
-            raise ValueError("node labels must be distinct")
-        if not (lag >= 0 and tau >= 0.0):
-            raise ValueError("lags and tau_alpha must be non-negative")
+        if not n or len(set(labels)) != n:
+            raise ValueError("node labels must be distinct and at least one")
+        if not (lag >= 0 and 0.0 <= tau < np.inf):
+            raise ValueError("lags must be non-negative and tau_alpha finite and non-negative")
         l, i, j = np.array(index, dtype=np.int64)
         if not ((0 <= l) & (l <= lag) & (0 <= i) & (i < n) & (0 <= j) & (j < n)).all():
             raise ValueError(f"an edge lies outside lags 0..{lag} or nodes 0..{n - 1}")
@@ -358,13 +359,14 @@ def _process_segment(idx: int, seg_panel: TimeSeriesPanel, cfg: PipelineConfig, 
             fidelity = 0.5 * float(np.sum(resid * resid))
             penalty = chosen_lam * float((rkhs_block_norms(kms, tensor) ** 2).sum())
             records = []
-            iterations, converged, residual_ratio, relative_gap = 1, True, 0.0, 0.0
+            iterations, converged, residual_ratio, relative_gap, rho = 1, True, 0.0, 0.0, None
             final_objective = fidelity + penalty
         else:
             tensor, _, diagnostics = admm_fit(view.targets, kms, scfg)
             records = diagnostics.records()
             iterations, converged = diagnostics.iterations, diagnostics.converged
             residual_ratio, relative_gap = diagnostics.residual_ratio, diagnostics.relative_gap
+            rho = diagnostics.rho
             fidelity, penalty = diagnostics.fidelity, diagnostics.penalty
             final_objective = diagnostics.final_objective
     records.append(
@@ -400,6 +402,7 @@ def _process_segment(idx: int, seg_panel: TimeSeriesPanel, cfg: PipelineConfig, 
         "n_samples": seg_panel.n_samples,
         "lag": int(chosen_lag),
         "lambda": float(chosen_lam),
+        "rho": rho,
         "n_edges": net.n_edges,
         "converged": converged,
         "iterations": iterations,
@@ -566,14 +569,16 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     segments whose directories were fully written) before being re-raised,
     so partial runs are inspectable; when a pooled segment fails, the
     segments already running are waited for, every one that finished is
-    listed and the failure of the lowest-index segment is raised.  Each
-    segment that stops at ``max_iter`` without converging is logged as a
-    warning on the ``ksvar`` logger and listed in the manifest's
-    ``convergence`` block, which also gives the worst ratio of a final
-    ADMM residual to its tolerance over segments (above 1 when some fit
-    stopped unconverged) and the worst relative duality gap (the share of
-    a fit's objective by which it may exceed the optimum); closed-form
-    ridge fits count 0 in both.  Each segment whose cross-validation
+    listed and the failure of the lowest-index segment is raised.  A fit
+    converges when its ADMM residuals meet their tolerances or its
+    duality gap meets ``SolverConfig.tol_gap``.  Each segment that stops
+    at ``max_iter`` without converging is logged as a warning on the
+    ``ksvar`` logger and listed in the manifest's ``convergence`` block,
+    which also gives the worst ratio of a final ADMM residual to its
+    tolerance over segments (above 1 also for a fit stopped by its gap)
+    and the worst relative duality gap (the share of a fit's objective by
+    which it may exceed the optimum); closed-form ridge fits count 0 in
+    both.  Each segment whose cross-validation
     chose the smallest or largest lambda of its grid is logged likewise
     and listed under the manifest's ``warnings``.
     """

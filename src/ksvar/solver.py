@@ -31,7 +31,9 @@ that order and alone converts results to the public (R, N) block order of
 builds one per fold and runs the whole lambda grid through one batched
 ADMM loop, predicting held-out rows straight from factor coordinates.
 Every fit is certified by a duality gap (``FitDiagnostics.relative_gap``):
-its objective exceeds the optimum by at most that share of itself.
+its objective exceeds the optimum by at most that share of itself.  ADMM
+is over-relaxed, takes rho = 10 lambda unless told otherwise, and stops
+once that gap is within ``SolverConfig.tol_gap``.
 
 Contents
 --------
@@ -67,36 +69,49 @@ from .panel import (
 
 _GAP_EVERY = 10  # ADMM iterations between duality-gap certificates
 _JITTER = 1e-10  # stands in for a zero penalty on a rank-deficient factor
+_RHO_PER_LAM = 10.0  # the default ADMM penalty parameter is rho = 10 lambda
+_RELAX = 1.6  # ADMM over-relaxation (Boyd et al. 2011, sec. 3.4.3)
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Estimator settings.
 
-    ``lam`` weighs the sparsity (or squared) penalty, ``rho`` is the ADMM
-    penalty parameter, and ``regularizer`` selects the estimator:
-    ``group_l1`` for the sparse ADMM path, ``squared`` for the closed-form
-    ridge path.  The edge threshold is an argument of ``threshold_edges``.
+    ``lam`` weighs the sparsity (or squared) penalty and ``regularizer``
+    selects the estimator: ``group_l1`` for the sparse ADMM path,
+    ``squared`` for the closed-form ridge path.  ``rho`` is the ADMM
+    penalty parameter; None gives each fit rho = 10 lambda (``rho_for``).
+    An ADMM fit stops once both scaled residuals are within ``tol_primal``
+    and ``tol_dual``, or at the first duality-gap certificate whose worst
+    relative gap is at most ``tol_gap`` (0 leaves only the residual test).
+    The edge threshold is an argument of ``threshold_edges``.
     """
 
     lam: float
-    rho: float = 1.0
+    rho: float | None = None
     max_iter: int = 500
     tol_primal: float = 1e-5
     tol_dual: float = 1e-5
+    tol_gap: float = 1e-3
     regularizer: str = "group_l1"
 
     def __post_init__(self) -> None:
         if not (self.lam >= 0) or not np.isfinite(self.lam):
             raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
-        if not (self.rho > 0):
-            raise ConfigError(f"rho must be positive, got {self.rho}")
+        if self.rho is not None and not (0 < self.rho < np.inf):
+            raise ConfigError(f"rho must be positive and finite, got {self.rho}")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be at least 1")
         if not (self.tol_primal > 0 and self.tol_dual > 0):
             raise ConfigError("tolerances must be positive")
+        if not (0 <= self.tol_gap < np.inf):
+            raise ConfigError(f"tol_gap must be finite and >= 0, got {self.tol_gap}")
         if self.regularizer not in ("group_l1", "squared"):
             raise ConfigError(f"unknown regularizer {self.regularizer!r}")
+
+    def rho_for(self, lam: float) -> float:
+        """The ADMM penalty parameter of a fit at ``lam``."""
+        return self.rho if self.rho is not None else _RHO_PER_LAM * lam
 
 
 @dataclass
@@ -228,9 +243,11 @@ class FitDiagnostics:
     returned coefficients and ``penalty`` the weighted group-norm term, so
     ``final_objective = fidelity + penalty``.  ``residual_ratio`` is the
     larger of the final primal and dual residuals over their scaled
-    tolerances; the fit converged exactly when it is at most 1.  Residual
-    traces are not monotone in general.  ``relative_gaps`` maps every
-    ``_GAP_EVERY``-th and the last iteration to its worst relative duality gap.
+    tolerances.  The fit converged when that ratio is at most 1 or when its
+    last certificate's relative gap is at most ``tol_gap``, whichever came
+    first.  Residual traces are not monotone in general.  ``relative_gaps``
+    maps every ``_GAP_EVERY``-th and the last iteration to its worst
+    relative duality gap.  ``rho`` is the ADMM penalty parameter the fit used.
     """
 
     iterations: int
@@ -242,6 +259,7 @@ class FitDiagnostics:
     fidelity: float
     penalty: float
     residual_ratio: float
+    rho: float
 
     @property
     def relative_gap(self) -> float:
@@ -353,6 +371,7 @@ class _StackedFactor:
         for rank in np.unique(sorted_ranks[sorted_ranks > 0]).tolist():
             lo, hi = np.searchsorted(sorted_ranks, [rank, rank + 1])
             self.groups.append((int(first[lo]), int(first[hi]), rank))
+        self.scalar_blocks = self.groups == [(0, self.total_rank, 1)]  # no block above rank 1
         col_of = np.empty_like(ranks)
         col_of[order] = first[:-1]
         self.deleted = [
@@ -390,6 +409,24 @@ class _StackedFactor:
         """y_j - F g_j for (K, N, R) g, shape (K, N, T')."""
         return y.T - g @ self.F.T
 
+    def shrink(self, v: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+        """Block soft-thresholding of (K, N, R) ``v`` at (K, 1, 1) ``kappa``:
+        each block scaled by max(1 - kappa / ||v_b||, 0), so a block whose
+        norm is within kappa becomes exactly 0."""
+        if self.scalar_blocks:
+            return v - np.clip(v, -kappa, kappa)
+        out = np.empty_like(v)
+        for v_b, g_b in zip(self.grouped(v), self.grouped(out)):
+            if v_b.shape[-1] == 1:
+                v_b, g_b = v_b[..., 0], g_b[..., 0]
+                np.subtract(v_b, np.clip(v_b, -kappa, kappa, out=g_b), out=g_b)
+            else:
+                norms = np.sqrt(np.vecdot(v_b, v_b))
+                # 0 wherever norms <= kappa, so kappa > 0 guards the division
+                factor = np.maximum(norms - kappa, 0.0) / np.maximum(norms, kappa)
+                np.multiply(v_b, factor[..., None], out=g_b)
+        return out
+
     def block_norms(self, a: np.ndarray) -> list[np.ndarray]:
         """Norms of the blocks of (..., R) ``a``, one (..., blocks) array per
         rank group; sqrt(x * x) is |x| exactly, so rank-1 blocks skip the sum."""
@@ -410,11 +447,12 @@ class _StackedFactor:
 class _FactorSystem(_StackedFactor):
     """Per-fit cache for the x-update: one thin SVD shared by every column.
 
-    Solves (Bbar_j^T Bbar_j + penalty I) x_j = q_j for all columns j at once,
-    where Bbar_j stacks every block factor except column j's instantaneous
-    ones.  Vectors span all R stacked factor columns; a column's deleted
-    columns D_j are pinned to zero, and q must already be zero there.  With
-    F = U S V^T the thin SVD of the stacked T' x R factor,
+    Solves (Bbar_j^T Bbar_j + penalty_k I) x_kj = q_kj for all columns j
+    and all K penalties k at once, where Bbar_j stacks every block factor
+    except column j's instantaneous ones.  Vectors span all R stacked
+    factor columns; a column's deleted columns D_j are pinned to zero, and
+    q must already be zero there.  With F = U S V^T the thin SVD of the
+    stacked T' x R factor,
 
         H = (F^T F + penalty I)^{-1} = V diag(w) V^T + (I - V V^T) / penalty
 
@@ -422,55 +460,80 @@ class _FactorSystem(_StackedFactor):
     R <= T'), and deleting D_j is a rank-r_j Schur-complement correction,
     x_j = u_j - H[:, D_j] H[D_j, D_j]^{-1} u_j[D_j] with u = H q.  The
     r_j x r_j inverses are built once per fit and padded to the largest r_j
-    with zero rows of V, so a solve is two products with V, two batched
-    per-node products and one scaling by w, whatever the kernels' ranks.
-    A zero penalty is singular unless R <= T'; a rank-deficient F then
-    takes ``_JITTER`` instead.
+    with zero rows of V, so a solve is two products with V, the correction
+    and one scaling by w, whatever the kernels' ranks.  When every deleted
+    block has rank at most 1 the correction is elementwise; otherwise it
+    is one small product per (penalty, node) each way.  ``solve`` returns
+    scale_k * x_k, so a caller can fold constant factors into the weights
+    (ADMM folds its rho and its over-relaxation).  A zero penalty is
+    singular unless R <= T'; a rank-deficient F then takes ``_JITTER``
+    instead.
 
-    Everything is in the working layout of ``_StackedFactor``: q and x have
-    shape (K, N, R), K right-hand sides per node (one per lambda of a
-    batched ADMM run), and V's rows follow F's grouped columns.
+    s and V are shared by the K penalties (one per lambda of a batched ADMM
+    run); the weights and the Schur inverses carry the K axis, and
+    ``keep`` drops penalties whose fits have stopped.  Everything is in the
+    working layout of ``_StackedFactor``: q and x have shape (K, N, R), and
+    V's rows follow F's grouped columns.
     """
 
-    def __init__(self, kms: KernelMatrixSet, penalty: float):
+    def __init__(self, kms: KernelMatrixSet, penalties, scale=1.0):
         super().__init__(kms)
         t, n = kms.n_targets, kms.n_nodes
         _, s, self.vt = np.linalg.svd(self.F, full_matrices=False)
         s2 = s * s
+        penalties = np.array(penalties, dtype=float).reshape(-1)
         full_span = self.vt.shape[0] == self.total_rank
-        if penalty <= 0:
+        if (penalties <= 0).any():
             if not full_span:
                 raise SingularSystem(
                     f"zero penalty with stacked rank {self.total_rank} > T'={t} is singular"
                 )
             if s2.size and s2.min() <= self.total_rank * np.finfo(float).eps * s2.max():
-                penalty = _JITTER
-        # H = null_weight I + V diag(span_weight) V^T
-        self.null_weight = 0.0 if full_span else 1.0 / penalty
-        self.span_weight = 1.0 / (s2 + penalty) - self.null_weight
+                penalties[penalties <= 0] = _JITTER
+        # H = null I + V diag(span) V^T, per penalty
+        null = np.zeros_like(penalties) if full_span else 1.0 / penalties
+        span = 1.0 / (s2 + penalties[:, None]) - null[:, None]
 
         r_max = int(self.deleted_sizes.max(initial=0))
         vd = np.zeros((n, s.size, r_max))  # V[D_j]^T, padded with zero columns
         for j, cols in enumerate(self.deleted):
             vd[j, :, : cols.size] = self.vt[:, cols]
-        self.left = vd * self.span_weight[:, None]  # u[D_j] = (V^T q_j) @ left_j
-        hdd = vd.mT @ self.left
+        left = vd * span[:, None, :, None]  # u[D_j] = (V^T q_j) @ left_j
+        hdd = vd.mT @ left
         idx = np.arange(r_max)
-        hdd[:, idx, idx] += np.where(idx >= self.deleted_sizes[:, None], 1.0, self.null_weight)
+        hdd[..., idx, idx] += np.where(
+            idx >= self.deleted_sizes[:, None], 1.0, null[:, None, None]
+        )
         try:
-            self.right = np.linalg.inv(hdd).mT @ vd.mT
+            right = np.linalg.inv(hdd).mT @ vd.mT
         except np.linalg.LinAlgError as exc:
             raise SingularSystem("deleted-block system is singular") from exc
+        self.rank_one = r_max <= 1
+        if self.rank_one:  # (K, N, S): the correction is a vecdot and a scaled row
+            left, right = left.sum(axis=-1), right.sum(axis=-2)
+        self.left, self.right = left, right
+        scale = np.broadcast_to(scale, penalties.shape)
+        self.span_weight = scale[:, None, None] * span[:, None, :]
+        self.null_weight = None if full_span else (scale * null)[:, None, None]
+
+    def keep(self, rows: list[int]) -> None:
+        """Keep only the penalties at ``rows``, in that order."""
+        self.left, self.right = self.left[rows], self.right[rows]
+        self.span_weight = self.span_weight[rows]
+        if self.null_weight is not None:
+            self.null_weight = self.null_weight[rows]
 
     def solve(self, q: np.ndarray) -> np.ndarray:
         """Columnwise solve of (K, N, R) q, already zero at deleted columns."""
         k, n, r = q.shape
         t = (q.reshape(k * n, r) @ self.vt.T).reshape(k, n, -1)
-        by_node = t.transpose(1, 0, 2)  # a view: the correction lands in t
-        by_node -= (by_node @ self.left) @ self.right
+        if self.rank_one:
+            t -= np.vecdot(t, self.left)[..., None] * self.right
+        else:
+            t -= ((t[:, :, None] @ self.left) @ self.right)[:, :, 0]
         t *= self.span_weight
         x = (t.reshape(k * n, -1) @ self.vt).reshape(k, n, r)
-        if self.null_weight:
+        if self.null_weight is not None:
             x += self.null_weight * q
         return self.mask_deleted(x)
 
@@ -609,60 +672,66 @@ def _certificate(
 
 
 def _admm(
-    y: np.ndarray, system: _FactorSystem, lams, cfg: SolverConfig
+    y: np.ndarray, kms: KernelMatrixSet, lams, cfg: SolverConfig
 ) -> list[tuple[np.ndarray, np.ndarray, FitDiagnostics]]:
-    """ADMM for every lambda in ``lams`` at once, one (g, u, diagnostics)
-    per lambda.
+    """Over-relaxed ADMM for every lambda in ``lams`` at once, one
+    (gamma, xi, diagnostics) per lambda in the public (R, N) layout.
 
-    The columns are (lambda, node) pairs sharing ``system``; each lambda
-    shrinks at its own threshold lambda/rho and stops on its own residual
-    test, and its iterate is kept at the iteration where it converged or
-    at ``max_iter``.  g is the post-shrinkage iterate and u = xi / rho the
-    scaled multiplier, both (N, R) in the working layout of ``system``.
-    The objective and its duality gap are evaluated only every
-    ``_GAP_EVERY`` iterations and where a lambda stops.
+    The columns are (lambda, node) pairs sharing one ``_FactorSystem``;
+    each lambda has its own penalty parameter rho = ``cfg.rho_for(lam)``,
+    shrinks at lambda/rho and stops on its own tests, and its iterate is
+    kept at the iteration where it stopped.  The relaxed point
+    alpha x + (1 - alpha) g (alpha = ``_RELAX``) enters the shrinkage and
+    the dual step; the primal residual stays x - g.  The duality gap is
+    evaluated every ``_GAP_EVERY`` iterations and where a lambda stops on
+    its residuals or at ``max_iter``.  A lambda stops when both scaled
+    residuals are within tolerance, or at a certificate whose worst
+    relative gap is at most ``cfg.tol_gap``.  Every decision depends on
+    the iterates alone.
+
+    g is the post-shrinkage iterate, (K, N, R) in the working layout.  The
+    loop carries w = u + (1 - alpha) g in place of the scaled multiplier
+    u = xi / rho, and the system's weights carry alpha rho, so that
+
+        alpha x = alpha rho H (c0 / rho + (2 - alpha) g - w),
+        v = alpha x + w,  g' = shrink(v),  w' = v - alpha g',
+
+    which is the textbook iteration with two array operations fewer.
     """
-    rho = cfg.rho
+    lam_live = np.asarray(lams, dtype=float)
+    rhos = [cfg.rho_for(lam) for lam in lam_live.tolist()]
+    system = _FactorSystem(kms, rhos, scale=[_RELAX * r for r in rhos])
     scale_dim = math.sqrt(max(system.kept_dim, 1))
     tol_primal, tol_dual = cfg.tol_primal * scale_dim, cfg.tol_dual * scale_dim
-    c0 = system.project(y)
     live = list(range(len(lams)))  # grid positions still iterating
-    lam_live = np.asarray(lams, dtype=float)
-    kappa = (lam_live / rho)[:, None, None]
+    rho = np.array(rhos)[:, None, None]
+    kappa = lam_live[:, None, None] / rho
+    c0 = system.project(y) / rho
     g = np.zeros((len(lams),) + c0.shape[1:])
-    u = np.zeros_like(g)
+    w = np.zeros_like(g)
     history: list[list] = [[] for _ in lams]
     gaps: list[dict] = [{} for _ in lams]
     out: list = [None] * len(lams)
 
     for it in range(1, cfg.max_iter + 1):
-        x = system.solve(c0 + rho * (g - u))
-        v = x + u
-        g_new = np.empty_like(v)
-        for v_b, g_b in zip(system.grouped(v), system.grouped(g_new)):
-            if v_b.shape[-1] == 1:
-                # scalar blocks: v - clip(v, -kappa, kappa), exactly 0 inside
-                v_b, g_b = v_b[..., 0], g_b[..., 0]
-                np.subtract(v_b, np.minimum(np.maximum(v_b, -kappa), kappa), out=g_b)
-            else:
-                norms = np.sqrt(np.vecdot(v_b, v_b))
-                # 0 wherever norms <= kappa, so kappa > 0 guards the division
-                factor = np.maximum(norms - kappa, 0.0) / np.maximum(norms, kappa)
-                np.multiply(v_b, factor[..., None], out=g_b)
-        step = x - g_new
-        primal = _sumsq_each(step)
+        xa = system.solve(c0 + (2.0 - _RELAX) * g - w)  # alpha x
+        v = xa + w
+        g_new = system.shrink(v, kappa)
+        ag = _RELAX * g_new
+        primal = _sumsq_each(xa - ag)
         dual = _sumsq_each(g_new - g)
+        w = v - ag
         g = g_new
-        u += step
-        stop = []
+        done = set()  # live indices whose residuals are within tolerance
         for i, pos in enumerate(live):
-            p, d = math.sqrt(primal[i]), rho * math.sqrt(dual[i])
+            p, d = math.sqrt(primal[i]) / _RELAX, rhos[pos] * math.sqrt(dual[i])
             if not (math.isfinite(p) and math.isfinite(d)):
                 raise NonFinite(f"ADMM diverged at iteration {it}")
             history[pos].append((p, d))
-            if (p <= tol_primal and d <= tol_dual) or it == cfg.max_iter:
-                stop.append(i)
-        checked = range(len(live)) if it % _GAP_EVERY == 0 else stop
+            if p <= tol_primal and d <= tol_dual:
+                done.add(i)
+        at_cap = it == cfg.max_iter
+        checked = range(len(live)) if at_cap or it % _GAP_EVERY == 0 else sorted(done)
         if not checked:
             continue
         fid, pen, rel = _certificate(y, system, g[checked], lam_live[checked])
@@ -672,17 +741,20 @@ def _admm(
         ):
             gaps[live[i]][it] = rel_i
             certified[i] = fid_i, pen_i
+            if rel_i <= cfg.tol_gap and cfg.tol_gap > 0:
+                done.add(i)
+        stop = range(len(live)) if at_cap else sorted(done)
         for i in stop:
             pos = live[i]
             p, d = history[pos][-1]
             primals, duals = np.array(history[pos]).T
             fid, pen = certified[i]
             out[pos] = (
-                g[i],
-                u[i],
+                system.to_public(g[i]),
+                system.to_public(rhos[pos] * (w[i] - (1.0 - _RELAX) * g[i])),
                 FitDiagnostics(
                     iterations=it,
-                    converged=p <= tol_primal and d <= tol_dual,
+                    converged=i in done,
                     primal_residuals=primals,
                     dual_residuals=duals,
                     relative_gaps=gaps[pos],
@@ -690,24 +762,28 @@ def _admm(
                     fidelity=fid,
                     penalty=pen,
                     residual_ratio=max(p / tol_primal, d / tol_dual),
+                    rho=rhos[pos],
                 ),
             )
         if len(stop) == len(live):
             break
         if stop:
-            keep = [i for i in range(len(live)) if i not in stop]
+            keep = [i for i in range(len(live)) if i not in done]
             live = [live[i] for i in keep]
-            lam_live, kappa, g, u = lam_live[keep], kappa[keep], g[keep], u[keep]
+            system.keep(keep)
+            lam_live, kappa, c0 = lam_live[keep], kappa[keep], c0[keep]
+            g, w = g[keep], w[keep]
     return out
 
 
 def admm_fit(
     targets: np.ndarray, kms: KernelMatrixSet, cfg: SolverConfig
 ) -> tuple[CoefficientTensor, DualState, FitDiagnostics]:
-    """Group-sparse fit by ADMM.
+    """Group-sparse fit by over-relaxed ADMM at rho = ``cfg.rho_for(cfg.lam)``.
 
     Iterates the shared factor solve, the block shrinkage, and the dual
-    ascent until both scaled residuals drop below tolerance.  Returns the
+    ascent until both scaled residuals drop below tolerance or the
+    duality-gap certificate is within ``cfg.tol_gap``.  Returns the
     post-shrinkage iterate, whose inactive blocks are exactly zero, together
     with the dual state in factor coordinates and the convergence record.
     """
@@ -716,11 +792,8 @@ def admm_fit(
     if cfg.lam <= 0:
         raise ConfigError("group-sparse fitting needs lam > 0")
     y = _check_fit_inputs(targets, kms)
-    system = _FactorSystem(kms, cfg.rho)
-    [(g, u, diagnostics)] = _admm(y, system, [cfg.lam], cfg)
-    gamma = system.to_public(g)
-    dual = DualState(gamma=gamma, xi=system.to_public(cfg.rho * u))
-    return CoefficientTensor(coords=gamma, kernels=kms), dual, diagnostics
+    [(gamma, xi, diagnostics)] = _admm(y, kms, [cfg.lam], cfg)
+    return CoefficientTensor(coords=gamma, kernels=kms), DualState(gamma=gamma, xi=xi), diagnostics
 
 
 def _ridge_coordinates(y: np.ndarray, kms: KernelMatrixSet, lam: float) -> np.ndarray:
@@ -837,8 +910,7 @@ def cross_validate_lambda(
     for f, (train, test) in enumerate(_fold_views(panel, kms.lag, folds)):
         kms_train = build_kernel_set(train, specs)
         if group:
-            system = _FactorSystem(kms_train, cfg.rho)
-            coords = [system.to_public(g) for g, _, _ in _admm(train.targets, system, grid, cfg)]
+            coords = [gamma for gamma, _, _ in _admm(train.targets, kms_train, grid, cfg)]
         else:
             coords = [_ridge_coordinates(train.targets, kms_train, l) for l in grid]
         phi = _prediction_map(kms_train, test)

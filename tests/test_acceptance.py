@@ -120,7 +120,9 @@ def test_criterion_02(capsys):
         specs = spec_pool[i % len(spec_pool)]
         vals, view, kms = random_problem(rng, n, t, lag, specs)
         lam = float(rng.uniform(0.2, 0.6)) * lambda_zero_bound(view.targets, kms)
-        cfg = SolverConfig(lam=lam, max_iter=20_000, tol_primal=1e-10, tol_dual=1e-10)
+        cfg = SolverConfig(
+            lam=lam, max_iter=20_000, tol_primal=1e-10, tol_dual=1e-10, tol_gap=0.0
+        )
         _, _, diag = admm_fit(view.targets, kms, cfg)
         want, gap = group_lasso_objective(vals, lag, specs, view.targets, lam)
         rel = abs(diag.final_objective - want) / (1.0 + abs(want))
@@ -285,7 +287,7 @@ def test_criterion_07(capsys):
         view = lag_view(panel, 1)
         kms_base = build_kernel_set(view, GAUSS1)
         kms_dict = expand_dictionary([GAUSS1], panel, 1)
-        cfg = SolverConfig(lam=0.3, max_iter=20_000, tol_primal=1e-9, tol_dual=1e-9)
+        cfg = SolverConfig(lam=0.3, max_iter=20_000, tol_primal=1e-9, tol_dual=1e-9, tol_gap=0.0)
         _, _, diag_base = admm_fit(view.targets, kms_base, cfg)
         _, _, diag_dict = admm_fit(view.targets, kms_dict, cfg)
         rel = abs(diag_base.final_objective - diag_dict.final_objective) / (
@@ -386,7 +388,8 @@ def test_criterion_09(capsys):
         times = {}
         for iters in (50, 250):
             cfg = SolverConfig(
-                lam=1e-4, max_iter=iters, tol_primal=1e-300, tol_dual=1e-300
+                lam=1e-4, rho=1.0, max_iter=iters, tol_primal=1e-300, tol_dual=1e-300,
+                tol_gap=0.0,
             )
             # a single fit lasts tens of ms, short enough for a swing in
             # processor speed to distort it; the fastest of three is not

@@ -106,7 +106,7 @@ class TestMklFit:
         panel = make_panel(t=16, seed=5)
         view = lag_view(panel, 1)
         kms = expand_dictionary([LINEAR], panel, 1)
-        cfg = SolverConfig(lam=0.1, max_iter=5000, tol_primal=1e-9, tol_dual=1e-9)
+        cfg = SolverConfig(lam=0.1, max_iter=5000, tol_primal=1e-9, tol_dual=1e-9, tol_gap=0.0)
         tensor, net = mkl_fit(view.targets, kms, cfg)
         base, _, _ = admm_fit(view.targets, build_kernel_set(view, LINEAR), cfg)
         np.testing.assert_allclose(tensor.coeffs, base.coeffs, atol=1e-8)
@@ -115,7 +115,9 @@ class TestMklFit:
     def test_dictionary_order_does_not_change_the_fit(self):
         panel = make_panel(t=18, seed=6)
         view = lag_view(panel, 1)
-        cfg = SolverConfig(lam=0.2, max_iter=10_000, tol_primal=1e-10, tol_dual=1e-10)
+        cfg = SolverConfig(
+            lam=0.2, max_iter=10_000, tol_primal=1e-10, tol_dual=1e-10, tol_gap=0.0
+        )
         kms_a = expand_dictionary([LINEAR, GAUSS1], panel, 1)
         kms_b = expand_dictionary([GAUSS1, LINEAR], panel, 1)
         ta, net_a = mkl_fit(view.targets, kms_a, cfg)

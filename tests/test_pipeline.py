@@ -245,9 +245,14 @@ class TestNetworkRoundTrip:
             path.write_text(json.dumps({**header, **bad_header, "edges": [good]}))
             with pytest.raises(ConfigError):
                 load_network(str(path))
-        path.write_text(json.dumps({**header, "lags": -1, "edges": []}))
-        with pytest.raises(ConfigError):
-            load_network(str(path))
+        for bad_header in (
+            {"lags": -1},
+            {"nodes": []},  # ksvar never writes a network without nodes
+            {"tau_alpha": float("inf")},  # written as Infinity
+        ):
+            path.write_text(json.dumps({**header, **bad_header, "edges": []}))
+            with pytest.raises(ConfigError):
+                load_network(str(path))
 
 
 class TestRunPipeline:
@@ -592,6 +597,32 @@ class TestRunPipeline:
         }
         assert not [r for r in caplog.records if r.name == "ksvar"]
 
+    def test_gap_stop_and_rho_are_reported(self, tmp_path, caplog):
+        inp = tmp_path / "panel.csv"
+        write_panel_csv(inp)
+        out = tmp_path / "run"
+        # residual tolerances no fit meets, so only the duality gap stops it
+        cfg = base_config(inp, out, max_iter=2000, tol_primal=1e-300, tol_dual=1e-300)
+        with caplog.at_level(logging.WARNING, logger="ksvar"):
+            manifest = run_pipeline(cfg)
+        [seg] = manifest["segments"]
+        assert seg["rho"] == 10.0 * cfg.lam
+        assert seg["converged"] and seg["relative_gap"] <= 1e-3 < seg["residual_ratio"]
+        assert seg["iterations"] % 10 == 0 and seg["iterations"] < cfg.max_iter
+        tally = manifest["convergence"]
+        assert (tally["converged"], tally["not_converged"]) == (1, [])
+        assert tally["worst_relative_gap"] == seg["relative_gap"]
+        assert not [r for r in caplog.records if r.name == "ksvar"]
+        lines = (out / "seg_000" / "diagnostics.ndjson").read_text().splitlines()
+        summary = json.loads(lines[-1])
+        assert summary["converged"] is True and summary["iterations"] == seg["iterations"]
+        assert summary["relative_gap"] == seg["relative_gap"]
+        # an explicit rho is used as given; a ridge fit has none
+        manifest = run_pipeline(base_config(inp, tmp_path / "pinned", rho=2.0))
+        assert manifest["segments"][0]["rho"] == 2.0
+        manifest = run_pipeline(base_config(inp, tmp_path / "ridge", regularizer="squared"))
+        assert manifest["segments"][0]["rho"] is None
+
     def test_relative_gap_is_reported(self, tmp_path, caplog):
         inp = tmp_path / "panel.csv"
         write_panel_csv(inp, t=100, rate=10.0)
@@ -884,6 +915,19 @@ class TestCli:
         assert res.exit_code == 0, res.output
         assert "density" in res.output
         assert json.loads(cmp_path.read_text())["n_segments"] == {"a": 1, "b": 1}
+
+    def test_infer_tally_counts_gap_stops(self, tmp_path):
+        csv_path = tmp_path / "sim.csv"
+        write_panel_csv(csv_path)
+        out = tmp_path / "run"
+        res = self.invoke(
+            "infer", "-i", str(csv_path), "-o", str(out), "--lag", "1", "--kernel", "linear",
+            "--lam", "0.5", "--tol-primal", "1e-300", "--tol-dual", "1e-300",
+        )
+        assert res.exit_code == 0, res.output
+        assert f"wrote 1 segment(s) to {out}, 1 of 1 converged" in res.output
+        [seg] = json.loads((out / "manifest.json").read_text())["segments"]
+        assert seg["relative_gap"] <= 1e-3 and seg["rho"] == 5.0
 
     def test_infer_reports_convergence_tally(self, tmp_path):
         csv_path = tmp_path / "sim.csv"

@@ -61,7 +61,7 @@ LINEAR = KernelSpec(kind="linear")
 POLY21 = KernelSpec(kind="polynomial", degree=2, offset=1.0)
 GAUSS1 = KernelSpec(kind="gaussian", bandwidth=1.0)
 
-TIGHT = SolverConfig(lam=0.1, max_iter=20_000, tol_primal=1e-10, tol_dual=1e-10)
+TIGHT = SolverConfig(lam=0.1, max_iter=20_000, tol_primal=1e-10, tol_dual=1e-10, tol_gap=0.0)
 
 
 def make_problem(t=14, n=2, lag=1, seed=0, spec=LINEAR):
@@ -81,8 +81,10 @@ def zero_tensor(kms):
 class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig(lam=0.5)
-        assert cfg.rho == 1.0
+        assert cfg.rho is None and cfg.rho_for(0.5) == 5.0 and cfg.rho_for(3.0) == 30.0
+        assert cfg.tol_gap == 1e-3
         assert cfg.regularizer == "group_l1"
+        assert SolverConfig(lam=0.5, rho=2.0).rho_for(3.0) == 2.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -90,6 +92,9 @@ class TestSolverConfig:
             {"lam": -1.0},
             {"lam": np.nan},
             {"lam": 1.0, "rho": 0.0},
+            {"lam": 1.0, "rho": np.inf},
+            {"lam": 1.0, "tol_gap": -1e-3},
+            {"lam": 1.0, "tol_gap": np.nan},
             {"lam": 1.0, "max_iter": 0},
             {"lam": 1.0, "tol_primal": 0.0},
             {"lam": 1.0, "regularizer": "elastic"},
@@ -368,7 +373,7 @@ class TestAdmmFit:
     def test_objective_matches_certified_oracle(self, spec, n, frac):
         vals, view, kms = make_problem(t=16, n=n, seed=13, spec=spec)
         lam = frac * lambda_zero_bound(view.targets, kms)
-        cfg = SolverConfig(lam=lam, max_iter=20_000, tol_primal=1e-10, tol_dual=1e-10)
+        cfg = replace(TIGHT, lam=lam)
         _, _, diag = admm_fit(view.targets, kms, cfg)
         want, gap = group_lasso_objective(vals, 1, [spec], view.targets, lam)
         tol = gap + 1e-7 * (1.0 + abs(want))
@@ -433,7 +438,7 @@ class TestAdmmFit:
         view = lag_view(panel, 1)
         kms = build_kernel_set(view, specs)
         lam = 0.3 * lambda_zero_bound(view.targets, kms)
-        cfg = SolverConfig(lam=lam, max_iter=20_000, tol_primal=1e-10, tol_dual=1e-10)
+        cfg = replace(TIGHT, lam=lam)
         _, _, diag = admm_fit(view.targets, kms, cfg)
         want, gap = group_lasso_objective(vals, 1, specs, view.targets, lam)
         tol = gap + 1e-7 * (1.0 + abs(want))
@@ -522,7 +527,8 @@ class TestDualityGap:
     def test_early_stop_is_within_its_certified_bound(self, spec, rho):
         vals, view, kms = make_problem(t=16, n=3, seed=13, spec=spec)
         lam = 0.3 * lambda_zero_bound(view.targets, kms)
-        _, _, diag = admm_fit(view.targets, kms, SolverConfig(lam=lam, rho=rho, max_iter=20))
+        cfg = SolverConfig(lam=lam, rho=rho, max_iter=10, tol_gap=0.0)
+        _, _, diag = admm_fit(view.targets, kms, cfg)
         specs = spec if isinstance(spec, list) else [spec]
         want, oracle_gap = group_lasso_objective(vals, 1, specs, view.targets, lam)
         excess = diag.final_objective - want
@@ -531,19 +537,39 @@ class TestDualityGap:
         certified = diag.relative_gap * diag.final_objective
         assert -oracle_gap - 1e-9 <= excess <= certified + oracle_gap
 
+    @pytest.mark.parametrize("spec", [LINEAR, [LINEAR, GAUSS1]])
+    def test_gap_stop_is_within_its_certified_bound(self, spec):
+        # residual tolerances no fit meets: only the gap rule can stop it
+        vals, view, kms = make_problem(t=16, n=3, seed=13, spec=spec)
+        lam = 0.3 * lambda_zero_bound(view.targets, kms)
+        cfg = SolverConfig(lam=lam, max_iter=5000, tol_primal=1e-300, tol_dual=1e-300)
+        _, _, diag = admm_fit(view.targets, kms, cfg)
+        assert diag.converged and diag.residual_ratio > 1.0
+        assert diag.iterations % 10 == 0 and diag.iterations < cfg.max_iter
+        # it stops at the first certificate within tol_gap
+        assert diag.relative_gap <= cfg.tol_gap < diag.relative_gaps[diag.iterations - 10]
+        specs = spec if isinstance(spec, list) else [spec]
+        want, oracle_gap = group_lasso_objective(vals, 1, specs, view.targets, lam)
+        excess = diag.final_objective - want
+        assert -oracle_gap - 1e-9 <= excess <= diag.relative_gap * diag.final_objective + oracle_gap
+        # a looser tol_gap stops no later, and tol_gap=0 runs to the cap
+        _, _, loose = admm_fit(view.targets, kms, replace(cfg, tol_gap=1e-2))
+        assert loose.iterations <= diag.iterations and loose.relative_gap <= 1e-2
+        _, _, capped = admm_fit(view.targets, kms, replace(cfg, tol_gap=0.0, max_iter=300))
+        assert not capped.converged and capped.iterations == 300
+
     def test_batched_lambdas_certify_like_separate_runs(self):
         # the last two lambdas converge between checks, the last one first;
         # the first stops at the cap
         _, view, kms = make_problem(t=30, n=3, seed=47)
         grid = lambda_zero_bound(view.targets, kms) * np.array([0.8, 0.5, 0.05])
-        cfg = SolverConfig(lam=1.0, rho=10.0, max_iter=40)
-        system = _FactorSystem(kms, cfg.rho)
-        batched = [diag for _, _, diag in _admm(view.targets, system, grid, cfg)]
+        cfg = SolverConfig(lam=1.0, rho=5.0, max_iter=45, tol_gap=0.0)
+        batched = [diag for _, _, diag in _admm(view.targets, kms, grid, cfg)]
         assert [diag.converged for diag in batched] == [False, True, True]
-        assert batched[2].iterations < batched[1].iterations < 40
+        assert batched[2].iterations < batched[1].iterations < 45
         assert batched[1].iterations % 10 and batched[2].iterations % 10
         for lam, diag in zip(grid, batched):
-            [(_, _, alone)] = _admm(view.targets, system, [lam], cfg)
+            [(_, _, alone)] = _admm(view.targets, kms, [lam], cfg)
             assert diag.iterations == alone.iterations
             assert diag.relative_gaps.keys() == alone.relative_gaps.keys()
             for it, gap in alone.relative_gaps.items():
@@ -679,6 +705,63 @@ class TestSharedSolve:
         diag_blocks = tensor.coeffs[:, 0, np.arange(n), np.arange(n), :]
         assert np.array_equal(diag_blocks, np.zeros_like(diag_blocks))
         assert tensor.block_norms().max() > 0.0
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_penalty_axis_solves_each_penalty(self, case):
+        # one system, three penalties: each slice is its scale times its own solve
+        _, _, kms = make_problem(**self.CASES[case])
+        penalties, scales = [0.5, 3.0, 40.0], [1.6 * 0.5, 1.0, 2.0]
+        system = _FactorSystem(kms, penalties, scale=scales)
+        rng = np.random.default_rng(2)
+        q = system.mask_deleted(rng.normal(size=(3, kms.n_nodes, system.total_rank)))
+        x = system.solve(q)
+        for k, penalty in enumerate(penalties):
+            for j in range(kms.n_nodes):
+                kept = np.setdiff1d(np.arange(system.total_rank), system.deleted[j])
+                a = system.F[:, kept]
+                want = np.zeros(system.total_rank)
+                want[kept] = np.linalg.solve(
+                    a.T @ a + penalty * np.eye(kept.size), q[k, j, kept]
+                )
+                np.testing.assert_allclose(x[k, j], scales[k] * want, rtol=1e-9, atol=1e-10)
+        system.keep([2, 0])
+        np.testing.assert_allclose(system.solve(q[[2, 0]]), x[[2, 0]], rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_admm_follows_the_relaxed_recursion(self, case):
+        # x = (A_j^T A_j + rho I)^{-1} (A_j^T y_j + rho (z_j - u_j)) on each
+        # column's kept blocks, x_hat = alpha x + (1 - alpha) z with
+        # alpha = 1.6, z = shrink(x_hat + u, lam / rho), u = u + x_hat - z
+        _, view, kms = make_problem(**self.CASES[case])
+        lam = 0.2 * lambda_zero_bound(view.targets, kms)
+        cfg = SolverConfig(lam=lam, max_iter=7, tol_gap=0.0)
+        tensor, dual, diag = admm_fit(view.targets, kms, cfg)
+        rho = 10.0 * lam
+        assert diag.rho == rho and diag.iterations == 7
+        f = np.hstack([b.factor for b in kms.blocks])
+        starts = np.concatenate([[0], np.cumsum([b.rank for b in kms.blocks])])
+        z = np.zeros((f.shape[1], kms.n_nodes))
+        u = np.zeros_like(z)
+        for _ in range(7):
+            x = np.zeros_like(z)
+            for j in range(kms.n_nodes):
+                deleted = set(kms.deleted_positions(j))
+                kept = np.concatenate(
+                    [np.arange(starts[p], starts[p + 1]) for p in range(len(kms.blocks))
+                     if p not in deleted]
+                )
+                a = f[:, kept]
+                rhs = a.T @ view.targets[:, j] + rho * (z[kept, j] - u[kept, j])
+                x[kept, j] = np.linalg.solve(a.T @ a + rho * np.eye(kept.size), rhs)
+            v = 1.6 * x + (1.0 - 1.6) * z + u
+            z = np.zeros_like(v)
+            for p in range(len(kms.blocks)):
+                for j in range(kms.n_nodes):
+                    rows = slice(starts[p], starts[p + 1])
+                    z[rows, j] = block_shrinkage(v[rows, j], lam / rho)
+            u = v - z
+        np.testing.assert_allclose(tensor.coords, z, rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(dual.xi, rho * u, rtol=1e-8, atol=1e-9)
 
     def test_zero_lambda_ridge(self):
         # R <= T': plain least squares on each column's kept factors
@@ -924,18 +1007,37 @@ class TestCrossValidate:
         kms = build_kernel_set(lag_view(panel, 1), LINEAR)
         bound = lambda_zero_bound(lag_view(panel, 1).targets, kms)
         grid = [0.005 * bound, 0.5 * bound]
-        cfg = SolverConfig(lam=1.0, rho=100.0, max_iter=40)
+        cfg = SolverConfig(lam=1.0, rho=100.0, max_iter=30, tol_gap=0.0)
         _, table = cross_validate_lambda(panel, kms, grid, 3, cfg)
         want, records = self.per_lambda_reference(panel, kms, grid, 3, cfg)
         for f in range(3):
             _, small = records[0, f]
             large_tensor, large = records[1, f]
-            assert not small.converged and small.iterations == 40
-            assert large.converged and large.iterations < 40
+            assert not small.converged and small.iterations == 30
+            assert large.converged and large.iterations < 30
             # active blocks: iterating past convergence would still move them
             assert large_tensor.block_norms().max() > 0.0
         for gi in range(2):
             np.testing.assert_allclose(table[gi]["fold_errors"], want[gi], rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("spec", [LINEAR, [LINEAR, GAUSS1]])
+    def test_default_rho_follows_each_lambda(self, spec):
+        # rho = 10 lambda: the batch carries one penalty per lambda, and each
+        # lambda leaves it on its own residual or gap test
+        panel = self.make_var_panel()
+        kms = build_kernel_set(lag_view(panel, 1), spec)
+        bound = lambda_zero_bound(lag_view(panel, 1).targets, kms)
+        grid = [0.01 * bound, 0.1 * bound, 0.6 * bound]
+        cfg = SolverConfig(lam=1.0, max_iter=150)
+        assert cfg.rho is None
+        _, table = cross_validate_lambda(panel, kms, grid, 3, cfg)
+        want, records = self.per_lambda_reference(panel, kms, grid, 3, cfg)
+        got = np.array([row["fold_errors"] for row in table])
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+        for (gi, _), (_, diag) in records.items():
+            assert diag.rho == pytest.approx(10.0 * grid[gi], rel=1e-15)
+        stops = {diag.iterations for _, diag in records.values()}
+        assert len(stops) > 1 and min(stops) < cfg.max_iter
 
     def test_group_grid_with_zero_lambda_rejected(self):
         panel = self.make_lagged_panel()
