@@ -16,7 +16,7 @@ immune to the junk directions a near-singular Gram would otherwise inject.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 import numpy as np
@@ -61,19 +61,6 @@ class KernelSpec:
                 raise ConfigError("gaussian kernel needs bandwidth > 0 or 'median'")
         else:
             raise ConfigError(f"unknown kernel kind {self.kind!r}")
-
-    def config_string(self) -> str:
-        if self.kind == "linear":
-            return "linear"
-        if self.kind == "polynomial":
-            return f"poly:d={self.degree},c={_fmt_num(self.offset)}"
-        if self.bandwidth == "median":
-            return "gaussian:sigma=median"
-        return f"gaussian:sigma={_fmt_num(self.bandwidth)}"
-
-
-def _fmt_num(x: float) -> str:
-    return str(int(x)) if float(x) == int(x) else repr(float(x))
 
 
 def parse_kernel_spec(text: str) -> KernelSpec:
@@ -317,6 +304,13 @@ class KernelMatrixSet:
     def deleted_positions(self, j: int) -> list[int]:
         return [self.position(j, 0, p) for p in range(self.n_kernels)]
 
+    def take_rows(self, rows: np.ndarray) -> KernelMatrixSet:
+        """The kernel set restricted to target rows ``rows``: every block keeps
+        those rows of its samples and factor, so B[rows] B[rows]^T is the
+        Gram of the kept samples under the same resolved kernel."""
+        blocks = [replace(b, samples=b.samples[rows], factor=b.factor[rows]) for b in self.blocks]
+        return replace(self, blocks=blocks, n_targets=len(rows))
+
 
 def resolve_bandwidth(spec: KernelSpec, samples: np.ndarray, seed: int = 0) -> KernelSpec:
     """Replace a 'median' bandwidth with its data-driven value."""
@@ -327,47 +321,39 @@ def resolve_bandwidth(spec: KernelSpec, samples: np.ndarray, seed: int = 0) -> K
 
 def build_kernel_set(
     view: LagAlignedView,
-    kernels: KernelSpec | KernelDictionary | list[KernelSpec] | dict,
+    kernels: KernelSpec | KernelDictionary | list[KernelSpec],
     seed: int = 0,
 ) -> KernelMatrixSet:
     """Construct all blocks for a lag-aligned view and a kernel (or dictionary).
 
     Median bandwidths are resolved per (node, lag) series with a seed derived
     from ``seed`` and the block coordinates, so results are reproducible and
-    independent of block construction order.  ``kernels`` may instead map
-    every (node, lag, kernel index) to its own spec, such as the resolved
-    specs of a kernel set built on other rows of the same panel.
+    independent of block construction order.  Model selection fits row
+    subsets of the set this returns (``KernelMatrixSet.take_rows``), so every
+    candidate sees the kernels, bandwidths included, of the full view.
     """
-    if not isinstance(kernels, dict):
-        if isinstance(kernels, KernelSpec):
-            specs = [kernels]
-        elif isinstance(kernels, KernelDictionary):
-            specs = list(kernels.kernels)
-        else:
-            # plain lists skip the dictionary's distinctness rule on purpose:
-            # duplicate entries are legal and simply produce identical stacks
-            specs = list(kernels)
-        kernels = {
-            (i, l, p): spec
-            for l in range(view.lag + 1)
-            for i in range(view.n_nodes)
-            for p, spec in enumerate(specs)
-        }
-    if not kernels:
+    if isinstance(kernels, KernelSpec):
+        specs = [kernels]
+    elif isinstance(kernels, KernelDictionary):
+        specs = list(kernels.kernels)
+    else:
+        # plain lists skip the dictionary's distinctness rule on purpose:
+        # duplicate entries are legal and simply produce identical stacks
+        specs = list(kernels)
+    if not specs:
         raise ConfigError("at least one kernel required")
-    n_kernels = 1 + max(p for _, _, p in kernels)
     blocks = []
     for l in range(view.lag + 1):
         for i in range(view.n_nodes):
             z = view.regressor_series(i, l)
-            for p in range(n_kernels):
+            for p, spec in enumerate(specs):
                 seed_ilp = abs(hash((seed, i, l, p))) % 2**32
-                resolved = resolve_bandwidth(kernels[(i, l, p)], z, seed=seed_ilp)
+                resolved = resolve_bandwidth(spec, z, seed=seed_ilp)
                 blocks.append(_block_from_samples(resolved, z, i, l, p))
     return KernelMatrixSet(
         blocks=blocks,
         n_nodes=view.n_nodes,
         lag=view.lag,
-        n_kernels=n_kernels,
+        n_kernels=len(specs),
         n_targets=view.n_targets,
     )

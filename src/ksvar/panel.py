@@ -9,7 +9,7 @@ have incomplete history and are never targets.
 Contents
 --------
 - TimeSeriesPanel, SegmentationConfig, NoiseModel, LagAlignedView
-- standardize, segment, lag_view, lag_view_for_rows
+- standardize, segment, lag_view
 - read_csv_panel / write_csv_panel (header row = node labels, JSON sidecar
   carries the sample rate)
 """
@@ -112,8 +112,9 @@ class LagAlignedView:
 
     ``targets`` has shape (T', N).  ``regressors`` has shape (L+1, T', N)
     and ``regressors[l][t]`` holds the sample that sits l steps before
-    target row t; the lag-0 slice equals ``targets``.  Views built from
-    disjoint row ranges may be stacked, so T' need not equal T - L.
+    target row t; the lag-0 slice equals ``targets``.  ``lag_view`` builds
+    the view of a whole panel, T' = T - L rows; model selection works on
+    rows of its kernel set rather than on views of other rows.
     """
 
     targets: np.ndarray
@@ -222,50 +223,6 @@ def lag_view(panel: TimeSeriesPanel, lag: int) -> LagAlignedView:
         regressors=regressors,
         node_labels=panel.node_labels,
         lag=lag,
-    )
-
-
-def lag_view_for_rows(
-    panel: TimeSeriesPanel, lag: int, target_rows: np.ndarray
-) -> LagAlignedView:
-    """Lag view restricted to an explicit set of target rows.
-
-    Every requested row must be >= lag so its full history exists.  Used
-    for cross-validation folds, where held-out targets may reach back into
-    training rows for their regressors.
-    """
-    if not isinstance(lag, (int, np.integer)) or lag < 1:
-        raise ConfigError(f"lag must be a positive integer, got {lag!r}")
-    lag = int(lag)
-    rows = np.asarray(target_rows, dtype=int)
-    if rows.size == 0:
-        raise InsufficientSamples("no target rows requested")
-    if rows.min() < lag or rows.max() >= panel.n_samples:
-        raise ShapeMismatch("target rows must lie in [lag, T)")
-    regressors = np.stack([panel.values[rows - l] for l in range(lag + 1)])
-    return LagAlignedView(
-        targets=panel.values[rows],
-        regressors=regressors,
-        node_labels=panel.node_labels,
-        lag=lag,
-    )
-
-
-def stack_views(views: list[LagAlignedView]) -> LagAlignedView:
-    """Concatenate views along the target axis (labels and lag must agree)."""
-    if not views:
-        raise InsufficientSamples("no views to stack")
-    first = views[0]
-    for v in views[1:]:
-        if v.node_labels != first.node_labels:
-            raise LabelMismatch("cannot stack views with different node labels")
-        if v.lag != first.lag:
-            raise ShapeMismatch("cannot stack views with different lags")
-    return LagAlignedView(
-        targets=np.concatenate([v.targets for v in views], axis=0),
-        regressors=np.concatenate([v.regressors for v in views], axis=1),
-        node_labels=first.node_labels,
-        lag=first.lag,
     )
 
 

@@ -23,8 +23,10 @@ import csv
 import json
 import logging
 import os
+import re
+import shutil
 import time
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from itertools import chain
@@ -563,9 +565,10 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     setter.  Artifacts are byte-identical for a fixed BLAS thread count,
     and pooled segments always use one.  No worker outlives the call.
 
-    A ``manifest.json`` or ``error.json`` left in the output directory by
-    an earlier run is removed before anything else.  Any KsvarError or
-    OSError is recorded to ``error.json`` (stage, message, and the
+    The ``manifest.json``, ``error.json``, ``aggregate.json`` and
+    ``seg_NNN`` directories of an earlier run into the output directory
+    are removed before anything else; other files there are kept.  Any
+    KsvarError or OSError is recorded to ``error.json`` (stage, message, and the
     segments whose directories were fully written) before being re-raised,
     so partial runs are inspectable; when a pooled segment fails, the
     segments already running are waited for, every one that finished is
@@ -583,10 +586,13 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     and listed under the manifest's ``warnings``.
     """
     os.makedirs(cfg.output_dir, exist_ok=True)
-    # records of an earlier run into this directory would describe that run
-    for name in ("manifest.json", "error.json"):
-        with suppress(FileNotFoundError):
-            os.remove(os.path.join(cfg.output_dir, name))
+    # artifacts of an earlier run into this directory would describe that run
+    for name in os.listdir(cfg.output_dir):
+        path = os.path.join(cfg.output_dir, name)
+        if name in ("manifest.json", "error.json", "aggregate.json"):
+            os.remove(path)
+        elif re.fullmatch(r"seg_\d{3,}", name) and os.path.isdir(path):
+            shutil.rmtree(path)
     stage = "read input"
     summaries, nets = [], []
     try:

@@ -27,9 +27,11 @@ works node-major, on (K, N, R) arrays whose factor columns are grouped by
 block rank, so block norms and shrinkage are one reduction per distinct
 rank and the solves are plain row-major products; ``_StackedFactor`` owns
 that order and alone converts results to the public (R, N) block order of
-``CoefficientTensor.coords`` and ``DualState``.  Cross-validation
-builds one per fold and runs the whole lambda grid through one batched
-ADMM loop, predicting held-out rows straight from factor coordinates.
+``CoefficientTensor.coords`` and ``DualState``.  Model selection works
+on row subsets of one kernel set (``KernelMatrixSet.take_rows``): each
+cross-validation fold runs the whole lambda grid through one batched ADMM
+loop on its training rows and predicts its held-out rows with the same
+factors' rows.
 Every fit is certified by a duality gap (``FitDiagnostics.relative_gap``):
 its objective exceeds the optimum by at most that share of itself.  ADMM
 is over-relaxed, takes rho = 10 lambda unless told otherwise, and stops
@@ -41,7 +43,7 @@ Contents
 - admm_fit, block_shrinkage
 - ridge_fit (squared RKHS-norm regularizer, closed form)
 - threshold_edges, predict, lambda_zero_bound
-- cross_validate_lambda (contiguous time-block folds), select_lag_bic
+- cross_validate_lambda (h-block time folds), select_lag_bic
 """
 
 from __future__ import annotations
@@ -59,13 +61,7 @@ from .errors import (
     SingularSystem,
 )
 from .kernels import KernelDictionary, KernelMatrixSet, KernelSpec, build_kernel_set, cross_gram
-from .panel import (
-    LagAlignedView,
-    TimeSeriesPanel,
-    lag_view,
-    lag_view_for_rows,
-    stack_views,
-)
+from .panel import LagAlignedView, TimeSeriesPanel, lag_view
 
 _GAP_EVERY = 10  # ADMM iterations between duality-gap certificates
 _JITTER = 1e-10  # stands in for a zero penalty on a rank-deficient factor
@@ -839,42 +835,24 @@ def threshold_edges(
     )
 
 
-def _resolved_specs(kms: KernelMatrixSet) -> dict[tuple[int, int, int], KernelSpec]:
-    specs = {}
-    for block in kms.blocks:
-        if block.spec is None:
-            raise ConfigError(
-                "cross-validation needs kernel blocks that carry their specs"
-            )
-        specs[(block.node, block.lag, block.kernel_index)] = block.spec
-    return specs
+def _fold_rows(n_samples: int, lag: int, folds: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(train, test) rows of a lag-``lag`` kernel set, whose row k is panel
+    row k + lag, per contiguous time block of the panel.
 
-
-def _fold_views(
-    panel: TimeSeriesPanel, lag: int, folds: int
-) -> list[tuple[LagAlignedView, LagAlignedView]]:
-    """(train, test) views per contiguous time-block fold."""
-    t = panel.n_samples
-    chunks = np.array_split(np.arange(t), folds)
+    The test rows are the block's rows with a full history; a training row
+    t has its whole history t - lag..t outside the block (h-block folds,
+    Burman, Chow & Nolan, Biometrika 1994).
+    """
+    targets = np.arange(lag, n_samples)
     out = []
-    for f, chunk in enumerate(chunks):
-        test_rows = chunk[chunk >= lag]
-        if test_rows.size == 0:
+    for f, chunk in enumerate(np.array_split(np.arange(n_samples), folds)):
+        test = chunk[chunk >= lag]
+        if test.size == 0:
             raise InsufficientSamples(f"fold {f} has no usable target rows")
-        train_views = []
-        for run in (np.arange(0, chunk[0]), np.arange(chunk[-1] + 1, t)):
-            if run.size > lag:
-                sub = TimeSeriesPanel(
-                    values=panel.values[run],
-                    node_labels=panel.node_labels,
-                    sample_rate_hz=panel.sample_rate_hz,
-                )
-                train_views.append(lag_view(sub, lag))
-        if not train_views:
+        train = targets[(targets < chunk[0]) | (targets - lag > chunk[-1])]
+        if train.size == 0:
             raise InsufficientSamples(f"fold {f} leaves no training rows")
-        train = train_views[0] if len(train_views) == 1 else stack_views(train_views)
-        test = lag_view_for_rows(panel, lag, test_rows)
-        out.append((train, test))
+        out.append((train - lag, test - lag))
     return out
 
 
@@ -887,13 +865,14 @@ def cross_validate_lambda(
 ) -> tuple[float, list[dict]]:
     """Pick lambda by one-step prediction error on held-out time blocks.
 
-    ``kms`` must be the kernel set built on the full panel; its resolved
-    specs (including data-driven bandwidths) are reused on every fold so
-    all candidates see identical kernels.  Each fold factorizes once: the
-    group-sparse path fits the whole grid in one batched ADMM run (each
-    lambda stopping on its own test, as a separate fit would), the ridge
-    path solves once per lambda, and held-out rows are predicted from
-    factor coordinates.  Ties go to the larger lambda.
+    ``kms`` must be the kernel set of ``lag_view(panel, kms.lag)``; a set of
+    another shape raises ShapeMismatch.  Every fold fits the rows of ``kms``
+    whose history lies outside its block (``kms.take_rows``), so all
+    candidates see the same kernels, data-driven bandwidths included.  Each
+    fold factorizes once: the group-sparse path fits the whole grid in one
+    batched ADMM run (each lambda stopping on its own test, as a separate
+    fit would), the ridge path solves once per lambda, and the held-out
+    rows are predicted as F[test] c.  Ties go to the larger lambda.
     """
     if not grid:
         raise ConfigError("lambda grid must be nonempty")
@@ -905,17 +884,22 @@ def cross_validate_lambda(
     group = cfg.regularizer == "group_l1"
     if group and min(grid) == 0:
         raise ConfigError("group-sparse fitting needs lam > 0")
-    specs = _resolved_specs(kms)
+    if (kms.n_targets, kms.n_nodes) != (panel.n_samples - kms.lag, panel.n_nodes):
+        raise ShapeMismatch(
+            f"kernel set (T'={kms.n_targets}, N={kms.n_nodes}) is not the lag-{kms.lag} "
+            f"set of a panel of shape {panel.values.shape}"
+        )
+    y = panel.values[kms.lag :]
+    basis = np.hstack([b.factor for b in kms.blocks])
     fold_errors = np.zeros((len(grid), folds))
-    for f, (train, test) in enumerate(_fold_views(panel, kms.lag, folds)):
-        kms_train = build_kernel_set(train, specs)
+    for f, (train, test) in enumerate(_fold_rows(panel.n_samples, kms.lag, folds)):
+        kms_train = kms.take_rows(train)
         if group:
-            coords = [gamma for gamma, _, _ in _admm(train.targets, kms_train, grid, cfg)]
+            coords = [gamma for gamma, _, _ in _admm(y[train], kms_train, grid, cfg)]
         else:
-            coords = [_ridge_coordinates(train.targets, kms_train, l) for l in grid]
-        phi = _prediction_map(kms_train, test)
+            coords = [_ridge_coordinates(y[train], kms_train, l) for l in grid]
         for gi, c in enumerate(coords):
-            err = test.targets - phi @ c
+            err = y[test] - basis[test] @ c
             fold_errors[gi, f] = float(np.mean(err * err))
     means = fold_errors.mean(axis=1)
     # ascending scan; ties replace, so equal scores land on the larger lambda
@@ -943,13 +927,15 @@ def select_lag_bic(
 ) -> int:
     """Order selection: ridge fit per candidate lag, scored by BIC.
 
-    ``kernels`` and ``seed`` build each candidate's kernel set as
-    ``build_kernel_set`` does, so a dictionary run scores every kernel it
-    will fit.  Every candidate is fit on the same n target rows, Lmax..T-1
-    for the largest candidate Lmax, so the residual sums compare.  A column's model
-    size is its ridge fit's effective degrees of freedom (ESL eq. 3.50),
-    df_j = sum_i s_i^2 / (s_i^2 + 2 lam) over the singular values s_i of
-    its kept factor Bbar_j, and with m = n N observations
+    Each candidate L is scored with ``build_kernel_set(lag_view(panel, L),
+    kernels, seed=seed)``, the kernel set its final fit would use, median
+    bandwidths included, so a dictionary run scores every kernel it will
+    fit.  Every candidate is fit on that set's rows for the same n panel
+    rows, Lmax..T-1 for the largest candidate Lmax, so the residual sums
+    compare.  A column's model size is its ridge fit's effective degrees
+    of freedom (ESL eq. 3.50), df_j = sum_i s_i^2 / (s_i^2 + 2 lam) over
+    the singular values s_i of its kept factor Bbar_j, and with m = n N
+    observations
 
         BIC = m log(RSS / m) + sum_j df_j log m.
 
@@ -971,9 +957,11 @@ def select_lag_bic(
     best_lag = None
     best_bic = np.inf
     for cand in lags:
-        view = lag_view_for_rows(panel, cand, rows)
-        system = _FactorSystem(build_kernel_set(view, kernels, seed=seed), penalty)
-        resid = system.residual(view.targets, system.solve(system.project(view.targets)))
+        view = lag_view(panel, cand)
+        kept = rows - cand  # the shared panel rows, as rows of this view
+        system = _FactorSystem(build_kernel_set(view, kernels, seed=seed).take_rows(kept), penalty)
+        y = view.targets[kept]
+        resid = system.residual(y, system.solve(system.project(y)))
         rss = float(np.sum(resid * resid))
         df = 0.0
         for deleted in system.deleted:

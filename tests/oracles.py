@@ -16,7 +16,8 @@ blocks of ``unit_tensor``); the dense Gram layout (``kbar``, ``dmat``,
 ``w_stacked``); the Gram-space
 ADMM pieces (``admm_column_update``, ``dual_update``), the objective
 evaluated from coefficient blocks (``objective_value``), the per-block
-cross-Gram ``heldout_prediction`` that cross-validation used, and the
+cross-Gram ``heldout_prediction`` and the per-fold kernel sets
+(``contiguous_fold_errors``) that cross-validation used, and the
 dictionary-fit wrappers ``expand_dictionary``, ``mkl_fit`` and
 ``mkl_fit_with_diagnostics``.
 """
@@ -24,6 +25,7 @@ dictionary-fit wrappers ``expand_dictionary``, ``mkl_fit`` and
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -39,7 +41,7 @@ from ksvar.kernels import (
     build_kernel_set,
     cross_gram,
 )
-from ksvar.panel import TimeSeriesPanel, lag_view
+from ksvar.panel import LagAlignedView, TimeSeriesPanel, lag_view
 from ksvar.solver import (
     CoefficientTensor,
     DualState,
@@ -48,6 +50,7 @@ from ksvar.solver import (
     SolverConfig,
     admm_fit,
     predict,
+    ridge_fit,
     rkhs_block_norms,
     threshold_edges,
 )
@@ -452,6 +455,44 @@ def heldout_prediction(tensor, kms, view) -> np.ndarray:
         kc = cross_gram(block.spec, view.regressor_series(block.node, block.lag), block.samples)
         out += kc @ alpha.T
     return out
+
+
+def contiguous_fold_errors(panel, kernels, lag: int, grid, folds: int, cfg) -> np.ndarray:
+    """Mean squared one-step errors per (lambda, fold), shape (len(grid),
+    folds), as contiguous time-block cross-validation once computed them.
+
+    Each fold builds its own kernel set on its training targets: the rows
+    of the runs before and after the held-out block whose history lies in
+    the same run, stacked.  It fits every lambda separately and predicts
+    the block's rows from ``lag`` on through the cross Gram.  ``kernels``
+    must not ask for a median bandwidth, which each fold's set would
+    resolve on its own rows.
+    """
+
+    def rows_view(rows):
+        return LagAlignedView(
+            targets=panel.values[rows],
+            regressors=np.stack([panel.values[rows - l] for l in range(lag + 1)]),
+            node_labels=panel.node_labels,
+            lag=lag,
+        )
+
+    t = panel.n_samples
+    errors = np.zeros((len(grid), folds))
+    for f, chunk in enumerate(np.array_split(np.arange(t), folds)):
+        runs = (np.arange(0, chunk[0]), np.arange(chunk[-1] + 1, t))
+        train = rows_view(np.concatenate([run[lag:] for run in runs]))
+        test = rows_view(chunk[chunk >= lag])
+        kms = build_kernel_set(train, kernels)
+        for gi, lam in enumerate(grid):
+            fit_cfg = replace(cfg, lam=lam)
+            if cfg.regularizer == "squared":
+                tensor = ridge_fit(train.targets, kms, fit_cfg)
+            else:
+                tensor, _, _ = admm_fit(train.targets, kms, fit_cfg)
+            err = test.targets - heldout_prediction(tensor, kms, test)
+            errors[gi, f] = np.mean(err * err)
+    return errors
 
 
 # ---------------------------------------------------------------------------

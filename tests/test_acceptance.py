@@ -376,7 +376,7 @@ def test_criterion_08(capsys):
 def test_criterion_09(capsys):
     # per-iteration cost after factorization caching grows about
     # linearly with the node count
-    def per_iter_seconds(n_nodes: int, seed: int) -> float:
+    def problem(n_nodes: int, seed: int):
         rng = np.random.default_rng(seed)
         panel = TimeSeriesPanel(
             values=rng.normal(size=(51, n_nodes)),
@@ -384,28 +384,31 @@ def test_criterion_09(capsys):
             sample_rate_hz=1.0,
         )
         view = lag_view(panel, 1)
-        kms = build_kernel_set(view, LINEAR)
-        times = {}
-        for iters in (50, 250):
-            cfg = SolverConfig(
-                lam=1e-4, rho=1.0, max_iter=iters, tol_primal=1e-300, tol_dual=1e-300,
-                tol_gap=0.0,
-            )
-            # a single fit lasts tens of ms, short enough for a swing in
-            # processor speed to distort it; the fastest of three is not
-            best = np.inf
-            for _ in range(3):
-                start = time.perf_counter()
-                admm_fit(view.targets, kms, cfg)
-                best = min(best, time.perf_counter() - start)
-            times[iters] = best
-        return (times[250] - times[50]) / 200.0
+        return view.targets, build_kernel_set(view, LINEAR)
 
-    # interleaved, so a slow stretch of the machine hits both sizes alike
+    caps = (50, 250)
+    cfgs = {
+        iters: SolverConfig(
+            lam=1e-4, rho=1.0, max_iter=iters, tol_primal=1e-300, tol_dual=1e-300, tol_gap=0.0
+        )
+        for iters in caps
+    }
     small, big = [], []
     for rep in range(5):
-        small.append(per_iter_seconds(20, seed=rep))
-        big.append(per_iter_seconds(40, seed=100 + rep))
+        problems = {20: problem(20, seed=rep), 40: problem(40, seed=100 + rep)}
+        best = dict.fromkeys([(n, iters) for n in problems for iters in caps], np.inf)
+        # a single fit lasts tens of ms, short enough for a swing in processor
+        # speed to distort it, so each time is the fastest of three; the fits
+        # of both sizes and both caps take turns, so a slow stretch of the
+        # machine hits them alike
+        for _ in range(3):
+            for iters in caps:
+                for n, (targets, kms) in problems.items():
+                    start = time.perf_counter()
+                    admm_fit(targets, kms, cfgs[iters])
+                    best[n, iters] = min(best[n, iters], time.perf_counter() - start)
+        small.append((best[20, 250] - best[20, 50]) / 200.0)
+        big.append((best[40, 250] - best[40, 50]) / 200.0)
     ratio = float(np.median(big) / np.median(small))
     ok = 1.5 <= ratio <= 3.0
     report_line(

@@ -18,10 +18,8 @@ from ksvar.panel import (
     SegmentationConfig,
     TimeSeriesPanel,
     lag_view,
-    lag_view_for_rows,
     read_csv_panel,
     segment,
-    stack_views,
     standardize,
     write_csv_panel,
 )
@@ -191,48 +189,6 @@ class TestLagView:
                 node_labels=("a", "b"),
                 lag=1,
             )
-
-
-class TestLagViewForRows:
-    def test_matches_full_view_on_tail_rows(self):
-        rng = np.random.default_rng(9)
-        panel = make_panel(rng.normal(size=(20, 3)))
-        full = lag_view(panel, 2)
-        sub = lag_view_for_rows(panel, 2, np.arange(2, 20))
-        assert np.array_equal(sub.targets, full.targets)
-        assert np.array_equal(sub.regressors, full.regressors)
-
-    def test_rejects_rows_without_history(self):
-        panel = make_panel(np.zeros((10, 2)))
-        with pytest.raises(ShapeMismatch):
-            lag_view_for_rows(panel, 2, np.array([1, 5]))
-
-    def test_scattered_rows(self):
-        vals = np.arange(24.0).reshape(12, 2)
-        panel = make_panel(vals)
-        view = lag_view_for_rows(panel, 1, np.array([3, 7, 11]))
-        assert np.array_equal(view.targets, vals[[3, 7, 11]])
-        assert np.array_equal(view.regressors[1], vals[[2, 6, 10]])
-
-
-class TestStackViews:
-    def test_concatenates(self):
-        rng = np.random.default_rng(3)
-        p1 = make_panel(rng.normal(size=(8, 2)))
-        p2 = make_panel(rng.normal(size=(6, 2)))
-        v1, v2 = lag_view(p1, 1), lag_view(p2, 1)
-        stacked = stack_views([v1, v2])
-        assert stacked.n_targets == v1.n_targets + v2.n_targets
-        assert np.array_equal(stacked.targets[: v1.n_targets], v1.targets)
-        assert np.array_equal(stacked.regressors[:, v1.n_targets :], v2.regressors)
-
-    def test_label_mismatch(self):
-        v1 = lag_view(make_panel(np.zeros((5, 2)) + np.arange(5)[:, None]), 1)
-        v2 = lag_view(
-            make_panel(np.ones((5, 2)) * np.arange(5)[:, None], labels=("x", "y")), 1
-        )
-        with pytest.raises(LabelMismatch):
-            stack_views([v1, v2])
 
 
 class TestCsvRoundTrip:

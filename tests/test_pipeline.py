@@ -929,6 +929,36 @@ class TestCli:
         [seg] = json.loads((out / "manifest.json").read_text())["segments"]
         assert seg["relative_gap"] <= 1e-3 and seg["rho"] == 5.0
 
+    def test_rerun_removes_the_earlier_runs_artifacts(self, tmp_path):
+        csv_path = tmp_path / "sim.csv"
+        res = self.invoke(
+            "synth", "-o", str(csv_path), "--nodes", "4", "--samples", "200", "--density", "0.3"
+        )
+        assert res.exit_code == 0, res.output
+        out = tmp_path / "run"
+        (out / "seg_notes").mkdir(parents=True)
+        (out / "notes.txt").write_text("kept\n")
+        res = self.invoke(
+            "infer", "-i", str(csv_path), "-o", str(out), "--lag", "1", "--window", "40",
+            "--dictionary", "linear", "--dictionary", "gaussian:sigma=median",
+            "--lambda-grid", "0.5,1,2", "--aggregate", "union",
+        )
+        assert res.exit_code == 0, res.output
+        assert (out / "aggregate.json").exists() and (out / "seg_004" / "cv.json").exists()
+        res = self.invoke(
+            "infer", "-i", str(csv_path), "-o", str(out), "--lag", "1", "--window", "100",
+            "--kernel", "linear", "--lam", "0.5",
+        )
+        assert res.exit_code == 0, res.output
+        assert json.loads((out / "manifest.json").read_text())["n_segments"] == 2
+        seg_files = ["diagnostics.ndjson", "edges.json", "metrics.csv", "metrics.json"]
+        assert sorted(tree_bytes(out)) == sorted(
+            ["manifest.json", "notes.txt"]
+            + [f"{seg}/{name}" for seg in ("seg_000", "seg_001") for name in seg_files]
+        )
+        assert (out / "notes.txt").read_text() == "kept\n"
+        assert (out / "seg_notes").is_dir()
+
     def test_infer_reports_convergence_tally(self, tmp_path):
         csv_path = tmp_path / "sim.csv"
         write_panel_csv(csv_path)

@@ -3,6 +3,8 @@
 import tracemalloc
 from dataclasses import replace
 
+import ksvar.solver
+
 import numpy as np
 import pytest
 
@@ -23,8 +25,7 @@ from ksvar.solver import (
     _admm,
     _certificate,
     _FactorSystem,
-    _fold_views,
-    _resolved_specs,
+    _fold_rows,
     _StackedFactor,
     admm_fit,
     block_shrinkage,
@@ -41,6 +42,7 @@ from oracles import (
     admm_column_update,
     assemble,
     column_designs,
+    contiguous_fold_errors,
     dmat_deleted,
     dsqrt,
     dual_update,
@@ -957,24 +959,76 @@ class TestCrossValidate:
         return TimeSeriesPanel(values=y, node_labels=("a", "b", "c"), sample_rate_hz=1.0)
 
     def per_lambda_reference(self, panel, kms, grid, folds, cfg):
-        """Fold errors of one separate fit per (fold, lambda), predicted block
-        by block through the cross Gram, with each group-sparse fit's
-        (tensor, diagnostics)."""
-        specs = _resolved_specs(kms)
+        """Fold errors of one separate fit per (fold, lambda) on the fold's
+        training rows of ``kms``, its held-out rows predicted by ``predict``
+        on their rows of ``kms``, with each group-sparse fit's (tensor,
+        diagnostics)."""
+        y = lag_view(panel, kms.lag).targets
         errors = np.zeros((len(grid), folds))
         records = {}
-        for f, (train, test) in enumerate(_fold_views(panel, kms.lag, folds)):
-            kms_train = build_kernel_set(train, specs)
+        for f, (train, test) in enumerate(_fold_rows(panel.n_samples, kms.lag, folds)):
+            kms_train, kms_test = kms.take_rows(train), kms.take_rows(test)
             for gi, lam in enumerate(grid):
                 fit_cfg = replace(cfg, lam=lam)
                 if cfg.regularizer == "squared":
-                    tensor = ridge_fit(train.targets, kms_train, fit_cfg)
+                    tensor = ridge_fit(y[train], kms_train, fit_cfg)
                 else:
-                    tensor, _, diag = admm_fit(train.targets, kms_train, fit_cfg)
+                    tensor, _, diag = admm_fit(y[train], kms_train, fit_cfg)
                     records[gi, f] = tensor, diag
-                err = test.targets - heldout_prediction(tensor, kms_train, test)
+                err = y[test] - predict(replace(tensor, kernels=kms_test), kms_test)
                 errors[gi, f] = np.mean(err * err)
         return errors, records
+
+    @pytest.mark.parametrize("t", [8, 23, 60])
+    @pytest.mark.parametrize("lag", [1, 2, 3])
+    @pytest.mark.parametrize("folds", [2, 3, 5])
+    def test_fold_rows_match_their_definition(self, t, lag, folds):
+        # row k of a lag-L kernel set is panel row k + L; a fold holds out
+        # its block's rows and trains on the rows whose history t-L..t
+        # misses the block
+        want = []
+        for chunk in np.array_split(np.arange(t), folds):
+            block = set(chunk.tolist())
+            test = [r - lag for r in chunk.tolist() if r >= lag]
+            train = [
+                r - lag for r in range(lag, t) if block.isdisjoint(range(r - lag, r + 1))
+            ]
+            want.append((train, test))
+        if any(not train or not test for train, test in want):
+            with pytest.raises(InsufficientSamples):
+                _fold_rows(t, lag, folds)
+            return
+        got = _fold_rows(t, lag, folds)
+        assert [(a.tolist(), b.tolist()) for a, b in got] == want
+
+    @pytest.mark.parametrize("regularizer", ["group_l1", "squared"])
+    def test_linear_folds_match_contiguous_views(self, regularizer):
+        # with a linear kernel the rows of the full set are exactly what
+        # per-fold kernel sets over the stacked training runs were, and
+        # F[test] c is the cross-Gram prediction
+        panel = self.make_var_panel()
+        kms = build_kernel_set(lag_view(panel, 2), LINEAR)
+        bound = lambda_zero_bound(lag_view(panel, 2).targets, kms)
+        grid = [0.02 * bound, 0.1 * bound, 0.4 * bound]
+        cfg = SolverConfig(lam=1.0, rho=30.0, max_iter=120, regularizer=regularizer)
+        _, table = cross_validate_lambda(panel, kms, grid, 4, cfg)
+        want = contiguous_fold_errors(panel, LINEAR, 2, grid, 4, cfg)
+        got = np.array([row["fold_errors"] for row in table])
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+    def test_kernel_set_of_another_panel_rejected(self):
+        panel = self.make_var_panel()
+        cfg = SolverConfig(lam=1.0)
+        shorter = TimeSeriesPanel(
+            values=panel.values[:50], node_labels=panel.node_labels, sample_rate_hz=1.0
+        )
+        fewer = TimeSeriesPanel(
+            values=panel.values[:, :2], node_labels=panel.node_labels[:2], sample_rate_hz=1.0
+        )
+        for other in (shorter, fewer):
+            kms = build_kernel_set(lag_view(other, 1), LINEAR)
+            with pytest.raises(ShapeMismatch):
+                cross_validate_lambda(panel, kms, [0.5], 3, cfg)
 
     @pytest.mark.parametrize(
         "spec, regularizer",
@@ -1086,6 +1140,31 @@ class TestSelectLagBic:
         gauss = KernelSpec(kind="gaussian", bandwidth="median")
         assert select_lag_bic(panel, LINEAR, [1, 2, 3], cfg) == 1
         assert select_lag_bic(panel, [LINEAR, gauss], [1, 2, 3], cfg, seed=3) == 2
+
+    def test_candidates_use_their_full_view_bandwidths(self, monkeypatch):
+        # each candidate is scored with the kernels its final fit would use:
+        # the median bandwidths of its whole lag view, not of the shared rows
+        rng = np.random.default_rng(5)
+        panel = TimeSeriesPanel(
+            values=rng.normal(size=(40, 2)), node_labels=("a", "b"), sample_rate_hz=1.0
+        )
+        kernels = [LINEAR, KernelSpec(kind="gaussian", bandwidth="median")]
+        seen = []
+
+        class Recording(_FactorSystem):
+            def __init__(self, kms, *args, **kwargs):
+                seen.append(kms)
+                super().__init__(kms, *args, **kwargs)
+
+        monkeypatch.setattr(ksvar.solver, "_FactorSystem", Recording)
+        select_lag_bic(panel, kernels, [1, 2, 3], SolverConfig(lam=0.5), seed=4)
+        assert [kms.lag for kms in seen] == [1, 2, 3]
+        for kms in seen:
+            full = build_kernel_set(lag_view(panel, kms.lag), kernels, seed=4)
+            assert [b.spec for b in kms.blocks] == [b.spec for b in full.blocks]
+            assert kms.n_targets == 40 - 3
+            for got, want in zip(kms.blocks, full.blocks):
+                np.testing.assert_array_equal(got.factor, want.factor[3 - kms.lag :])
 
     def test_rejects_lag_not_below_sample_count(self):
         panel = self.lagged_panel(t=10)
