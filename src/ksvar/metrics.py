@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from math import lcm
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ShapeMismatch
 from .solver import EffectiveNetwork
@@ -26,8 +25,8 @@ CONVENTIONS = (
     "from paths and degrees and reported as self_loop_count"
 )
 
-# path counts and their sums stay int64 while they provably stay below this
-_INT64_SAFE = 2**62
+_INT64_SAFE = 2**62  # path counts and their sums stay int64 below this
+_FLOAT_EXACT = 2**53  # float64 holds every integer below this
 
 
 def _digraph(net: EffectiveNetwork) -> np.ndarray:
@@ -53,22 +52,22 @@ def _shortest_paths(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distance and number of shortest paths for every ordered pair.
 
     Breadth-first from all sources at once: the counts of the pairs first
-    reached at one level, times the int64 adjacency, give those first
-    reached at the next.  ``dist`` is -1 and ``count`` 0 where no path
-    exists.  Before a product could pass ``_INT64_SAFE`` (largest count
-    times largest in-degree) the counts move to Python ints.
+    reached at one level, times the adjacency, give those first reached at
+    the next; ``dist`` is -1 and ``count`` 0 where no path exists.  Products
+    are float64, exact below ``_FLOAT_EXACT`` = 2**53: before the largest
+    count times the largest in-degree could pass it, counts become Python ints.
     """
     n = adj.shape[0]
-    step = sparse.csr_array(adj, dtype=np.int64)
+    step = adj.astype(float)
     max_in = int(adj.sum(axis=0).max(initial=0))
     count = np.eye(n, dtype=np.int64)
     dist = np.where(count == 1, 0, -1)
     frontier, level = count, 0
     while True:
-        if count.dtype != object and int(frontier.max(initial=0)) * max_in >= _INT64_SAFE:
+        if count.dtype != object and int(frontier.max(initial=0)) * max_in >= _FLOAT_EXACT:
             step = adj.astype(object)
             frontier, count = frontier.astype(object), count.astype(object)
-        frontier = frontier @ step
+        frontier = (frontier @ step).astype(count.dtype)
         frontier[dist >= 0] = 0
         reached = frontier > 0
         if not reached.any():

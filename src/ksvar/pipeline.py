@@ -2,9 +2,9 @@
 
 Artifacts land under the output directory:
 
-    manifest.json                run summary; config echo, versions, choices,
-                                 worker count, stage timings, convergence
-                                 tally, warnings
+    manifest.json                run summary; config echo, ksvar and numpy
+                                 versions, choices, worker count, stage
+                                 timings, convergence tally, warnings
     seg_000/edges.json           every nonzero block norm, with the threshold
     seg_000/metrics.json|csv     topology report of the thresholded network
     seg_000/diagnostics.ndjson   solver residual trace, duality gap at checks
@@ -32,7 +32,6 @@ from datetime import datetime, timezone
 from itertools import chain
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .errors import ConfigError, KsvarError, LabelMismatch, ShapeMismatch
@@ -415,8 +414,9 @@ def _process_segment(idx: int, seg_panel: TimeSeriesPanel, cfg: PipelineConfig, 
     return summary, net
 
 
-# thread-count setters by library: the first one a loaded library exports
-# is used; numpy's and scipy's wheels bundle suffixed OpenBLAS builds
+# thread-count setters by library, the first one exported wins: numpy bundles
+# scipy_openblas64_, and scipy's scipy_openblas stays for a caller that loads
+# scipy before the pool forks
 _BLAS_SETTERS = {
     "openblas": (
         "scipy_openblas_set_num_threads64_",
@@ -491,8 +491,8 @@ def _fit_in_pool(panels: list[TimeSeriesPanel], cfg: PipelineConfig, workers: in
     import multiprocessing
     from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 
-    # fork, because a spawned worker would import numpy, scipy and ksvar
-    # again, which costs more than a whole short segment fit
+    # fork, because a spawned worker would import numpy and ksvar again,
+    # which costs more than a whole short segment fit
     pool = ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),
@@ -639,11 +639,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         manifest = {
             "schema_version": SCHEMA_VERSION,
             "created_utc": datetime.now(timezone.utc).isoformat(),
-            "versions": {
-                "ksvar": __version__,
-                "numpy": np.__version__,
-                "scipy": scipy.__version__,
-            },
+            "versions": {"ksvar": __version__, "numpy": np.__version__},
             "seed": cfg.seed,
             "config": cfg.to_dict(),
             "n_segments": len(summaries),
@@ -702,19 +698,42 @@ def _read_run_metrics(run_dir: str) -> tuple[list[str], list[dict]]:
     segments = manifest.get("segments") if isinstance(manifest, dict) else None
     if not isinstance(segments, list):
         raise ConfigError(f"{manifest_path} is not a JSON object with a list of segments")
-    reports = []
+    reports, labels = [], None
     for seg in segments:
         if not isinstance(seg, dict) or not isinstance(seg.get("name"), str):
             raise ConfigError(f"{manifest_path} lists a segment without a name: {seg!r}")
         report_path = os.path.join(run_dir, seg["name"], "metrics.json")
         if not os.path.exists(report_path):
             raise ConfigError(f"{run_dir} lists segment {seg['name']} but has no {report_path}")
-        with open(report_path) as handle:
-            reports.append(json.load(handle))
+        reports.append(_read_report(report_path, labels))
+        labels = labels or list(reports[0]["nodes"])
     if not reports:
         raise ConfigError(f"{run_dir} contains no segments")
-    labels = list(reports[0]["nodes"])
     return labels, reports
+
+
+def _read_report(path: str, labels: list[str] | None) -> dict:
+    """The metrics report at ``path``; ConfigError unless its ``nodes`` give
+    each of ``labels`` (of its own nodes when falsy) every one of
+    ``PER_NODE_METRICS`` and its ``global`` every one of ``GLOBAL_METRICS``,
+    all as numbers."""
+    with open(path) as handle:
+        report = json.load(handle)
+    nodes = report.get("nodes") if isinstance(report, dict) else None
+
+    def numbers(table, keys) -> bool:
+        return isinstance(table, dict) and all(isinstance(table.get(k), (int, float)) for k in keys)
+
+    if not (
+        isinstance(nodes, dict)
+        and all(numbers(nodes.get(label), PER_NODE_METRICS) for label in labels or nodes)
+        and numbers(report.get("global"), GLOBAL_METRICS)
+    ):
+        raise ConfigError(
+            f"{path} is not a metrics report: each node of the run needs {', '.join(PER_NODE_METRICS)}"
+            f" and 'global' needs {', '.join(GLOBAL_METRICS)}"
+        )
+    return report
 
 
 def _mean_per_node(reports: list[dict], labels: list[str], metric: str) -> list[float]:

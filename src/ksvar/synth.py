@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ConfigError, NonFinite, ShapeMismatch
 from .panel import NoiseModel, TimeSeriesPanel
@@ -306,6 +305,13 @@ def simulate(truth: GroundTruth, cfg: SynthConfig) -> TimeSeriesPanel:
     )
 
 
+def _average_ranks(scores: np.ndarray) -> np.ndarray:
+    """1-based ranks; a tie group over ranks a..b shares (a + b) / 2, which is
+    exact in float64."""
+    _, inv, cnt = np.unique(scores, return_inverse=True, return_counts=True)
+    return (np.cumsum(cnt) - (cnt - 1) / 2)[inv]
+
+
 def score_recovery(est: EffectiveNetwork, truth: GroundTruth) -> RecoveryScore:
     """Confusion counts and ranking quality over ordered off-diagonal pairs.
 
@@ -330,11 +336,10 @@ def score_recovery(est: EffectiveNetwork, truth: GroundTruth) -> RecoveryScore:
     f1 = 2 * precision * recall / (precision + recall) if (precision + recall) else 0.0
     n_pos = int(true_edges.sum())
     n_neg = true_edges.size - n_pos
+    auc = 0.5
     if n_pos and n_neg:
-        ranks = rankdata(scores)
-        auc = (float(ranks[true_edges].sum()) - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
-    else:
-        auc = 0.5
+        rank_sum = float(_average_ranks(scores)[true_edges].sum())
+        auc = (rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
     return RecoveryScore(
         precision=precision,
         recall=recall,

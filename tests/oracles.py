@@ -629,6 +629,15 @@ def _bfs(adj_lists: list[np.ndarray], source: int, n: int):
     return dist, sigma, order
 
 
+def bf_shortest_paths(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distance and shortest-path count of every ordered pair, by one BFS
+    per source in Python ints."""
+    n = adj.shape[0]
+    adj_lists = [np.flatnonzero(adj[v]) for v in range(n)]
+    rows = [_bfs(adj_lists, s, n) for s in range(n)]
+    return np.array([dist for dist, _, _ in rows]), np.array([sigma for _, sigma, _ in rows])
+
+
 def brandes_betweenness(adj: np.ndarray) -> np.ndarray:
     """Brandes's per-source dependency accumulation in exact ``Fraction``
     arithmetic, on a boolean adjacency without self-loops; fast enough

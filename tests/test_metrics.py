@@ -7,6 +7,7 @@ from ksvar.errors import ShapeMismatch
 from ksvar.metrics import (
     CONVENTIONS,
     MetricsReport,
+    _shortest_paths,
     betweenness,
     closeness,
     clustering,
@@ -21,6 +22,7 @@ from oracles import (
     bf_components,
     bf_diameter,
     bf_report,
+    bf_shortest_paths,
     brandes_betweenness,
 )
 
@@ -234,6 +236,16 @@ class TestExactAgainstReferences:
     def test_path_counts_past_int64(self):
         # 2**64 shortest source-to-sink paths: int64 arithmetic would wrap
         self.assert_exact(layered_chain(2, 64))
+
+    def test_path_counts_past_float64(self):
+        # 3**34 shortest source-to-sink paths: an odd count above 2**53,
+        # which a float64 product would round
+        adj = layered_chain(3, 34)
+        dist, count = _shortest_paths(adj)
+        want_dist, want_count = bf_shortest_paths(adj)
+        assert count[0, -1] == 3**34
+        assert np.array_equal(dist, want_dist)
+        assert np.array_equal(count, want_count)
 
     def test_path_count_sums_past_int64(self):
         # every count fits int64 (2**59 at most), but a node's sums of

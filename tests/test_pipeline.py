@@ -4,6 +4,8 @@ import json
 import logging
 import multiprocessing
 import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -844,10 +846,67 @@ class TestCompareRuns:
         with pytest.raises(ConfigError, match="seg_000"):
             compare_runs(str(self.run_once(tmp_path, "b5")), str(a))
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda rep: [1],
+            lambda rep: rep["global"].pop("diameter"),
+            lambda rep: rep.pop("global"),
+            lambda rep: rep["nodes"].pop(next(iter(rep["nodes"]))),
+            lambda rep: rep["nodes"][next(iter(rep["nodes"]))].update(closeness=None),
+            lambda rep: rep.update(nodes=[]),
+        ],
+        ids=["list", "no-diameter", "no-global", "missing-node", "null-metric", "nodes-list"],
+    )
+    def test_malformed_segment_report_rejected(self, tmp_path, damage):
+        # the second of two segments, so a missing node is not a label mismatch
+        a = self.run_once(tmp_path, "a6", window_s=30.0)
+        b = self.run_once(tmp_path, "b6", window_s=30.0)
+        path = b / "seg_001" / "metrics.json"
+        report = json.loads(path.read_text())
+        damaged = damage(report)
+        path.write_text(json.dumps(damaged if isinstance(damaged, list) else report))
+        with pytest.raises(ConfigError, match="seg_001"):
+            compare_runs(str(a), str(b))
+        with pytest.raises(ConfigError, match="seg_001"):
+            compare_runs(str(b), str(a))
+
 
 class TestCli:
     def invoke(self, *args):
         return CliRunner().invoke(cli_main, list(args))
+
+    def test_import_loads_no_scipy(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        code = "import sys, ksvar, ksvar.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("damage", ["no-diameter", "list"])
+    def test_compare_malformed_report_fails_cleanly(self, tmp_path, damage):
+        csv_path = tmp_path / "sim.csv"
+        write_panel_csv(csv_path)
+        runs = []
+        for name in ("a", "b"):
+            res = self.invoke(
+                "infer", "-i", str(csv_path), "-o", str(tmp_path / name),
+                "--lag", "1", "--kernel", "linear", "--lam", "0.5",
+            )
+            assert res.exit_code == 0, res.output
+            runs.append(str(tmp_path / name))
+        path = tmp_path / "b" / "seg_000" / "metrics.json"
+        report = json.loads(path.read_text())
+        del report["global"]["diameter"]
+        path.write_text(json.dumps({"no-diameter": report, "list": [1]}[damage]))
+        res = self.invoke("compare", *runs)
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        [line] = res.stderr.splitlines()
+        assert line.startswith(f"error: ConfigError: {path} is not a metrics report")
+        assert "Traceback" not in res.output
 
     def test_readme_library_example_runs(self, tmp_path, monkeypatch, capsys):
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")

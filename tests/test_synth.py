@@ -11,6 +11,7 @@ from ksvar.synth import (
     GroundTruth,
     RecoveryScore,
     SynthConfig,
+    _average_ranks,
     generate_truth,
     score_recovery,
     simulate,
@@ -277,6 +278,34 @@ class TestScoreRecovery:
         weights = rng.random((2, 5, 5))
         score = score_recovery(net_from_weights(weights, tau=0.5), truth)
         assert 0.0 <= score.auc <= 1.0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_average_ranks_match_their_definition(self, seed):
+        # each value's rank is the mean of the 1-based positions it takes
+        # in the sorted order
+        rng = np.random.default_rng(seed)
+        scores = rng.integers(0, 6, size=int(rng.integers(1, 40))) / 4
+        order = sorted(scores)
+        want = [np.mean([p + 1 for p, v in enumerate(order) if v == s]) for s in scores]
+        assert np.array_equal(_average_ranks(scores), want)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_auc_with_ties_is_the_pairwise_count(self, seed):
+        # wins plus half the ties over all (true, false) pairs of edges
+        rng = np.random.default_rng(seed)
+        n = 6
+        coeffs = np.where(rng.random((2, n, n)) < 0.3, 0.8, 0.0)
+        coeffs[:, np.arange(n), np.arange(n)] = 0.0
+        truth = GroundTruth(coefficients=coeffs, permutation=np.arange(n), coupling="linear")
+        weights = rng.integers(0, 4, size=(2, n, n)) / 2
+        off = ~np.eye(n, dtype=bool)
+        scores, positive = weights.max(axis=0)[off], truth.supports.any(axis=0)[off]
+        pos, neg = scores[positive], scores[~positive]
+        assert len(pos) and len(neg) and len(np.unique(scores)) < len(scores)
+        pairs = (pos[:, None] > neg[None, :]) + 0.5 * (pos[:, None] == neg[None, :])
+        want = float(pairs.sum()) / (len(pos) * len(neg))
+        auc = score_recovery(net_from_weights(weights), truth).auc
+        assert auc == pytest.approx(want, abs=1e-12, rel=0)
 
     def test_node_count_mismatch_rejected(self):
         truth = generate_truth(cfg_with(seed=23))
