@@ -96,7 +96,7 @@ def infer(config_path, **overrides) -> None:
         else:
             cfg = PipelineConfig.from_dict({k: v for k, v in overrides.items() if v is not None})
         manifest = run_pipeline(cfg)
-    except (KsvarError, OSError, json.JSONDecodeError) as exc:
+    except (KsvarError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         _fail(exc)
     tally = manifest["convergence"]
     click.echo(
@@ -174,7 +174,7 @@ def metrics(edges_json, output, csv_path) -> None:
         if csv_path:
             with _atomic_open(csv_path, newline="") as handle:
                 csv.writer(handle).writerows(report.to_csv_rows())
-    except (KsvarError, OSError, json.JSONDecodeError) as exc:
+    except (KsvarError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         _fail(exc)
 
 
@@ -186,7 +186,7 @@ def compare(dir_a, dir_b, output) -> None:
     """Global and per-node metric deltas between two finished runs."""
     try:
         result = compare_runs(dir_a, dir_b)
-    except (KsvarError, OSError, json.JSONDecodeError) as exc:
+    except (KsvarError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         _fail(exc)
     width = max(len(r["metric"]) for r in result["global"])
     click.echo(f"{'metric':<{width}}  {'run A':>12}  {'run B':>12}  {'delta':>12}")

@@ -9,9 +9,12 @@ Every block carries a factor B with B @ B.T equal to its Gram up to the
 directions below ``RANK_RTOL``; no block keeps its Gram.  Linear and
 polynomial kernels get exact finite feature maps; the Gaussian kernel gets
 a pivoted-Cholesky factor, trimmed to the rank and spectrum of the
-truncated eigenfactor, without its T'xT' Gram ever being formed.  The
-solvers work in factor coordinates throughout, which is both faster and
-immune to the junk directions a near-singular Gram would otherwise inject.
+truncated eigenfactor, without its T'xT' Gram ever being formed.  All
+Gaussian blocks of a set share T', so they pivot in lockstep, one batched
+step per pivot, each block under its own bandwidth and stopping on its own
+rule (``_gaussian_factors``).  The solvers work in factor coordinates
+throughout, which is both faster and immune to the junk directions a
+near-singular Gram would otherwise inject.
 """
 
 from __future__ import annotations
@@ -148,12 +151,16 @@ def cross_gram(spec: KernelSpec, new_samples: np.ndarray, ref_samples: np.ndarra
     )
 
 
-def median_bandwidth(series: np.ndarray, max_pairs: int = 1000, seed: int = 0) -> float:
+def median_bandwidth(
+    series: np.ndarray, max_pairs: int = 1000, seed: int | list[int] = 0
+) -> float:
     """Median absolute pairwise difference over at most ``max_pairs`` pairs.
 
     Exact when the series is short enough to enumerate every pair; larger
-    series are subsampled with the given seed.  When duplicates drive the
-    median to zero, the smallest positive difference is used instead.
+    series are subsampled with ``np.random.default_rng(seed)``, so a list
+    of ints seeds through ``np.random.SeedSequence(seed)``.  When duplicates
+    drive the median to zero, the smallest positive difference is used
+    instead.
     """
     z = np.asarray(series, dtype=float)
     if z.ndim != 1 or np.unique(z).size < 2:
@@ -219,57 +226,63 @@ class KernelBlock:
         return self.factor.shape[1]
 
 
-def _pivoted_factor(spec: KernelSpec, samples: np.ndarray) -> np.ndarray:
-    """Factor of a unit-diagonal kernel's Gram, built without forming it.
+def _gaussian_factors(samples: np.ndarray, bandwidths: np.ndarray) -> list[np.ndarray]:
+    """Factors of the Gaussian Grams of the rows of ``samples`` (m, T'), row
+    b under bandwidth ``bandwidths[b]``, built without forming any Gram.
 
     Greedy pivoted Cholesky (Fine & Scheinberg, JMLR 2001; Harbrecht,
     Peters & Schneider, Appl. Numer. Math. 2012) evaluates one kernel column
-    per pivot, in O(T' r^2), and stops once the largest residual diagonal is
-    at rounding level, eps * T' times the largest diagonal.  A thin QR of
-    the pivoted factor and an eigensolve of the r x r matrix R R^T then keep
-    the directions above ``RANK_RTOL`` times the largest eigenvalue, the cut
-    a truncated eigenfactor of the full Gram applies, so rank and spectrum
-    match.
+    per pivot, in O(T' r^2) per block, and stops a block once its largest
+    residual diagonal is at rounding level, eps * T' times the largest
+    diagonal.  The m blocks pivot in lockstep: each step is one batched
+    argmax over the live blocks' residual diagonals, one batched kernel
+    column and one einsum against the earlier pivots, and a block that
+    meets its stop rule leaves the batch.  The pivot buffer grows with the
+    ranks reached.  A thin QR of each block's pivoted factor and an
+    eigensolve of the r x r matrix R R^T then keep the directions above
+    ``RANK_RTOL`` times the largest eigenvalue, the cut a truncated
+    eigenfactor of the full Gram applies, so rank and spectrum match.
     """
     z = np.asarray(samples, dtype=float)
-    n = z.shape[0]
-    residual = np.ones(n)  # k(z, z) = 1 for the Gaussian
-    stop = np.finfo(float).eps * n * residual.max()
-    rows = np.empty((min(n, 32), n))  # pivoted factor, one row per pivot
-    rank = 0
-    while rank < n:
-        i = int(np.argmax(residual))
-        pivot = residual[i]
-        if pivot <= stop:
-            break
-        if rank == rows.shape[0]:
-            rows = np.vstack([rows, np.empty((min(rank, n - rank), n))])
-        col = _kernel_array(spec, z, z[i : i + 1])[:, 0] - rows[:rank].T @ rows[:rank, i]
-        col /= np.sqrt(pivot)
-        rows[rank] = col
+    m, n = z.shape
+    two_s2 = 2.0 * np.asarray(bandwidths, dtype=float) ** 2
+    residual = np.ones((m, n))  # k(z, z) = 1 for the Gaussian
+    stop = np.finfo(float).eps * n  # eps * T' times the largest diagonal, 1
+    live = np.arange(m)  # the block behind each row of the batch
+    rows = np.empty((m, min(n, 16), n))  # the live blocks' pivot rows
+    factors = [None] * m
+    for k in range(n + 1):  # after n pivots every residual is 0
+        piv = np.argmax(residual, axis=1)
+        pivot = residual[np.arange(live.size), piv]
+        done = pivot <= stop
+        if done.any():
+            for b in np.flatnonzero(done):
+                factors[live[b]] = _trimmed_factor(rows[b, :k])
+            if done.all():
+                break
+            batch = (live, z, two_s2, residual, rows, piv, pivot)
+            live, z, two_s2, residual, rows, piv, pivot = (a[~done] for a in batch)
+        if k == rows.shape[1]:
+            rows = np.concatenate([rows, np.empty((live.size, min(k, n - k), n))], axis=1)
+        at = np.arange(live.size)
+        col = rows[:, k]
+        np.subtract(z, z[at, piv, None], out=col)
+        col *= col
+        col /= -two_s2[:, None]
+        np.exp(col, out=col)
+        col -= np.einsum("bkt,bk->bt", rows[:, :k], rows[at, :k, piv])
+        col /= np.sqrt(pivot)[:, None]
         residual -= col * col
-        residual[i] = 0.0
-        rank += 1
-    q, r = np.linalg.qr(rows[:rank].T)
+        residual[at, piv] = 0.0
+    return factors
+
+
+def _trimmed_factor(pivoted: np.ndarray) -> np.ndarray:
+    """Eigenfactor of L^T L for the r x T' pivot rows L, cut at ``RANK_RTOL``."""
+    q, r = np.linalg.qr(pivoted.T)
     w, v = np.linalg.eigh(r @ r.T)
     keep = w > RANK_RTOL * max(float(w.max()), 0.0)
     return q @ (v[:, keep] * np.sqrt(w[keep]))
-
-
-def _block_from_samples(
-    spec: KernelSpec, samples: np.ndarray, node: int, lag: int, kernel_index: int
-) -> KernelBlock:
-    factor = feature_factor(spec, samples)
-    if factor is None:
-        factor = _pivoted_factor(spec, samples)
-    return KernelBlock(
-        node=node,
-        lag=lag,
-        kernel_index=kernel_index,
-        spec=spec,
-        samples=np.asarray(samples, float),
-        factor=factor,
-    )
 
 
 @dataclass
@@ -312,7 +325,9 @@ class KernelMatrixSet:
         return replace(self, blocks=blocks, n_targets=len(rows))
 
 
-def resolve_bandwidth(spec: KernelSpec, samples: np.ndarray, seed: int = 0) -> KernelSpec:
+def resolve_bandwidth(
+    spec: KernelSpec, samples: np.ndarray, seed: int | list[int] = 0
+) -> KernelSpec:
     """Replace a 'median' bandwidth with its data-driven value."""
     if spec.kind == "gaussian" and spec.bandwidth == "median":
         return KernelSpec(kind="gaussian", bandwidth=median_bandwidth(samples, seed=seed))
@@ -326,11 +341,14 @@ def build_kernel_set(
 ) -> KernelMatrixSet:
     """Construct all blocks for a lag-aligned view and a kernel (or dictionary).
 
-    Median bandwidths are resolved per (node, lag) series with a seed derived
-    from ``seed`` and the block coordinates, so results are reproducible and
-    independent of block construction order.  Model selection fits row
-    subsets of the set this returns (``KernelMatrixSet.take_rows``), so every
-    candidate sees the kernels, bandwidths included, of the full view.
+    Median bandwidths are resolved per (node, lag) series, subsampled with
+    ``np.random.SeedSequence([seed, node, lag, kernel index])``, so results
+    are reproducible across processes and Python builds and independent of
+    block construction order; ``seed`` must be nonnegative.  The Gaussian
+    blocks are factored together (``_gaussian_factors``).  Model selection
+    fits row subsets of the set this returns (``KernelMatrixSet.take_rows``),
+    so every candidate sees the kernels, bandwidths included, of the full
+    view.
     """
     if isinstance(kernels, KernelSpec):
         specs = [kernels]
@@ -342,14 +360,26 @@ def build_kernel_set(
         specs = list(kernels)
     if not specs:
         raise ConfigError("at least one kernel required")
-    blocks = []
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    entries = []  # (node, lag, kernel index, resolved spec, samples)
     for l in range(view.lag + 1):
         for i in range(view.n_nodes):
-            z = view.regressor_series(i, l)
+            z = np.asarray(view.regressor_series(i, l), dtype=float)
             for p, spec in enumerate(specs):
-                seed_ilp = abs(hash((seed, i, l, p))) % 2**32
-                resolved = resolve_bandwidth(spec, z, seed=seed_ilp)
-                blocks.append(_block_from_samples(resolved, z, i, l, p))
+                resolved = resolve_bandwidth(spec, z, seed=[seed, i, l, p])
+                entries.append((i, l, p, resolved, z))
+    factors = [feature_factor(spec, z) for *_, spec, z in entries]
+    gaussian = [b for b, factor in enumerate(factors) if factor is None]
+    if gaussian:
+        samples = np.stack([entries[b][4] for b in gaussian])
+        bandwidths = np.array([entries[b][3].bandwidth for b in gaussian])
+        for b, factor in zip(gaussian, _gaussian_factors(samples, bandwidths)):
+            factors[b] = factor
+    blocks = [
+        KernelBlock(node=i, lag=l, kernel_index=p, spec=spec, samples=z, factor=factor)
+        for (i, l, p, spec, z), factor in zip(entries, factors)
+    ]
     return KernelMatrixSet(
         blocks=blocks,
         n_nodes=view.n_nodes,

@@ -238,10 +238,14 @@ def read_csv_panel(path: str, sample_rate_hz: float | None = None) -> TimeSeries
 
     The sample rate comes from ``sample_rate_hz`` if given, otherwise from
     a JSON sidecar ``<path>.json`` with a ``sample_rate_hz`` field.  Any
-    missing or non-numeric cell is a hard error.
+    missing or non-numeric cell, or a file that is not UTF-8, is a hard
+    error.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
+        try:
+            header = fh.readline().strip()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
         if not header:
             raise ConfigError(f"{path} has no header row")
         labels = tuple(part.strip() for part in header.split(","))

@@ -21,13 +21,14 @@ which keeps edge weights free of null-direction junk from rank-deficient
 Grams.  Block norms expand one block at a time, and only the dense
 ``CoefficientTensor.coeffs`` builds all of them.
 
-All linear solves (ADMM, ridge, cross-validation, BIC) share one thin SVD
-of the stacked factor per fit; see ``_FactorSystem``.  Inside, the solver
-works node-major, on (K, N, R) arrays whose factor columns are grouped by
-block rank, so block norms and shrinkage are one reduction per distinct
-rank and the solves are plain row-major products; ``_StackedFactor`` owns
-that order and alone converts results to the public (R, N) block order of
-``CoefficientTensor.coords`` and ``DualState``.  Model selection works
+All linear solves (ADMM, ridge, cross-validation, BIC) share one
+eigensolve of the stacked factor's smaller Gram per fit; see
+``_FactorSystem``.  Inside, the solver works node-major, on (K, N, R)
+arrays whose factor columns are grouped by block rank, so block norms and
+shrinkage are one reduction per distinct rank and the solves are plain
+row-major products; ``_StackedFactor`` owns that order and alone converts
+results to the public (R, N) block order of ``CoefficientTensor.coords``
+and ``DualState``.  Model selection works
 on row subsets of one kernel set (``KernelMatrixSet.take_rows``): each
 cross-validation fold runs the whole lambda grid through one batched ADMM
 loop on its training rows and predicts its held-out rows with the same
@@ -441,7 +442,8 @@ class _StackedFactor:
 
 
 class _FactorSystem(_StackedFactor):
-    """Per-fit cache for the x-update: one thin SVD shared by every column.
+    """Per-fit cache for the x-update: one Gram eigensolve shared by every
+    column.
 
     Solves (Bbar_j^T Bbar_j + penalty_k I) x_kj = q_kj for all columns j
     and all K penalties k at once, where Bbar_j stacks every block factor
@@ -453,7 +455,13 @@ class _FactorSystem(_StackedFactor):
         H = (F^T F + penalty I)^{-1} = V diag(w) V^T + (I - V V^T) / penalty
 
     with span weights w = 1/(s^2 + penalty) (the last term vanishes when
-    R <= T'), and deleting D_j is a rank-r_j Schur-complement correction,
+    R <= T').  s and V come from ``eigh`` of the smaller Gram, not from an
+    SVD: for R <= T', F^T F = V S^2 V^T directly; for R > T', F F^T =
+    U S^2 U^T and V = F^T U / s on the directions with s above
+    R * eps * s_max.  A direction with small s enters H only through
+    1/(s^2 + penalty) - 1/penalty, about -s^2 / penalty^2, so the rounding
+    the Gram adds to it is damped.  Deleting D_j is a rank-r_j
+    Schur-complement correction,
     x_j = u_j - H[:, D_j] H[D_j, D_j]^{-1} u_j[D_j] with u = H q.  The
     r_j x r_j inverses are built once per fit and padded to the largest r_j
     with zero rows of V, so a solve is two products with V, the correction
@@ -475,10 +483,17 @@ class _FactorSystem(_StackedFactor):
     def __init__(self, kms: KernelMatrixSet, penalties, scale=1.0):
         super().__init__(kms)
         t, n = kms.n_targets, kms.n_nodes
-        _, s, self.vt = np.linalg.svd(self.F, full_matrices=False)
-        s2 = s * s
+        s2, u = np.linalg.eigh(_smaller_gram(self.F))
+        s2 = np.maximum(s2, 0.0)
+        full_span = self.total_rank <= t
+        if full_span:
+            self.vt = np.ascontiguousarray(u.T)  # row-major for the products in solve
+        else:  # V = F^T U / s on the directions above rounding level
+            s = np.sqrt(s2)
+            kept = s > self.total_rank * np.finfo(float).eps * s.max(initial=0.0)
+            s2 = s2[kept]
+            self.vt = (u[:, kept] / s[kept]).T @ self.F
         penalties = np.array(penalties, dtype=float).reshape(-1)
-        full_span = self.vt.shape[0] == self.total_rank
         if (penalties <= 0).any():
             if not full_span:
                 raise SingularSystem(
@@ -491,7 +506,7 @@ class _FactorSystem(_StackedFactor):
         span = 1.0 / (s2 + penalties[:, None]) - null[:, None]
 
         r_max = int(self.deleted_sizes.max(initial=0))
-        vd = np.zeros((n, s.size, r_max))  # V[D_j]^T, padded with zero columns
+        vd = np.zeros((n, s2.size, r_max))  # V[D_j]^T, padded with zero columns
         for j, cols in enumerate(self.deleted):
             vd[j, :, : cols.size] = self.vt[:, cols]
         left = vd * span[:, None, :, None]  # u[D_j] = (V^T q_j) @ left_j
@@ -532,6 +547,12 @@ class _FactorSystem(_StackedFactor):
         if self.null_weight is not None:
             x += self.null_weight * q
         return self.mask_deleted(x)
+
+
+def _smaller_gram(f: np.ndarray) -> np.ndarray:
+    """F F^T or F^T F, whichever is smaller; its eigenvalues are the squares
+    of F's min(T', R) singular values."""
+    return f @ f.T if f.shape[1] > f.shape[0] else f.T @ f
 
 
 def _check_fit_inputs(targets: np.ndarray, kms: KernelMatrixSet) -> np.ndarray:
@@ -918,6 +939,16 @@ def cross_validate_lambda(
     return grid[best], table
 
 
+def _ridge_df(f: np.ndarray, penalty: float) -> float:
+    """Effective degrees of freedom sum_i s_i^2 / (s_i^2 + penalty) of a ridge
+    fit on factor f, over its squared singular values s_i^2 from the
+    eigenvalues of its smaller Gram, clamped at 0; eigenvalues within
+    rounding of 0, at most size * eps times the largest, count as 0."""
+    s2 = np.maximum(np.linalg.eigvalsh(_smaller_gram(f)), 0.0)
+    s2 = s2[s2 > s2.size * np.finfo(float).eps * s2.max(initial=0.0)]
+    return float((s2 / (s2 + penalty)).sum())
+
+
 def select_lag_bic(
     panel: TimeSeriesPanel,
     kernels: KernelSpec | KernelDictionary | list[KernelSpec],
@@ -934,8 +965,8 @@ def select_lag_bic(
     rows, Lmax..T-1 for the largest candidate Lmax, so the residual sums
     compare.  A column's model size is its ridge fit's effective degrees
     of freedom (ESL eq. 3.50), df_j = sum_i s_i^2 / (s_i^2 + 2 lam) over
-    the singular values s_i of its kept factor Bbar_j, and with m = n N
-    observations
+    the singular values s_i of its kept factor Bbar_j (``_ridge_df``), and
+    with m = n N observations
 
         BIC = m log(RSS / m) + sum_j df_j log m.
 
@@ -963,10 +994,9 @@ def select_lag_bic(
         y = view.targets[kept]
         resid = system.residual(y, system.solve(system.project(y)))
         rss = float(np.sum(resid * resid))
-        df = 0.0
-        for deleted in system.deleted:
-            s2 = np.linalg.svd(np.delete(system.F, deleted, axis=1), compute_uv=False) ** 2
-            df += float(np.divide(s2, s2 + penalty, out=np.zeros_like(s2), where=s2 > 0).sum())
+        df = sum(
+            _ridge_df(np.delete(system.F, deleted, axis=1), penalty) for deleted in system.deleted
+        )
         bic = n_obs * np.log(max(rss, 1e-300) / n_obs) + df * np.log(n_obs)
         if bic < best_bic:
             best_bic = bic

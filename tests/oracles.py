@@ -7,6 +7,9 @@ a normal-equations ridge solve, and exhaustive path-enumeration graph
 metrics in exact rational arithmetic.  The exceptions are former package
 code kept as references: ``brandes_betweenness``, the per-source
 ``Fraction`` betweenness, exact for graphs too large to enumerate; the
+solver's thin-SVD factorization (``svd_factor_solve``, ``svd_ridge_df``)
+and the one-block-at-a-time pivoted Cholesky (``pivoted_factor``) that the
+Gram eigensolve and the lockstep Gaussian factor replaced; the
 Gram helpers (``block_gram``, a block's dense Gram B @ B.T from the factor
 the solver uses; ``eigen_factor`` and ``psd_sqrt``, a factor and a root of
 an explicit Gram, behind one symmetric-PSD check that raises ``NotPsd``;
@@ -233,6 +236,44 @@ def ridge_reference(
 
 
 # ---------------------------------------------------------------------------
+# the solver's factorizations as they were done with a thin SVD of the
+# stacked factor F (T' x R): the shared x-update solve and ridge degrees of
+# freedom
+
+
+def svd_factor_solve(f: np.ndarray, deleted: list, penalty: float, q: np.ndarray) -> np.ndarray:
+    """(N, R) x with x_j = (Fbar_j^T Fbar_j + penalty I)^{-1} q_j on column
+    j's kept columns and 0 on its deleted columns ``deleted[j]``.
+
+    With F = U S V^T the thin SVD, H = (F^T F + penalty I)^{-1} is
+    V diag(1 / (s^2 + penalty)) V^T + (I - V V^T) / penalty (the last term
+    only when R > T'), and deleting D_j is the Schur complement
+    x_j = u_j - H[:, D_j] H[D_j, D_j]^{-1} u_j[D_j] with u_j = H q_j.  A
+    zero penalty on an F of rank below R <= T' takes 1e-10 instead.
+    """
+    _, s, vt = np.linalg.svd(f, full_matrices=False)
+    r = f.shape[1]
+    s2 = s * s
+    if penalty <= 0 and vt.shape[0] == r and s2.min() <= r * np.finfo(float).eps * s2.max():
+        penalty = 1e-10
+    h = (vt.T / (s2 + penalty)) @ vt
+    if vt.shape[0] < r:
+        h += (np.eye(r) - vt.T @ vt) / penalty
+    x = np.zeros_like(q)
+    for j, cols in enumerate(deleted):
+        u = h @ q[j]
+        x[j] = u - h[:, cols] @ np.linalg.solve(h[np.ix_(cols, cols)], u[cols])
+        x[j, cols] = 0.0
+    return x
+
+
+def svd_ridge_df(f: np.ndarray, penalty: float) -> float:
+    """sum_i s_i^2 / (s_i^2 + penalty) over f's nonzero singular values."""
+    s2 = np.linalg.svd(f, compute_uv=False) ** 2
+    return float(np.divide(s2, s2 + penalty, out=np.zeros_like(s2), where=s2 > 0).sum())
+
+
+# ---------------------------------------------------------------------------
 # Gram helpers: a block's dense Gram from its factor, and the factor and
 # root of an explicit Gram behind one symmetric-PSD check
 
@@ -268,6 +309,38 @@ def eigen_factor(gram: np.ndarray) -> np.ndarray:
     w, v = _psd_eigh(gram)
     keep = w > RANK_RTOL * w.max(initial=0.0)
     return v[:, keep] * np.sqrt(w[keep])
+
+
+def pivoted_factor(spec, samples: np.ndarray) -> tuple[np.ndarray, int]:
+    """One Gaussian block's factor, one pivot at a time, and its pivot count.
+
+    Greedy pivoted Cholesky on the samples: one kernel column per pivot,
+    stopping once the largest residual diagonal is at most eps * T' times
+    the largest diagonal; then a thin QR of the pivoted factor and an
+    eigensolve of R R^T that keep the directions above RANK_RTOL times the
+    largest eigenvalue.
+    """
+    z = np.asarray(samples, dtype=float)
+    n = z.shape[0]
+    residual = np.ones(n)
+    stop = np.finfo(float).eps * n
+    rows = np.empty((n, n))
+    rank = 0
+    while rank < n:
+        i = int(np.argmax(residual))
+        pivot = residual[i]
+        if pivot <= stop:
+            break
+        col = cross_gram(spec, z, z[i : i + 1])[:, 0] - rows[:rank].T @ rows[:rank, i]
+        col /= np.sqrt(pivot)
+        rows[rank] = col
+        residual -= col * col
+        residual[i] = 0.0
+        rank += 1
+    q, r = np.linalg.qr(rows[:rank].T)
+    w, v = np.linalg.eigh(r @ r.T)
+    keep = w > RANK_RTOL * max(float(w.max()), 0.0)
+    return q @ (v[:, keep] * np.sqrt(w[keep])), rank
 
 
 def psd_sqrt(matrix: np.ndarray, jitter: float | None = None) -> np.ndarray:

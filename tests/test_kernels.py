@@ -9,7 +9,7 @@ from ksvar.kernels import (
     RANK_RTOL,
     KernelDictionary,
     KernelSpec,
-    _pivoted_factor,
+    _gaussian_factors,
     build_kernel_set,
     cross_gram,
     feature_factor,
@@ -31,6 +31,7 @@ from oracles import (
     index_set,
     kbar,
     kbar_deleted,
+    pivoted_factor,
     psd_sqrt,
     total_columns,
 )
@@ -277,7 +278,7 @@ class TestFactors:
         z = rng.normal(size=12)
         b = feature_factor(spec, z)
         if b is None:
-            b = _pivoted_factor(spec, z)
+            [b] = _gaussian_factors(z[None], np.array([spec.bandwidth]))
         np.testing.assert_allclose(b @ b.T, oracle_gram(spec, z), atol=1e-9)
 
     def test_linear_factor_is_the_samples(self):
@@ -412,6 +413,17 @@ class TestBuildKernelSet:
         sigmas = {blk.spec.bandwidth for blk in a.blocks}
         assert len(sigmas) > 1
 
+    def test_median_bandwidths_seed_from_block_coordinates(self):
+        # T' = 59 has 1,711 pairs, so the median subsamples 1,000 of them
+        vals = np.random.default_rng(19).normal(size=(61, 2))
+        _, view = view_from(vals, lag=2)
+        kms = build_kernel_set(view, [LINEAR, GAUSS_MEDIAN], seed=11)
+        for blk in kms.blocks[1::2]:
+            entropy = np.random.SeedSequence([11, blk.node, blk.lag, 1])
+            assert blk.spec.bandwidth == median_bandwidth(blk.samples, seed=entropy)
+        with pytest.raises(ConfigError):
+            build_kernel_set(view, LINEAR, seed=-1)
+
     def test_empty_kernel_list_rejected(self):
         vals = np.random.default_rng(16).normal(size=(6, 2))
         _, view = view_from(vals, lag=1)
@@ -499,3 +511,54 @@ class TestGaussianFactorBuild:
         for blk in kms.blocks:
             np.testing.assert_allclose(np.abs(blk.factor), [[1.0]], rtol=0, atol=1e-15)
         self.check_blocks(kms, exact=True)
+
+
+class TestLockstepFactor:
+    """All Gaussian blocks of a set pivot in one lockstep batch; each block's
+    factor must equal the one-block-at-a-time reference."""
+
+    def check_against_oracle(self, samples, bandwidths):
+        factors = _gaussian_factors(samples, np.asarray(bandwidths, dtype=float))
+        counts = []
+        for z, sigma, got in zip(samples, bandwidths, factors):
+            want, pivots = pivoted_factor(KernelSpec(kind="gaussian", bandwidth=sigma), z)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got @ got.T, want @ want.T, rtol=0, atol=1e-12)
+            counts.append(pivots)
+        return counts
+
+    def test_mixed_bandwidths(self):
+        rng = np.random.default_rng(21)
+        samples = rng.normal(size=(6, 90))
+        bandwidths = [0.05, 0.3, 1.0, 5.0, 40.0, median_bandwidth(samples[5])]
+        counts = self.check_against_oracle(samples, bandwidths)
+        # the blocks stop at different steps, so some leave the batch early
+        assert len(set(counts)) == len(counts)
+
+    def test_nearly_constant_series(self):
+        rng = np.random.default_rng(22)
+        samples = rng.normal(size=(3, 60))
+        samples[1] = 0.7 + 1e-9 * rng.normal(size=60)
+        counts = self.check_against_oracle(samples, [0.5, 1.0, 0.5])
+        assert counts[1] <= 2 < min(counts[0], counts[2])
+
+    def test_block_that_stops_after_one_pivot(self):
+        rng = np.random.default_rng(23)
+        samples = np.vstack([np.full(50, -1.5), rng.normal(size=(2, 50))])
+        counts = self.check_against_oracle(samples, [1.0, 1.0, 0.2])
+        assert counts[0] == 1 < min(counts[1:])
+
+    def test_build_kernel_set_batches_every_gaussian_block(self):
+        # two Gaussian kernels of the dictionary, one with per-series median
+        # bandwidths, factor in one batch beside the exact linear blocks
+        vals = np.random.default_rng(24).normal(size=(70, 3))
+        _, view = view_from(vals, lag=2)
+        gauss_fixed = KernelSpec(kind="gaussian", bandwidth=0.4)
+        kms = build_kernel_set(view, [LINEAR, GAUSS_MEDIAN, gauss_fixed], seed=5)
+        for blk in kms.blocks:
+            if blk.spec.kind == "gaussian":
+                want, _ = pivoted_factor(blk.spec, blk.samples)
+                assert blk.rank == want.shape[1]
+                np.testing.assert_allclose(block_gram(blk), want @ want.T, rtol=0, atol=1e-12)
+            else:
+                np.testing.assert_array_equal(blk.factor, blk.samples[:, None])

@@ -249,6 +249,12 @@ class TestCsvRoundTrip:
         with pytest.raises(NonFinite):
             read_csv_panel(str(path), sample_rate_hz=1.0)
 
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"a,\xffb\n1.0,2.0\n")
+        with pytest.raises(ConfigError, match="is not UTF-8 text"):
+            read_csv_panel(str(path), sample_rate_hz=1.0)
+
     def test_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("a,b\n")

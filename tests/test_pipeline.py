@@ -908,6 +908,46 @@ class TestCli:
         assert line.startswith(f"error: ConfigError: {path} is not a metrics report")
         assert "Traceback" not in res.output
 
+    @pytest.mark.parametrize("command", ["infer", "metrics", "compare"])
+    def test_non_utf8_json_fails_cleanly(self, tmp_path, command):
+        # the byte 0xff starts no UTF-8 sequence, so json.load raises
+        # UnicodeDecodeError before it parses anything
+        bad = b'{"\xff": 1}'
+        if command == "infer":
+            (tmp_path / "cfg.json").write_bytes(bad)
+            args = ["infer", "-c", str(tmp_path / "cfg.json"), "-o", str(tmp_path / "out")]
+        elif command == "metrics":
+            (tmp_path / "edges.json").write_bytes(bad)
+            args = ["metrics", str(tmp_path / "edges.json")]
+        else:
+            for name in ("a", "b"):
+                (tmp_path / name).mkdir()
+                (tmp_path / name / "manifest.json").write_bytes(bad)
+            args = ["compare", str(tmp_path / "a"), str(tmp_path / "b")]
+        res = self.invoke(*args)
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        [line] = res.stderr.splitlines()
+        assert line.startswith("error: UnicodeDecodeError: ")
+        assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("command", ["infer", "cv"])
+    def test_non_utf8_csv_fails_cleanly(self, tmp_path, command):
+        csv_path = tmp_path / "panel.csv"
+        csv_path.write_bytes(b"a,\xffb\n1.0,2.0\n3.0,4.0\n")
+        args = ["-i", str(csv_path), "--lag", "1", "--rate", "1"]
+        if command == "infer":
+            args += ["-o", str(tmp_path / "out"), "--kernel", "linear", "--lam", "0.5"]
+        else:
+            args += ["--grid", "0.5,1"]
+        res = self.invoke(command, *args)
+        assert res.exit_code == 1
+        [line] = res.stderr.splitlines()
+        assert line.startswith(f"error: ConfigError: {csv_path} is not UTF-8 text")
+        if command == "infer":
+            record = json.loads((tmp_path / "out" / "error.json").read_text())
+            assert (record["error"], record["stage"]) == ("ConfigError", "read input")
+
     def test_readme_library_example_runs(self, tmp_path, monkeypatch, capsys):
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
         with open(readme) as handle:

@@ -26,6 +26,7 @@ from ksvar.solver import (
     _certificate,
     _FactorSystem,
     _fold_rows,
+    _ridge_df,
     _StackedFactor,
     admm_fit,
     block_shrinkage,
@@ -54,6 +55,8 @@ from oracles import (
     kernel_set_objective,
     objective_value,
     ridge_reference,
+    svd_factor_solve,
+    svd_ridge_df,
     total_columns,
     unit_tensor,
     w_stacked,
@@ -728,6 +731,66 @@ class TestSharedSolve:
                 np.testing.assert_allclose(x[k, j], scales[k] * want, rtol=1e-9, atol=1e-10)
         system.keep([2, 0])
         np.testing.assert_allclose(system.solve(q[[2, 0]]), x[[2, 0]], rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_eigensolve_matches_svd_reference(self, case):
+        # s and V come from the smaller Gram of F: F F^T for the "above"
+        # cases (R > T'), F^T F for the "below" ones
+        _, _, kms = make_problem(**self.CASES[case])
+        penalties = [0.05, 2.0]
+        system = _FactorSystem(kms, penalties)
+        rng = np.random.default_rng(3)
+        q = system.mask_deleted(rng.normal(size=(2, kms.n_nodes, system.total_rank)))
+        x = system.solve(q)
+        for k, penalty in enumerate(penalties):
+            want = svd_factor_solve(system.F, system.deleted, penalty, q[k])
+            np.testing.assert_allclose(x[k], want, rtol=1e-9, atol=1e-10)
+
+    def rank_deficient_problem(self):
+        # node 2 repeats node 0, so F has two equal columns at each lag
+        vals = np.random.default_rng(43).normal(size=(30, 3))
+        vals[:, 2] = vals[:, 0]
+        panel = TimeSeriesPanel(values=vals, node_labels=("a", "b", "c"), sample_rate_hz=1.0)
+        view = lag_view(panel, 1)
+        return view, build_kernel_set(view, LINEAR)
+
+    def test_rank_deficient_zero_penalty_matches_svd_reference(self):
+        # R = 6 <= T' = 29 but rank 4: a zero penalty takes _JITTER.  Its
+        # 1e10 weight on the null directions enters the deleted-block
+        # correction, which leaves either path about 1e-4 from the
+        # least-squares fit; without the jitter the weights are infinite
+        view, kms = self.rank_deficient_problem()
+        system = _FactorSystem(kms, 0.0)
+        q = system.project(view.targets)
+        fitted = system.solve(q)[0] @ system.F.T
+        want = svd_factor_solve(system.F, system.deleted, 0.0, q[0]) @ system.F.T
+        np.testing.assert_allclose(fitted, want, rtol=0, atol=1e-3)
+        for j, deleted in enumerate(system.deleted):
+            a = np.delete(system.F, deleted, axis=1)
+            coef, *_ = np.linalg.lstsq(a, view.targets[:, j], rcond=None)
+            np.testing.assert_allclose(fitted[j], a @ coef, rtol=0, atol=1e-3)
+
+    @pytest.mark.parametrize("case", ["mixed_above", "linear_above"])
+    def test_zero_penalty_above_full_rank_is_singular(self, case):
+        _, _, kms = make_problem(**self.CASES[case])
+        with pytest.raises(SingularSystem):
+            _FactorSystem(kms, 0.0)
+        with pytest.raises(SingularSystem):
+            _FactorSystem(kms, [1.0, 0.0])
+
+    @pytest.mark.parametrize("case", sorted(CASES) + ["rank_deficient"])
+    @pytest.mark.parametrize("penalty", [1e-3, 0.4, 30.0])
+    def test_ridge_df_matches_svd_reference(self, case, penalty):
+        if case == "rank_deficient":
+            _, kms = self.rank_deficient_problem()
+        else:
+            _, _, kms = make_problem(**self.CASES[case])
+        system = _StackedFactor(kms)
+        for deleted in system.deleted:
+            kept = np.delete(system.F, deleted, axis=1)
+            got = _ridge_df(kept, penalty)
+            assert got == pytest.approx(svd_ridge_df(kept, penalty), rel=0, abs=1e-9)
+            assert 0.0 < got <= min(kept.shape)
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_admm_follows_the_relaxed_recursion(self, case):
