@@ -12,14 +12,17 @@ a pivoted-Cholesky factor, trimmed to the rank and spectrum of the
 truncated eigenfactor, without its T'xT' Gram ever being formed.  All
 Gaussian blocks of a set share T', so they pivot in lockstep, one batched
 step per pivot, each block under its own bandwidth and stopping on its own
-rule (``_gaussian_factors``).  The solvers work in factor coordinates
-throughout, which is both faster and immune to the junk directions a
-near-singular Gram would otherwise inject.
+rule (``_gaussian_factors``).  A ``KernelMatrixSet`` stacks the block
+factors once, sorted by rank, into the one factor whose column order the
+solver and the fitted coordinates share.  The solvers work in factor
+coordinates throughout, which is both faster and immune to the junk
+directions a near-singular Gram would otherwise inject.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from itertools import groupby
 from math import comb
 
 import numpy as np
@@ -287,11 +290,18 @@ def _trimmed_factor(pivoted: np.ndarray) -> np.ndarray:
 
 @dataclass
 class KernelMatrixSet:
-    """All Gram blocks for one fit, in (lag, node, kernel) order.
+    """All Gram blocks for one fit, in (lag, node, kernel) order, and their
+    factors stacked side by side.
 
     ``blocks[(l * N + i) * P + p]`` is the block for source node i at lag l
     under kernel p.  Column j of the model excludes its own instantaneous
     blocks (i = j, l = 0, all p), at ``deleted_positions(j)``.
+
+    ``factor`` is the T' x R stack F of the block factors, stably sorted by
+    rank; block ``pos`` owns the columns ``columns[pos]`` and its
+    ``factor`` is a view of them.  Each nonzero rank is one ``groups``
+    entry (start, stop, rank, positions): columns start:stop hold the
+    blocks at ``positions``, in that order.
     """
 
     blocks: list[KernelBlock]
@@ -299,6 +309,24 @@ class KernelMatrixSet:
     lag: int
     n_kernels: int
     n_targets: int
+    factor: np.ndarray = field(init=False, compare=False, repr=False)
+    columns: list[slice] = field(init=False, compare=False, repr=False)
+    groups: list[tuple[int, int, int, list[int]]] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        order = sorted(range(len(self.blocks)), key=lambda pos: self.blocks[pos].rank)
+        self.factor = np.hstack([self.blocks[pos].factor for pos in order])
+        self.columns = [slice(0, 0)] * len(self.blocks)
+        self.groups = []
+        start = 0
+        for rank, run in groupby(order, key=lambda pos: self.blocks[pos].rank):
+            positions = list(run)
+            if rank:
+                self.groups.append((start, start + rank * len(positions), rank, positions))
+            for pos in positions:
+                self.columns[pos] = slice(start, start + rank)
+                self.blocks[pos].factor = self.factor[:, self.columns[pos]]
+                start += rank
 
     @property
     def n_blocks(self) -> int:
@@ -320,7 +348,8 @@ class KernelMatrixSet:
     def take_rows(self, rows: np.ndarray) -> KernelMatrixSet:
         """The kernel set restricted to target rows ``rows``: every block keeps
         those rows of its samples and factor, so B[rows] B[rows]^T is the
-        Gram of the kept samples under the same resolved kernel."""
+        Gram of the kept samples under the same resolved kernel, and the
+        stacked factor is ``factor[rows]`` in the same column order."""
         blocks = [replace(b, samples=b.samples[rows], factor=b.factor[rows]) for b in self.blocks]
         return replace(self, blocks=blocks, n_targets=len(rows))
 

@@ -356,9 +356,9 @@ def _process_segment(idx: int, seg_panel: TimeSeriesPanel, cfg: PipelineConfig, 
     with _timed(timings, "fit"):
         if cfg.regularizer == "squared":
             tensor = ridge_fit(view.targets, kms, scfg)
-            resid = view.targets - predict(tensor, kms)
+            resid = view.targets - predict(tensor)
             fidelity = 0.5 * float(np.sum(resid * resid))
-            penalty = chosen_lam * float((rkhs_block_norms(kms, tensor) ** 2).sum())
+            penalty = chosen_lam * float((rkhs_block_norms(tensor) ** 2).sum())
             records = []
             iterations, converged, residual_ratio, relative_gap, rho = 1, True, 0.0, 0.0, None
             final_objective = fidelity + penalty

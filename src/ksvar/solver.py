@@ -23,12 +23,13 @@ Grams.  Block norms expand one block at a time, and only the dense
 
 All linear solves (ADMM, ridge, cross-validation, BIC) share one
 eigensolve of the stacked factor's smaller Gram per fit; see
-``_FactorSystem``.  Inside, the solver works node-major, on (K, N, R)
-arrays whose factor columns are grouped by block rank, so block norms and
-shrinkage are one reduction per distinct rank and the solves are plain
-row-major products; ``_StackedFactor`` owns that order and alone converts
-results to the public (R, N) block order of ``CoefficientTensor.coords``
-and ``DualState``.  Model selection works
+``_FactorSystem``.  The factor is the kernel set's own
+(``KernelMatrixSet.factor``), whose columns are grouped by block rank, and
+its column order is the row order of ``CoefficientTensor.coords`` and
+``DualState``.  Inside, the solver works node-major, on (K, N, R) arrays,
+so block norms and shrinkage are one reduction per rank group and the
+solves are plain row-major products; a result is handed out as its
+transpose.  Model selection works
 on row subsets of one kernel set (``KernelMatrixSet.take_rows``): each
 cross-validation fold runs the whole lambda grid through one batched ADMM
 loop on its training rows and predicts its held-out rows with the same
@@ -115,9 +116,11 @@ class SolverConfig:
 class CoefficientTensor:
     """Fitted coefficient blocks, held in factor coordinates.
 
-    ``coords`` has shape (R, N): column j stacks c_bj = B_b^T a_bj over the
-    blocks b of ``kernels`` in block order, R being their total rank.  The
-    rows of every column's instantaneous self-blocks are exactly zero.
+    ``coords`` has shape (R, N) and its rows follow the columns of
+    ``kernels.factor``: rows ``kernels.columns[b]`` of column j hold
+    c_bj = B_b^T a_bj, R being the total rank, so the fitted values are
+    ``kernels.factor @ coords``.  The rows of every column's instantaneous
+    self-blocks are exactly zero.
     ``coeffs[p, l, i, j]`` is the length-T' minimum-norm coefficient
     vector of source node i onto target node j at lag l under kernel p;
     reading ``coeffs`` builds all P (L+1) N^2 T' of them anew each time.
@@ -133,17 +136,14 @@ class CoefficientTensor:
     def __post_init__(self) -> None:
         kms = self.kernels
         coords = np.asarray(self.coords, dtype=float)
-        starts = _block_starts(kms)
-        if coords.shape != (starts[-1], kms.n_nodes):
-            raise ShapeMismatch(
-                f"coords must have shape (R, N) = {(int(starts[-1]), kms.n_nodes)}, "
-                f"got {coords.shape}"
-            )
+        want = (kms.factor.shape[1], kms.n_nodes)
+        if coords.shape != want:
+            raise ShapeMismatch(f"coords must have shape (R, N) = {want}, got {coords.shape}")
         if not np.isfinite(coords).all():
             raise NonFinite("coefficients contain NaN or infinity")
         for j in range(kms.n_nodes):
             for pos in kms.deleted_positions(j):
-                if np.any(coords[starts[pos] : starts[pos + 1], j] != 0.0):
+                if np.any(coords[kms.columns[pos], j] != 0.0):
                     raise ConfigError("instantaneous self-coupling blocks must be exactly zero")
         self.coords = coords
 
@@ -221,8 +221,8 @@ class CoefficientTensor:
 
 @dataclass
 class DualState:
-    """ADMM auxiliary and multiplier in factor coordinates, shape (R, N):
-    rows stack each block's coordinates in kernel-set block order."""
+    """ADMM auxiliary and multiplier in factor coordinates, shape (R, N),
+    with the rows of ``CoefficientTensor.coords``."""
 
     gamma: np.ndarray
     xi: np.ndarray
@@ -339,60 +339,38 @@ def block_shrinkage(z: np.ndarray, threshold: float) -> np.ndarray:
 
 
 class _StackedFactor:
-    """The stacked T' x R factor F of a kernel set in the solver's working
-    layout.
+    """The solver's view of a kernel set's stacked T' x R factor F
+    (``KernelMatrixSet.factor``) and of its rank groups.
 
-    F's columns are the blocks' factor columns with the blocks stably
-    sorted by rank, so blocks of equal rank sit next to each other: each
-    distinct nonzero rank is one ``groups`` entry (start, stop, rank) of
-    contiguous columns.  Working coordinates are node-major, shape
-    (K, N, R), and ``to_public`` returns one (N, R) array in the public
-    block-order (R, N) layout of ``CoefficientTensor.coords`` and
-    ``DualState``; no other code converts between the two.  ``deleted[j]``
-    lists the working columns D_j that target node j deletes (its own
-    instantaneous blocks).
+    Working coordinates are node-major, shape (K, N, R), over F's columns,
+    so ``to_public`` is a transpose into the (R, N) layout of
+    ``CoefficientTensor.coords`` and ``DualState``.  ``deleted[j]`` lists
+    the columns D_j that target node j deletes (its own instantaneous
+    blocks).
     """
 
     def __init__(self, kms: KernelMatrixSet):
-        n = kms.n_nodes
-        starts = _block_starts(kms)
-        ranks = np.diff(starts)
-        order = np.argsort(ranks, kind="stable")
-        sorted_ranks = ranks[order]
-        first = np.concatenate([[0], np.cumsum(sorted_ranks)])
-        self.total_rank = int(first[-1])
-        self.F = np.hstack([kms.blocks[pos].factor for pos in order])
-        # rows[c] is the public row of working column c
-        self.rows = np.concatenate([np.arange(starts[pos], starts[pos + 1]) for pos in order])
-        self.groups = []
-        for rank in np.unique(sorted_ranks[sorted_ranks > 0]).tolist():
-            lo, hi = np.searchsorted(sorted_ranks, [rank, rank + 1])
-            self.groups.append((int(first[lo]), int(first[hi]), rank))
-        self.scalar_blocks = self.groups == [(0, self.total_rank, 1)]  # no block above rank 1
-        col_of = np.empty_like(ranks)
-        col_of[order] = first[:-1]
+        self.F = kms.factor
+        self.total_rank = self.F.shape[1]
+        self.groups = kms.groups
+        self.scalar_blocks = [rank for _, _, rank, _ in self.groups] == [1]  # no rank above 1
+        cols = np.arange(self.total_rank)
         self.deleted = [
-            np.concatenate(
-                [np.arange(col_of[p], col_of[p] + ranks[p]) for p in kms.deleted_positions(j)]
-            )
-            for j in range(n)
+            np.concatenate([cols[kms.columns[p]] for p in kms.deleted_positions(j)])
+            for j in range(kms.n_nodes)
         ]
-        self.deleted_sizes = np.array([cols.size for cols in self.deleted], dtype=int)
-        self.kept_dim = int(n * self.total_rank - self.deleted_sizes.sum())
-        self.deleted_nodes = np.concatenate(
-            [np.full(cols.size, j) for j, cols in enumerate(self.deleted)]
-        )
+        self.deleted_sizes = np.array([d.size for d in self.deleted], dtype=int)
+        self.kept_dim = int(kms.n_nodes * self.total_rank - self.deleted_sizes.sum())
+        self.deleted_nodes = np.repeat(np.arange(kms.n_nodes), self.deleted_sizes)
         self.deleted_cols = np.concatenate(self.deleted)
 
     def to_public(self, a: np.ndarray) -> np.ndarray:
-        """Working (N, R) coordinates in the public block-order (R, N) layout."""
-        out = np.empty(a.shape[::-1])
-        out[self.rows] = a.T
-        return out
+        """Working (N, R) coordinates in the (R, N) layout, as a new array."""
+        return np.ascontiguousarray(a.T)
 
     def grouped(self, a: np.ndarray) -> list[np.ndarray]:
         """Views of (..., R) ``a``, one per rank group, shaped (..., blocks, rank)."""
-        return [a[..., lo:hi].reshape(a.shape[:-1] + (-1, rank)) for lo, hi, rank in self.groups]
+        return [a[..., lo:hi].reshape(*a.shape[:-1], -1, rank) for lo, hi, rank, _ in self.groups]
 
     def mask_deleted(self, arr: np.ndarray) -> np.ndarray:
         arr[:, self.deleted_nodes, self.deleted_cols] = 0.0
@@ -477,7 +455,7 @@ class _FactorSystem(_StackedFactor):
     run); the weights and the Schur inverses carry the K axis, and
     ``keep`` drops penalties whose fits have stopped.  Everything is in the
     working layout of ``_StackedFactor``: q and x have shape (K, N, R), and
-    V's rows follow F's grouped columns.
+    V's rows follow F's columns.
     """
 
     def __init__(self, kms: KernelMatrixSet, penalties, scale=1.0):
@@ -567,35 +545,24 @@ def _check_fit_inputs(targets: np.ndarray, kms: KernelMatrixSet) -> np.ndarray:
     return y
 
 
-def _block_starts(kms: KernelMatrixSet) -> np.ndarray:
-    """First coordinate row of every block in the stacked (R, N) layout,
-    followed by R."""
-    return np.concatenate([[0], np.cumsum([b.rank for b in kms.blocks])]).astype(int)
-
-
 def _gram_pinvs(kms: KernelMatrixSet):
-    """(position, block, (B^T B)^+) for every block of nonzero rank, the
-    pseudo-inverses computed in one batch per rank; B (B^T B)^+ c is the
-    minimum-norm coefficient vector whose factor coordinates are c."""
-    groups: dict[int, list[int]] = {}
-    for pos, block in enumerate(kms.blocks):
-        if block.rank:
-            groups.setdefault(block.rank, []).append(pos)
-    for positions in groups.values():
+    """(position, B, (B^T B)^+) for every block of nonzero rank, the
+    pseudo-inverses computed in one batch per rank group of ``kms``;
+    B (B^T B)^+ c is the minimum-norm coefficient vector whose factor
+    coordinates are c."""
+    for *_, positions in kms.groups:
         factors = np.stack([kms.blocks[pos].factor for pos in positions])
         pinvs = np.linalg.pinv(factors.transpose(0, 2, 1) @ factors, hermitian=True)
-        for pos, pinv in zip(positions, pinvs):
-            yield pos, kms.blocks[pos], pinv
+        yield from zip(positions, factors, pinvs)
 
 
 def _block_coefficients(kms: KernelMatrixSet, coords: np.ndarray):
     """(block, a_b) for every block with a nonzero coordinate in ``coords``,
     a_b = B_b (B_b^T B_b)^+ c_b of shape (T', N); the other blocks are zero."""
-    starts = _block_starts(kms)
-    for pos, block, pinv in _gram_pinvs(kms):
-        c = coords[starts[pos] : starts[pos + 1]]
+    for pos, factor, pinv in _gram_pinvs(kms):
+        c = coords[kms.columns[pos]]
         if c.any():
-            yield block, block.factor @ (pinv @ c)
+            yield kms.blocks[pos], factor @ (pinv @ c)
 
 
 def _prediction_map(kms: KernelMatrixSet, view: LagAlignedView) -> np.ndarray:
@@ -605,46 +572,33 @@ def _prediction_map(kms: KernelMatrixSet, view: LagAlignedView) -> np.ndarray:
     between the view's samples and the training ones, so Phi @ c is the
     prediction of the minimum-norm coefficients with coordinates c.
     """
-    starts = _block_starts(kms)
-    phi = np.zeros((view.n_targets, starts[-1]))
-    for pos, b, pinv in _gram_pinvs(kms):
+    phi = np.zeros((view.n_targets, kms.factor.shape[1]))
+    for pos, factor, pinv in _gram_pinvs(kms):
+        b = kms.blocks[pos]
         if b.spec is None or b.samples is None:
             raise ConfigError("prediction on new data needs kernel blocks built from samples")
         kc = cross_gram(b.spec, view.regressor_series(b.node, b.lag), b.samples)
-        phi[:, starts[pos] : starts[pos + 1]] = kc @ (b.factor @ pinv)
+        phi[:, kms.columns[pos]] = kc @ (factor @ pinv)
     return phi
 
 
-def rkhs_block_norms(kms: KernelMatrixSet, tensor: CoefficientTensor) -> np.ndarray:
+def rkhs_block_norms(tensor: CoefficientTensor) -> np.ndarray:
     """||K_b^{1/2} a_bj||_2 = ||c_bj||_2 for every block, shape (P, L+1, N, N)."""
-    n = kms.n_nodes
-    out = np.zeros((kms.n_kernels, kms.lag + 1, n, n))
-    starts = _block_starts(kms)
-    for pos, b in enumerate(kms.blocks):
-        out[b.kernel_index, b.lag, b.node] = np.linalg.norm(
-            tensor.coords[starts[pos] : starts[pos + 1]], axis=0
-        )
+    kms = tensor.kernels
+    out = np.zeros((kms.n_kernels, kms.lag + 1, kms.n_nodes, kms.n_nodes))
+    for b, cols in zip(kms.blocks, kms.columns):
+        out[b.kernel_index, b.lag, b.node] = np.linalg.norm(tensor.coords[cols], axis=0)
     return out
 
 
-def predict(
-    tensor: CoefficientTensor,
-    kms: KernelMatrixSet,
-    view: LagAlignedView | None = None,
-) -> np.ndarray:
-    """Fitted values sum_b K_b a_bj = F c per column; with ``view``, kernel
-    evaluations are taken between the new aligned samples and the training
-    ones (one-step-ahead prediction)."""
-    if (tensor.n_kernels, tensor.lag, tensor.n_nodes, tensor.n_basis, tensor.coords.shape[0]) != (
-        kms.n_kernels,
-        kms.lag,
-        kms.n_nodes,
-        kms.n_targets,
-        sum(b.rank for b in kms.blocks),
-    ):
-        raise ShapeMismatch("coefficient tensor does not match the kernel set")
+def predict(tensor: CoefficientTensor, view: LagAlignedView | None = None) -> np.ndarray:
+    """Fitted values sum_b K_b a_bj = F c per column, on the kernel set the
+    tensor was fit on; with ``view``, kernel evaluations are taken between
+    the new aligned samples and the training ones (one-step-ahead
+    prediction)."""
+    kms = tensor.kernels
     if view is None:
-        basis = np.hstack([b.factor for b in kms.blocks])
+        basis = kms.factor
     elif view.lag != kms.lag or view.n_nodes != kms.n_nodes:
         raise ShapeMismatch("view does not match the kernel set")
     else:
@@ -911,7 +865,6 @@ def cross_validate_lambda(
             f"set of a panel of shape {panel.values.shape}"
         )
     y = panel.values[kms.lag :]
-    basis = np.hstack([b.factor for b in kms.blocks])
     fold_errors = np.zeros((len(grid), folds))
     for f, (train, test) in enumerate(_fold_rows(panel.n_samples, kms.lag, folds)):
         kms_train = kms.take_rows(train)
@@ -920,7 +873,7 @@ def cross_validate_lambda(
         else:
             coords = [_ridge_coordinates(y[train], kms_train, l) for l in grid]
         for gi, c in enumerate(coords):
-            err = y[test] - basis[test] @ c
+            err = y[test] - kms.factor[test] @ c
             fold_errors[gi, f] = float(np.mean(err * err))
     means = fold_errors.mean(axis=1)
     # ascending scan; ties replace, so equal scores land on the larger lambda

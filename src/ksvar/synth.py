@@ -60,6 +60,8 @@ class SynthConfig:
             raise ConfigError("coefficient_scale must be positive")
         if self.burn_in < 0:
             raise ConfigError("burn_in must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -440,9 +440,9 @@ def unit_tensor(
     kms = assemble(
         {(i, l, p): np.eye(t) for i in range(n) for l in range(lag + 1) for p in range(kernels)}
     )
-    coords = np.zeros((kms.n_blocks * t, n))
+    coords = np.zeros((kms.factor.shape[1], n))
     for (p, l, i, j), value in entries.items():
-        rows = columns_of(kms, kms.position(i, l, p))
+        rows = kms.columns[kms.position(i, l, p)]
         coords[rows, j][: np.size(value)] = value
     return CoefficientTensor(coords=coords, kernels=kms)
 
@@ -510,12 +510,12 @@ def admm_column_update(
         raise SingularSystem("dense column system is singular") from exc
 
 
-def objective_value(targets: np.ndarray, kms, tensor, lam: float) -> tuple[float, float, float]:
+def objective_value(targets: np.ndarray, tensor, lam: float) -> tuple[float, float, float]:
     """(objective, fidelity, penalty) of the group-sparse problem at ``tensor``,
     evaluated from the coefficient blocks."""
-    resid = targets - predict(tensor, kms)
+    resid = targets - predict(tensor)
     fidelity = 0.5 * float(np.sum(resid * resid))
-    penalty = lam * float(rkhs_block_norms(kms, tensor).sum())
+    penalty = lam * float(rkhs_block_norms(tensor).sum())
     return fidelity + penalty, fidelity, penalty
 
 

@@ -188,7 +188,7 @@ def test_criterion_03(capsys):
         assert np.linalg.norm(grad) <= 1e-7, f"instance {i}"
 
         fitted, obj = ridge_reference(vals, 1, [spec], view.targets, lam)
-        got = predict(tensor, kms)
+        got = predict(tensor)
         err = float(np.max(np.abs(got - fitted)))
         worst_fit = max(worst_fit, err)
         assert err <= 1e-8, f"instance {i}: fitted values off by {err:.2e}"

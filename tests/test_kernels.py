@@ -457,6 +457,52 @@ class TestBuildKernelSet:
             )
 
 
+class TestStackedFactor:
+    """KernelMatrixSet.factor: every block's factor columns, sorted by rank."""
+
+    def mixed_set(self):
+        # linear blocks have rank 1 and Gaussian blocks more, so the rank
+        # order of the columns differs from the (lag, node, kernel) order
+        vals = np.random.default_rng(20).normal(size=(12, 3))
+        _, view = view_from(vals, lag=1)
+        return build_kernel_set(view, [LINEAR, GAUSS1])
+
+    def test_block_factors_are_views_of_their_columns(self):
+        kms = self.mixed_set()
+        assert kms.factor.shape == (kms.n_targets, sum(b.rank for b in kms.blocks))
+        for pos, block in enumerate(kms.blocks):
+            cols = kms.columns[pos]
+            assert cols.stop - cols.start == block.rank
+            np.testing.assert_array_equal(block.factor, kms.factor[:, cols])
+            assert np.shares_memory(block.factor, kms.factor)
+        starts = [cols.start for cols in kms.columns]
+        assert starts != sorted(starts)
+
+    def test_groups_tile_the_columns_in_rank_order(self):
+        kms = self.mixed_set()
+        edge = 0
+        for start, stop, rank, positions in kms.groups:
+            assert start == edge and rank > 0
+            assert positions == sorted(positions)
+            for k, pos in enumerate(positions):
+                assert kms.blocks[pos].rank == rank
+                assert kms.columns[pos] == slice(start + k * rank, start + (k + 1) * rank)
+            edge = stop
+        assert edge == kms.factor.shape[1]
+        ranks = [rank for _, _, rank, _ in kms.groups]
+        assert ranks == sorted(set(ranks)) and ranks[0] == 1 and len(ranks) > 1
+
+    def test_take_rows_keeps_the_layout(self):
+        kms = self.mixed_set()
+        rows = np.array([0, 2, 3, 7, 10])
+        sub = kms.take_rows(rows)
+        np.testing.assert_array_equal(sub.factor, kms.factor[rows])
+        assert sub.columns == kms.columns and sub.groups == kms.groups
+        for block in sub.blocks:
+            assert np.shares_memory(block.factor, sub.factor)
+            assert not np.shares_memory(block.factor, kms.factor)
+
+
 class TestGaussianFactorBuild:
     """Gaussian blocks from build_kernel_set: pivoted-Cholesky factors that
     match the truncated eigenfactor of the full Gram."""

@@ -122,8 +122,8 @@ class TestMklFit:
         kms_b = expand_dictionary([GAUSS1, LINEAR], panel, 1)
         ta, net_a = mkl_fit(view.targets, kms_a, cfg)
         tb, net_b = mkl_fit(view.targets, kms_b, cfg)
-        obj_a = objective_value(view.targets, kms_a, ta, cfg.lam)[0]
-        obj_b = objective_value(view.targets, kms_b, tb, cfg.lam)[0]
+        obj_a = objective_value(view.targets, ta, cfg.lam)[0]
+        obj_b = objective_value(view.targets, tb, cfg.lam)[0]
         assert obj_a == pytest.approx(obj_b, rel=1e-9)
         np.testing.assert_array_equal(net_a.aggregate_support, net_b.aggregate_support)
         np.testing.assert_allclose(net_a.weights, net_b.weights, atol=1e-7)

@@ -1216,6 +1216,16 @@ class TestCli:
         assert res.exit_code == 1
         assert res.stderr.startswith("error: ConfigError")
 
+    def test_synth_rejects_negative_seed(self, tmp_path):
+        out = tmp_path / "x.csv"
+        res = self.invoke(
+            "synth", "-o", str(out), "--nodes", "3",
+            "--samples", "50", "--density", "0.5", "--seed", "-1",
+        )
+        assert res.exit_code == 1
+        assert res.stderr.splitlines() == ["error: ConfigError: seed must be >= 0, got -1"]
+        assert not out.exists()
+
     def test_dictionary_flags_repeat(self, tmp_path):
         csv_path = tmp_path / "sim.csv"
         write_panel_csv(csv_path)

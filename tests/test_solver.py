@@ -167,7 +167,7 @@ class TestCoefficientTensor:
         c = system.to_public(system.mask_deleted(rng.normal(size=(1, 2, system.total_rank)))[0])
         tensor = CoefficientTensor(coords=c, kernels=kms)
         np.testing.assert_allclose(
-            kbar(kms) @ w_stacked(tensor), predict(tensor, kms), atol=1e-10
+            kbar(kms) @ w_stacked(tensor), predict(tensor), atol=1e-10
         )
 
     @pytest.mark.parametrize("spec", [LINEAR, [LINEAR, GAUSS1]])
@@ -409,9 +409,9 @@ class TestAdmmFit:
         assert set(diag.relative_gaps) == {*range(10, diag.iterations + 1, 10), diag.iterations}
         assert diag.final_objective == pytest.approx(diag.fidelity + diag.penalty)
         assert diag.converged and 0.0 < diag.residual_ratio <= 1.0
-        resid = view.targets - predict(tensor, kms)
+        resid = view.targets - predict(tensor)
         assert diag.fidelity == pytest.approx(0.5 * np.sum(resid * resid), abs=1e-9)
-        obj, fid, pen = objective_value(view.targets, kms, tensor, TIGHT.lam)
+        obj, fid, pen = objective_value(view.targets, tensor, TIGHT.lam)
         assert obj == pytest.approx(diag.final_objective, abs=1e-9)
         assert fid == pytest.approx(diag.fidelity, abs=1e-12)
         assert pen == pytest.approx(diag.penalty, abs=1e-12)
@@ -466,15 +466,13 @@ class TestAdmmFit:
         want, gap = kernel_set_objective(y, kms, lam)
         assert abs(diag.final_objective - want) <= gap + 1e-7 * (1.0 + abs(want))
         # the public coordinates carry the same objective, block by block
-        assert objective_value(y, kms, tensor, lam)[0] == pytest.approx(
+        assert objective_value(y, tensor, lam)[0] == pytest.approx(
             diag.final_objective, rel=1e-10
         )
-        starts = np.concatenate([[0], np.cumsum([b.rank for b in kms.blocks])])
         for j in range(n):
             for pos in kms.deleted_positions(j):
-                rows = slice(starts[pos], starts[pos + 1])
                 for arr in (tensor.coords, dual.gamma, dual.xi):
-                    assert not arr[rows, j].any()
+                    assert not arr[kms.columns[pos], j].any()
         assert tensor.block_norms().max() > 0.0
 
     def test_rejects_wrong_mode_and_lambda(self):
@@ -492,6 +490,40 @@ class TestAdmmFit:
         bad[0, 0] = np.inf
         with pytest.raises(NonFinite):
             admm_fit(bad, kms, SolverConfig(lam=0.5))
+
+
+class TestCoordinateLayout:
+    """coords rows follow the columns of the kernel set's stacked factor."""
+
+    def fit(self):
+        _, view, kms = make_problem(t=20, n=3, seed=47, spec=[LINEAR, GAUSS1])
+        assert [cols.start for cols in kms.columns] != sorted(c.start for c in kms.columns)
+        lam = 0.2 * lambda_zero_bound(view.targets, kms)
+        tensor, _, diag = admm_fit(view.targets, kms, replace(TIGHT, lam=lam, max_iter=300))
+        return view, kms, tensor, diag, lam
+
+    def test_predict_is_the_stacked_factor_times_coords(self):
+        view, kms, tensor, diag, _ = self.fit()
+        np.testing.assert_array_equal(predict(tensor), kms.factor @ tensor.coords)
+        # the fit's own fidelity, computed in the solver's working layout
+        resid = view.targets - predict(tensor)
+        assert 0.5 * float(np.sum(resid * resid)) == pytest.approx(diag.fidelity, rel=1e-10)
+
+    def test_block_norms_read_the_block_columns(self):
+        _, kms, tensor, diag, lam = self.fit()
+        norms = tensor.block_norms()
+        for pos, block in enumerate(kms.blocks):
+            b = block.factor
+            c = tensor.coords[kms.columns[pos]]
+            # the Gaussian blocks' B^T B is ill-conditioned, so the reference
+            # takes the products in the solver's order
+            want = np.linalg.norm(b @ (np.linalg.pinv(b.T @ b, hermitian=True) @ c), axis=0)
+            got = norms[block.kernel_index, block.lag, block.node]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        # the penalty the fit certified, from the same rows
+        assert lam * float(rkhs_block_norms(tensor).sum()) == pytest.approx(
+            diag.penalty, rel=1e-10
+        )
 
 
 class TestDualityGap:
@@ -596,9 +628,9 @@ class TestRidgeFit:
         cfg = SolverConfig(lam=lam, regularizer="squared")
         tensor = ridge_fit(view.targets, kms, cfg)
         fitted, obj = ridge_reference(vals, 1, [spec], view.targets, lam)
-        np.testing.assert_allclose(predict(tensor, kms), fitted, atol=1e-8)
-        resid = view.targets - predict(tensor, kms)
-        penalty = lam * float((rkhs_block_norms(kms, tensor) ** 2).sum())
+        np.testing.assert_allclose(predict(tensor), fitted, atol=1e-8)
+        resid = view.targets - predict(tensor)
+        penalty = lam * float((rkhs_block_norms(tensor) ** 2).sum())
         got_obj = 0.5 * float(np.sum(resid * resid)) + penalty
         assert got_obj == pytest.approx(obj, rel=1e-8)
 
@@ -607,7 +639,7 @@ class TestRidgeFit:
         _, view, kms = make_problem(t=15, n=3, seed=23)
         lam = 0.2
         tensor = ridge_fit(view.targets, kms, SolverConfig(lam=lam, regularizer="squared"))
-        fitted = predict(tensor, kms)
+        fitted = predict(tensor)
         for j in range(kms.n_nodes):
             deleted = set(kms.deleted_positions(j))
             grad_sq = 0.0
@@ -699,7 +731,7 @@ class TestSharedSolve:
         lam = 0.3
         tensor = ridge_fit(view.targets, kms, SolverConfig(lam=lam, regularizer="squared"))
         fitted, _ = ridge_reference(vals, 1, specs, view.targets, lam)
-        np.testing.assert_allclose(predict(tensor, kms), fitted, atol=1e-8)
+        np.testing.assert_allclose(predict(tensor), fitted, atol=1e-8)
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_admm_self_blocks_exactly_zero(self, case):
@@ -803,8 +835,8 @@ class TestSharedSolve:
         tensor, dual, diag = admm_fit(view.targets, kms, cfg)
         rho = 10.0 * lam
         assert diag.rho == rho and diag.iterations == 7
-        f = np.hstack([b.factor for b in kms.blocks])
-        starts = np.concatenate([[0], np.cumsum([b.rank for b in kms.blocks])])
+        f = kms.factor
+        cols = np.arange(f.shape[1])
         z = np.zeros((f.shape[1], kms.n_nodes))
         u = np.zeros_like(z)
         for _ in range(7):
@@ -812,17 +844,15 @@ class TestSharedSolve:
             for j in range(kms.n_nodes):
                 deleted = set(kms.deleted_positions(j))
                 kept = np.concatenate(
-                    [np.arange(starts[p], starts[p + 1]) for p in range(len(kms.blocks))
-                     if p not in deleted]
+                    [cols[kms.columns[p]] for p in range(len(kms.blocks)) if p not in deleted]
                 )
                 a = f[:, kept]
                 rhs = a.T @ view.targets[:, j] + rho * (z[kept, j] - u[kept, j])
                 x[kept, j] = np.linalg.solve(a.T @ a + rho * np.eye(kept.size), rhs)
             v = 1.6 * x + (1.0 - 1.6) * z + u
             z = np.zeros_like(v)
-            for p in range(len(kms.blocks)):
+            for rows in kms.columns:
                 for j in range(kms.n_nodes):
-                    rows = slice(starts[p], starts[p + 1])
                     z[rows, j] = block_shrinkage(v[rows, j], lam / rho)
             u = v - z
         np.testing.assert_allclose(tensor.coords, z, rtol=1e-8, atol=1e-10)
@@ -832,7 +862,7 @@ class TestSharedSolve:
         # R <= T': plain least squares on each column's kept factors
         _, view, kms = make_problem(**self.CASES["linear_below"])
         cfg = SolverConfig(lam=0.0, regularizer="squared")
-        fitted = predict(ridge_fit(view.targets, kms, cfg), kms)
+        fitted = predict(ridge_fit(view.targets, kms, cfg))
         for j in range(kms.n_nodes):
             deleted = set(kms.deleted_positions(j))
             a = np.hstack([b.factor for pos, b in enumerate(kms.blocks) if pos not in deleted])
@@ -886,7 +916,7 @@ class TestPredict:
         _, view, kms = make_problem(t=16, n=2, seed=27, spec=GAUSS1)
         tensor, _, _ = admm_fit(view.targets, kms, SolverConfig(lam=0.1))
         np.testing.assert_allclose(
-            predict(tensor, kms), predict(tensor, kms, view=view), atol=1e-9
+            predict(tensor), predict(tensor, view=view), atol=1e-9
         )
 
     def test_new_view_prediction_shape(self):
@@ -895,7 +925,7 @@ class TestPredict:
         rng = np.random.default_rng(29)
         newvals = rng.normal(size=(7, 2))
         panel = TimeSeriesPanel(values=newvals, node_labels=("n0", "n1"), sample_rate_hz=1.0)
-        out = predict(tensor, kms, view=lag_view(panel, 1))
+        out = predict(tensor, view=lag_view(panel, 1))
         assert out.shape == (6, 2)
 
     @pytest.mark.parametrize("spec", [LINEAR, GAUSS1, [LINEAR, GAUSS1]])
@@ -911,15 +941,8 @@ class TestPredict:
         # the two orders of the products part at ~1e-10 on the Gaussian
         # blocks, whose factors' Gram is ill-conditioned
         np.testing.assert_allclose(
-            predict(tensor, kms, view=new), heldout_prediction(tensor, kms, new), rtol=0.0, atol=1e-9
+            predict(tensor, view=new), heldout_prediction(tensor, kms, new), rtol=0.0, atol=1e-9
         )
-
-    def test_rejects_mismatched_tensor(self):
-        _, view, kms = make_problem(seed=30)
-        _, _, other = make_problem(n=3, seed=30)
-        wrong = CoefficientTensor(coords=np.zeros((other.n_blocks, 3)), kernels=other)
-        with pytest.raises(ShapeMismatch):
-            predict(wrong, kms)
 
     def test_assembled_grams_cannot_project_new_data(self):
         grams = {(i, l): np.eye(3) for i in range(2) for l in range(2)}
@@ -931,7 +954,7 @@ class TestPredict:
             sample_rate_hz=1.0,
         )
         with pytest.raises(ConfigError):
-            predict(tensor, kms, view=lag_view(panel, 1))
+            predict(tensor, view=lag_view(panel, 1))
 
 
 class TestCrossValidate:
@@ -1038,7 +1061,7 @@ class TestCrossValidate:
                 else:
                     tensor, _, diag = admm_fit(y[train], kms_train, fit_cfg)
                     records[gi, f] = tensor, diag
-                err = y[test] - predict(replace(tensor, kernels=kms_test), kms_test)
+                err = y[test] - predict(replace(tensor, kernels=kms_test))
                 errors[gi, f] = np.mean(err * err)
         return errors, records
 

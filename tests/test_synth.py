@@ -43,6 +43,7 @@ class TestSynthConfig:
             {"coupling": "cubic"},
             {"coefficient_scale": 0.0},
             {"burn_in": -1},
+            {"seed": -1},
         ],
     )
     def test_rejects_bad_settings(self, kwargs):
