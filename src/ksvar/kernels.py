@@ -339,9 +339,6 @@ class KernelMatrixSet:
             raise ShapeMismatch(f"no kernel index {kernel_index}")
         return (lag * self.n_nodes + node) * self.n_kernels + kernel_index
 
-    def block(self, node: int, lag: int, kernel_index: int = 0) -> KernelBlock:
-        return self.blocks[self.position(node, lag, kernel_index)]
-
     def deleted_positions(self, j: int) -> list[int]:
         return [self.position(j, 0, p) for p in range(self.n_kernels)]
 

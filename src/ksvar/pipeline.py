@@ -361,13 +361,14 @@ def _process_segment(idx: int, seg_panel: TimeSeriesPanel, cfg: PipelineConfig, 
             penalty = chosen_lam * float((rkhs_block_norms(tensor) ** 2).sum())
             records = []
             iterations, converged, residual_ratio, relative_gap, rho = 1, True, 0.0, 0.0, None
+            accelerated = False
             final_objective = fidelity + penalty
         else:
             tensor, _, diagnostics = admm_fit(view.targets, kms, scfg)
             records = diagnostics.records()
             iterations, converged = diagnostics.iterations, diagnostics.converged
             residual_ratio, relative_gap = diagnostics.residual_ratio, diagnostics.relative_gap
-            rho = diagnostics.rho
+            rho, accelerated = diagnostics.rho, diagnostics.accelerated
             fidelity, penalty = diagnostics.fidelity, diagnostics.penalty
             final_objective = diagnostics.final_objective
     records.append(
@@ -407,6 +408,7 @@ def _process_segment(idx: int, seg_panel: TimeSeriesPanel, cfg: PipelineConfig, 
         "n_edges": net.n_edges,
         "converged": converged,
         "iterations": iterations,
+        "accelerated": accelerated,
         "residual_ratio": residual_ratio,
         "relative_gap": relative_gap,
         "timings": timings,

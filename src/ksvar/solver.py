@@ -37,7 +37,14 @@ factors' rows.
 Every fit is certified by a duality gap (``FitDiagnostics.relative_gap``):
 its objective exceeds the optimum by at most that share of itself.  ADMM
 is over-relaxed, takes rho = 10 lambda unless told otherwise, and stops
-once that gap is within ``SolverConfig.tol_gap``.
+once that gap is within ``SolverConfig.tol_gap``.  Where an iteration's
+two products with V dominate its cost (N R S of at least
+``_ANDERSON_WORK`` per lambda, S the rows of V^T), ADMM is
+Anderson-accelerated: each (lambda, node) column mixes its last few
+iterates (type-II Anderson mixing of the Douglas-Rachford map, Walker & Ni
+2011; Fu, Zhang & Boyd 2020), with a restart guard, and
+``FitDiagnostics.accelerated`` records it.  Smaller fits run the plain
+loop.
 
 Contents
 --------
@@ -69,6 +76,12 @@ _GAP_EVERY = 10  # ADMM iterations between duality-gap certificates
 _JITTER = 1e-10  # stands in for a zero penalty on a rank-deficient factor
 _RHO_PER_LAM = 10.0  # the default ADMM penalty parameter is rho = 10 lambda
 _RELAX = 1.6  # ADMM over-relaxation (Boyd et al. 2011, sec. 3.4.3)
+# N R S per lambda from which ADMM is Anderson-accelerated: every shape of the
+# sweep recorded in CHANGES.md above it fit faster accelerated, some below it slower
+_ANDERSON_WORK = 7_000_000
+_ANDERSON_DEPTH = 5  # map differences each column's Anderson history keeps
+_ANDERSON_REG = 1e-10  # Tikhonov weight of the mixing least squares, relative to its trace
+_ANDERSON_GROWTH = 2.0  # a residual above this factor times the last one restarts a column
 
 
 @dataclass(frozen=True)
@@ -82,7 +95,9 @@ class SolverConfig:
     An ADMM fit stops once both scaled residuals are within ``tol_primal``
     and ``tol_dual``, or at the first duality-gap certificate whose worst
     relative gap is at most ``tol_gap`` (0 leaves only the residual test).
-    The edge threshold is an argument of ``threshold_edges``.
+    No setting turns Anderson acceleration on or off: it follows the size
+    of the fit (see ``FitDiagnostics.accelerated``).  The edge threshold is
+    an argument of ``threshold_edges``.
     """
 
     lam: float
@@ -158,10 +173,6 @@ class CoefficientTensor:
     @property
     def n_nodes(self) -> int:
         return self.kernels.n_nodes
-
-    @property
-    def n_basis(self) -> int:
-        return self.kernels.n_targets
 
     @property
     def kernel_specs(self) -> tuple[KernelSpec, ...] | None:
@@ -245,6 +256,12 @@ class FitDiagnostics:
     first.  Residual traces are not monotone in general.  ``relative_gaps``
     maps every ``_GAP_EVERY``-th and the last iteration to its worst
     relative duality gap.  ``rho`` is the ADMM penalty parameter the fit used.
+    ``accelerated`` is True when the fit was large enough for Anderson
+    acceleration: N R S of at least ``_ANDERSON_WORK`` per lambda, for N
+    nodes, stacked rank R and S <= min(T', R) the rows of V^T, so that the
+    two products with V dominate an iteration.  Each iterate is then the
+    Anderson extrapolation of the plain step, and the residuals and gaps
+    above are those of the extrapolated iterates.
     """
 
     iterations: int
@@ -257,6 +274,7 @@ class FitDiagnostics:
     penalty: float
     residual_ratio: float
     rho: float
+    accelerated: bool
 
     @property
     def relative_gap(self) -> float:
@@ -642,6 +660,91 @@ def _certificate(
     return fidelity, penalty, np.divide(gap, primal, out=np.zeros_like(gap), where=primal > 0)
 
 
+class _Anderson:
+    """Type-II Anderson mixing of a fixed-point map v -> T(v), one history
+    per (lambda, node) column of (K, N, R) points (Walker & Ni, SIAM J.
+    Numer. Anal. 2011).
+
+    ``push(tv)`` records the map value tv = T(v) at the last point v that
+    ``extrapolate`` handed out (0 before the first), and with it the
+    residual f = tv - v.  ``extrapolate`` returns the next point
+    tv - dG gamma: dF and dG hold the column's last ``_ANDERSON_DEPTH``
+    differences of residuals and of map values, and gamma minimizes
+    ||f - dF gamma||^2 + reg ||gamma||^2, reg being ``_ANDERSON_REG`` times
+    the trace of dF^T dF.  Every push writes one ring slot of every column
+    and one row and column of each column's Gram dF^T dF.  dG enters only
+    the product dG gamma, so it is held in single precision, which halves
+    its memory.  A column whose residual norm grew past ``_ANDERSON_GROWTH``
+    times its last one, or whose mixed point is not finite, takes the plain
+    step tv and clears its history; an empty history mixes nothing, so the
+    first step is plain.  The point handed out is a buffer that the next
+    ``extrapolate`` overwrites.  ``keep`` drops columns as
+    ``_FactorSystem.keep`` drops penalties.
+    """
+
+    def __init__(self, shape: tuple[int, int, int]):
+        k, n, r = shape
+        depth = _ANDERSON_DEPTH
+        self.df = np.zeros((k, n, depth, r))
+        self.dg = np.zeros((k, n, depth, r), dtype=np.float32)
+        self.gram = np.zeros((k, n, depth, depth))
+        self.filled = np.zeros((k, n, depth), dtype=bool)
+        self.point, self.tv = np.zeros(shape), np.zeros(shape)
+        self.f, self.f_last = np.zeros(shape), np.zeros(shape)
+        self.step = np.zeros((k, n, 1, r), dtype=np.float32)
+        self.sq_norm = None
+        self.pushes = 0
+
+    def keep(self, rows: list[int]) -> None:
+        """Keep only the penalties at ``rows``, in that order."""
+        for name in ("df", "dg", "gram", "filled", "point", "tv", "f", "f_last", "step"):
+            setattr(self, name, getattr(self, name)[rows])
+        if self.sq_norm is not None:
+            self.sq_norm = self.sq_norm[rows]
+
+    def _clear(self, cols) -> None:
+        self.df[cols] = 0.0
+        self.dg[cols] = 0.0
+        self.gram[cols] = 0.0
+        self.filled[cols] = False
+
+    def push(self, tv: np.ndarray) -> None:
+        self.f, self.f_last = self.f_last, self.f
+        f = np.subtract(tv, self.point, out=self.f)
+        sq_norm = np.vecdot(f, f)
+        if self.sq_norm is not None:
+            slot = self.pushes % self.df.shape[2]
+            self.pushes += 1
+            np.subtract(f, self.f_last, out=self.df[:, :, slot])
+            np.subtract(tv, self.tv, out=self.dg[:, :, slot])
+            row = np.vecdot(self.df[:, :, slot, None], self.df)
+            self.gram[:, :, slot] = row
+            self.gram[:, :, :, slot] = row
+            self.filled[:, :, slot] = True
+            grew = ~(sq_norm <= _ANDERSON_GROWTH**2 * self.sq_norm)
+            if grew.any():
+                self._clear(grew)
+        np.copyto(self.tv, tv)
+        self.sq_norm = sq_norm
+
+    def extrapolate(self) -> np.ndarray:
+        idx = np.arange(self.gram.shape[-1])
+        reg = _ANDERSON_REG * self.gram[..., idx, idx].sum(axis=-1, keepdims=True)
+        lhs = self.gram.copy()
+        # tiny keeps an all-zero history regular; an empty slot gets gamma 0
+        lhs[..., idx, idx] += np.where(self.filled, reg + np.finfo(float).tiny, 1.0)
+        rhs = np.vecdot(self.df, self.f[:, :, None])
+        # non-finite input gives a non-finite gamma, not an error; caught below
+        gamma = np.linalg.solve(lhs, rhs[..., None])
+        np.matmul(gamma.mT.astype(np.float32), self.dg, out=self.step)
+        np.subtract(self.tv, self.step[:, :, 0], out=self.point)
+        bad = ~np.isfinite(np.vecdot(self.point, self.point))  # an overflowing norm too
+        if bad.any():
+            self.point[bad] = self.tv[bad]
+            self._clear(bad)
+        return self.point
+
+
 def _admm(
     y: np.ndarray, kms: KernelMatrixSet, lams, cfg: SolverConfig
 ) -> list[tuple[np.ndarray, np.ndarray, FitDiagnostics]]:
@@ -667,7 +770,14 @@ def _admm(
         alpha x = alpha rho H (c0 / rho + (2 - alpha) g - w),
         v = alpha x + w,  g' = shrink(v),  w' = v - alpha g',
 
-    which is the textbook iteration with two array operations fewer.
+    which is the textbook iteration with two array operations fewer.  The
+    state is the point v = w + alpha g, and one iteration is the
+    Douglas-Rachford map v -> T(v).  When one lambda's products with V
+    cost N R S multiply-adds of at least ``_ANDERSON_WORK`` (S the rows of
+    ``system.vt``, at most min(T', R)), every v is replaced by its
+    ``_Anderson`` extrapolation before the shrinkage, and the residuals and
+    certificates are taken at those points; below it the loop adds no
+    array operation.
     """
     lam_live = np.asarray(lams, dtype=float)
     rhos = [cfg.rho_for(lam) for lam in lam_live.tolist()]
@@ -680,6 +790,8 @@ def _admm(
     c0 = system.project(y) / rho
     g = np.zeros((len(lams),) + c0.shape[1:])
     w = np.zeros_like(g)
+    accelerated = kms.n_nodes * system.total_rank * system.vt.shape[0] >= _ANDERSON_WORK
+    anderson = _Anderson(g.shape) if accelerated else None
     history: list[list] = [[] for _ in lams]
     gaps: list[dict] = [{} for _ in lams]
     out: list = [None] * len(lams)
@@ -687,6 +799,9 @@ def _admm(
     for it in range(1, cfg.max_iter + 1):
         xa = system.solve(c0 + (2.0 - _RELAX) * g - w)  # alpha x
         v = xa + w
+        if anderson is not None:  # v = T(w + alpha g)
+            anderson.push(v)
+            v = anderson.extrapolate()
         g_new = system.shrink(v, kappa)
         ag = _RELAX * g_new
         primal = _sumsq_each(xa - ag)
@@ -734,6 +849,7 @@ def _admm(
                     penalty=pen,
                     residual_ratio=max(p / tol_primal, d / tol_dual),
                     rho=rhos[pos],
+                    accelerated=accelerated,
                 ),
             )
         if len(stop) == len(live):
@@ -742,6 +858,8 @@ def _admm(
             keep = [i for i in range(len(live)) if i not in done]
             live = [live[i] for i in keep]
             system.keep(keep)
+            if anderson is not None:
+                anderson.keep(keep)
             lam_live, kappa, c0 = lam_live[keep], kappa[keep], c0[keep]
             g, w = g[keep], w[keep]
     return out

@@ -381,7 +381,7 @@ class TestBuildKernelSet:
         assert kms.n_blocks == 9
         for l in range(3):
             for i in range(3):
-                blk = kms.block(i, l)
+                blk = kms.blocks[kms.position(i, l)]
                 np.testing.assert_array_equal(blk.samples, vals[2 - l : 7 - l, i])
                 np.testing.assert_allclose(block_gram(blk), np.outer(blk.samples, blk.samples))
 
@@ -390,15 +390,17 @@ class TestBuildKernelSet:
         _, view = view_from(vals, lag=1)
         kms = build_kernel_set(view, [LINEAR, GAUSS1])
         assert kms.n_kernels == 2
-        assert kms.block(0, 0, 0).spec == LINEAR
-        assert kms.block(0, 0, 1).spec == GAUSS1
+        assert kms.blocks[kms.position(0, 0, 0)].spec == LINEAR
+        assert kms.blocks[kms.position(0, 0, 1)].spec == GAUSS1
         assert total_columns(kms) == 2 * 2 * 2 * 5
 
     def test_duplicate_kernels_in_plain_list_allowed(self):
         vals = np.random.default_rng(14).normal(size=(6, 2))
         _, view = view_from(vals, lag=1)
         kms = build_kernel_set(view, [LINEAR, LINEAR])
-        np.testing.assert_array_equal(kms.block(0, 1, 0).factor, kms.block(0, 1, 1).factor)
+        np.testing.assert_array_equal(
+            kms.blocks[kms.position(0, 1, 0)].factor, kms.blocks[kms.position(0, 1, 1)].factor
+        )
 
     def test_median_bandwidth_resolution_is_reproducible(self):
         vals = np.random.default_rng(15).normal(size=(8, 2))
@@ -434,9 +436,9 @@ class TestBuildKernelSet:
         vals = np.random.default_rng(17).normal(size=(9, 2))
         _, view = view_from(vals, lag=1)
         kms = build_kernel_set(view, [LINEAR, POLY21, GAUSS1])
-        assert kms.block(0, 0, 0).rank == 1
-        assert kms.block(0, 0, 1).rank == 3
-        assert 1 <= kms.block(0, 0, 2).rank <= kms.n_targets
+        assert kms.blocks[kms.position(0, 0, 0)].rank == 1
+        assert kms.blocks[kms.position(0, 0, 1)].rank == 3
+        assert 1 <= kms.blocks[kms.position(0, 0, 2)].rank <= kms.n_targets
 
     def test_take_rows_keeps_kernels_and_rows(self):
         vals = np.random.default_rng(18).normal(size=(12, 2))
@@ -528,7 +530,7 @@ class TestGaussianFactorBuild:
         vals = np.random.default_rng(seed).normal(size=(121, 2))
         _, view = view_from(vals, lag=1)
         kms = build_kernel_set(view, spec, seed=seed)
-        assert 1 < kms.block(0, 0).rank < kms.n_targets
+        assert 1 < kms.blocks[kms.position(0, 0)].rank < kms.n_targets
         self.check_blocks(kms)
 
     @pytest.mark.parametrize("spec", [GAUSS1, GAUSS_MEDIAN])

@@ -46,16 +46,19 @@ class TestExpandDictionary:
         # N=2, L=1, P=2, T'=3: 8 blocks of 3 columns each
         assert kms.n_blocks == 8
         assert kbar(kms).shape == (3, 24)
-        assert kms.block(0, 0, 0).spec == LINEAR
-        assert kms.block(0, 0, 1).spec == GAUSS1
-        assert kms.block(1, 1, 1).spec == GAUSS1
+        assert kms.blocks[kms.position(0, 0, 0)].spec == LINEAR
+        assert kms.blocks[kms.position(0, 0, 1)].spec == GAUSS1
+        assert kms.blocks[kms.position(1, 1, 1)].spec == GAUSS1
 
     def test_duplicate_entries_give_identical_stacks(self):
         panel = make_panel(seed=3)
         kms = expand_dictionary([LINEAR, LINEAR], panel, 1)
         for i in range(2):
             for l in range(2):
-                np.testing.assert_array_equal(kms.block(i, l, 0).factor, kms.block(i, l, 1).factor)
+                np.testing.assert_array_equal(
+                    kms.blocks[kms.position(i, l, 0)].factor,
+                    kms.blocks[kms.position(i, l, 1)].factor,
+                )
 
     def test_deleted_set_covers_every_kernel(self):
         panel = make_panel(seed=4)

@@ -625,6 +625,23 @@ class TestRunPipeline:
         manifest = run_pipeline(base_config(inp, tmp_path / "ridge", regularizer="squared"))
         assert manifest["segments"][0]["rho"] is None
 
+    def test_acceleration_is_recorded_in_the_manifest_only(self, tmp_path, monkeypatch):
+        inp = tmp_path / "panel.csv"
+        write_panel_csv(inp)
+        plain = run_pipeline(base_config(inp, tmp_path / "plain"))
+        ridge = run_pipeline(base_config(inp, tmp_path / "ridge", regularizer="squared"))
+        assert plain["segments"][0]["accelerated"] is False
+        assert ridge["segments"][0]["accelerated"] is False
+        # a threshold of 0 accelerates every fit, as a large window would be
+        monkeypatch.setattr(solver, "_ANDERSON_WORK", 0)
+        out = tmp_path / "accelerated"
+        manifest = run_pipeline(base_config(inp, out))
+        [seg] = manifest["segments"]
+        assert seg["accelerated"] is True and seg["converged"]
+        for run in (tmp_path / "plain", out):
+            text = (run / "seg_000" / "diagnostics.ndjson").read_text()
+            assert "accelerated" not in text
+
     def test_relative_gap_is_reported(self, tmp_path, caplog):
         inp = tmp_path / "panel.csv"
         write_panel_csv(inp, t=100, rate=10.0)

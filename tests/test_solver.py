@@ -23,6 +23,7 @@ from ksvar.solver import (
     EffectiveNetwork,
     SolverConfig,
     _admm,
+    _Anderson,
     _certificate,
     _FactorSystem,
     _fold_rows,
@@ -117,7 +118,7 @@ class TestCoefficientTensor:
     def test_shape_and_properties(self):
         t = unit_tensor({}, n=4, lag=2, kernels=2, t=5)
         assert t.coords.shape == (2 * 3 * 4 * 5, 4)
-        assert (t.n_kernels, t.lag, t.n_nodes, t.n_basis) == (2, 2, 4, 5)
+        assert (t.n_kernels, t.lag, t.n_nodes, t.kernels.n_targets) == (2, 2, 4, 5)
         assert t.coeffs.shape == (2, 3, 4, 4, 5)
 
     def test_rejects_wrong_ndim(self):
@@ -612,6 +613,106 @@ class TestDualityGap:
             for it, gap in alone.relative_gaps.items():
                 assert diag.relative_gaps[it] == pytest.approx(gap, rel=1e-9, abs=1e-12)
             assert diag.final_objective == pytest.approx(alone.final_objective, rel=1e-12)
+
+
+class TestAnderson:
+    """Anderson-accelerated ADMM, forced onto small problems by lowering
+    ``_ANDERSON_WORK`` (the N R S per lambda from which it runs)."""
+
+    @staticmethod
+    def force(monkeypatch, work=0):
+        monkeypatch.setattr(ksvar.solver, "_ANDERSON_WORK", work)
+
+    @pytest.mark.parametrize(
+        "spec,n,frac",
+        [(LINEAR, 3, 0.3), (POLY21, 3, 0.4), ([LINEAR, GAUSS1], 2, 0.3)],
+    )
+    def test_reaches_the_certified_optimum(self, monkeypatch, spec, n, frac):
+        # rank-1, rank-3 and linear+Gaussian blocks
+        vals, view, kms = make_problem(t=16, n=n, seed=13, spec=spec)
+        lam = frac * lambda_zero_bound(view.targets, kms)
+        self.force(monkeypatch)
+        tensor, _, diag = admm_fit(view.targets, kms, replace(TIGHT, lam=lam))
+        assert diag.accelerated and diag.converged
+        specs = spec if isinstance(spec, list) else [spec]
+        want, gap = group_lasso_objective(vals, 1, specs, view.targets, lam)
+        assert abs(diag.final_objective - want) <= gap + 1e-8 * (1.0 + abs(want))
+        assert objective_value(view.targets, tensor, lam)[0] == pytest.approx(
+            diag.final_objective, rel=1e-10
+        )
+        for j in range(kms.n_nodes):
+            for pos in kms.deleted_positions(j):
+                assert not tensor.coords[kms.columns[pos], j].any()
+
+    def test_rule_reads_the_product_work(self, monkeypatch):
+        _, view, kms = make_problem(t=16, n=3, seed=13, spec=[LINEAR, GAUSS1])
+        system = _FactorSystem(kms, [1.0])
+        work = kms.n_nodes * system.total_rank * system.vt.shape[0]
+        cfg = SolverConfig(lam=0.3 * lambda_zero_bound(view.targets, kms), max_iter=20)
+        for threshold, want in ((work, True), (work + 1, False)):
+            self.force(monkeypatch, threshold)
+            assert admm_fit(view.targets, kms, cfg)[2].accelerated is want
+
+    @pytest.mark.parametrize("spec", [LINEAR, [LINEAR, GAUSS1]])
+    def test_below_the_threshold_runs_the_plain_loop(self, monkeypatch, spec):
+        _, view, kms = make_problem(t=20, n=3, seed=16, spec=spec)
+        cfg = SolverConfig(lam=0.2 * lambda_zero_bound(view.targets, kms), max_iter=200)
+        default = admm_fit(view.targets, kms, cfg)
+        self.force(monkeypatch, np.inf)
+        plain = admm_fit(view.targets, kms, cfg)
+        self.force(monkeypatch)
+        forced = admm_fit(view.targets, kms, cfg)
+        assert not default[2].accelerated and forced[2].accelerated
+        assert not np.array_equal(forced[0].coords, plain[0].coords)
+        (tensor, dual, diag), (want_tensor, want_dual, want_diag) = default, plain
+        assert np.array_equal(tensor.coords, want_tensor.coords)
+        assert np.array_equal(dual.xi, want_dual.xi)
+        assert np.array_equal(diag.primal_residuals, want_diag.primal_residuals)
+        assert np.array_equal(diag.dual_residuals, want_diag.dual_residuals)
+        assert diag.relative_gaps == want_diag.relative_gaps
+        assert (diag.iterations, diag.final_objective, diag.fidelity, diag.penalty) == (
+            want_diag.iterations,
+            want_diag.final_objective,
+            want_diag.fidelity,
+            want_diag.penalty,
+        )
+
+    def test_non_finite_extrapolation_takes_the_plain_step(self, monkeypatch):
+        injected = []
+
+        class Poisoned(_Anderson):
+            # a NaN map difference makes column (0, 1)'s mixed point NaN
+            def push(self, tv):
+                super().push(tv)
+                if self.pushes in (3, 7, 12):
+                    self.dg[0, 1, 0, 0] = np.nan
+                    injected.append(self.pushes)
+
+        vals, view, kms = make_problem(t=16, n=3, seed=13, spec=[LINEAR, GAUSS1])
+        lam = 0.3 * lambda_zero_bound(view.targets, kms)
+        self.force(monkeypatch)
+        monkeypatch.setattr(ksvar.solver, "_Anderson", Poisoned)
+        tensor, _, diag = admm_fit(view.targets, kms, replace(TIGHT, lam=lam))
+        assert injected == [3, 7, 12]
+        assert diag.accelerated and diag.converged
+        assert np.isfinite(tensor.coords).all()
+        want, gap = group_lasso_objective(vals, 1, [LINEAR, GAUSS1], view.targets, lam)
+        assert abs(diag.final_objective - want) <= gap + 1e-8 * (1.0 + abs(want))
+
+    def test_growing_residual_clears_the_column(self):
+        mixer = _Anderson((1, 2, 3))
+        mixer.push(np.ones((1, 2, 3)))
+        np.testing.assert_array_equal(mixer.extrapolate(), np.ones((1, 2, 3)))
+        # column 0's residual grows threefold, column 1's halves
+        tv = np.ones((1, 2, 3))
+        tv[0, 0] += 3.0
+        tv[0, 1] += 0.5
+        mixer.push(tv)
+        assert not mixer.filled[0, 0].any()
+        assert mixer.filled[0, 1].sum() == 1
+        point = mixer.extrapolate()
+        np.testing.assert_array_equal(point[0, 0], tv[0, 0])
+        assert np.isfinite(point).all()
 
 
 class TestRidgeFit:
@@ -1178,6 +1279,24 @@ class TestCrossValidate:
             assert diag.rho == pytest.approx(10.0 * grid[gi], rel=1e-15)
         stops = {diag.iterations for _, diag in records.values()}
         assert len(stops) > 1 and min(stops) < cfg.max_iter
+
+    @pytest.mark.parametrize("spec", [LINEAR, [LINEAR, GAUSS1]])
+    def test_forced_acceleration_matches_per_lambda_fits(self, monkeypatch, spec):
+        # lambdas leave the accelerated batch at different iterations, so the
+        # mixer drops their histories with the factor system's penalties
+        monkeypatch.setattr(ksvar.solver, "_ANDERSON_WORK", 0)
+        panel = self.make_var_panel()
+        kms = build_kernel_set(lag_view(panel, 1), spec)
+        bound = lambda_zero_bound(lag_view(panel, 1).targets, kms)
+        grid = [0.01 * bound, 0.1 * bound, 0.6 * bound]
+        cfg = SolverConfig(lam=1.0, max_iter=150)
+        _, table = cross_validate_lambda(panel, kms, grid, 3, cfg)
+        want, records = self.per_lambda_reference(panel, kms, grid, 3, cfg)
+        assert all(diag.accelerated for _, diag in records.values())
+        stops = {diag.iterations for _, diag in records.values()}
+        assert len(stops) > 1 and min(stops) < cfg.max_iter
+        got = np.array([row["fold_errors"] for row in table])
+        np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
 
     def test_group_grid_with_zero_lambda_rejected(self):
         panel = self.make_lagged_panel()
