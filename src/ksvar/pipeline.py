@@ -208,13 +208,11 @@ def _network_payload(net: EffectiveNetwork) -> dict:
     labels = net.node_labels if net.node_labels else tuple(f"n{i}" for i in range(n))
     if len(labels) != n:
         raise ShapeMismatch(f"{len(labels)} labels for {n} nodes")
-    edges = []
-    for l in range(net.lag + 1):
-        for i in range(n):
-            for j in range(n):
-                w = float(net.weights[l, i, j])
-                if w != 0.0:
-                    edges.append({"src": i, "dst": j, "lag": l, "weight": w})
+    idx = np.nonzero(net.weights)  # C order: sorted by (lag, src, dst)
+    edges = [
+        {"src": i, "dst": j, "lag": l, "weight": w}
+        for l, i, j, w in zip(*(a.tolist() for a in idx), net.weights[idx].tolist())
+    ]
     return {
         "schema_version": SCHEMA_VERSION,
         "nodes": list(labels),
@@ -361,12 +359,14 @@ def _process_segment(idx: int, seg_panel: TimeSeriesPanel, cfg: PipelineConfig, 
             penalty = chosen_lam * float((rkhs_block_norms(tensor) ** 2).sum())
             records = []
             iterations, converged, residual_ratio, relative_gap, rho = 1, True, 0.0, 0.0, None
+            column_iterations = kms.n_nodes
             accelerated = False
             final_objective = fidelity + penalty
         else:
             tensor, _, diagnostics = admm_fit(view.targets, kms, scfg)
             records = diagnostics.records()
             iterations, converged = diagnostics.iterations, diagnostics.converged
+            column_iterations = diagnostics.column_iterations
             residual_ratio, relative_gap = diagnostics.residual_ratio, diagnostics.relative_gap
             rho, accelerated = diagnostics.rho, diagnostics.accelerated
             fidelity, penalty = diagnostics.fidelity, diagnostics.penalty
@@ -408,6 +408,7 @@ def _process_segment(idx: int, seg_panel: TimeSeriesPanel, cfg: PipelineConfig, 
         "n_edges": net.n_edges,
         "converged": converged,
         "iterations": iterations,
+        "column_iterations": column_iterations,
         "accelerated": accelerated,
         "residual_ratio": residual_ratio,
         "relative_gap": relative_gap,

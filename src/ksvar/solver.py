@@ -36,8 +36,10 @@ loop on its training rows and predicts its held-out rows with the same
 factors' rows.
 Every fit is certified by a duality gap (``FitDiagnostics.relative_gap``):
 its objective exceeds the optimum by at most that share of itself.  ADMM
-is over-relaxed, takes rho = 10 lambda unless told otherwise, and stops
-once that gap is within ``SolverConfig.tol_gap``.  Where an iteration's
+is over-relaxed and takes rho = 10 lambda unless told otherwise.  Each
+(lambda, node) column is its own group lasso with its own gap, and leaves
+the batch once that gap is within ``SolverConfig.tol_gap``, so later
+iterations run on the columns still live.  Where an iteration's
 two products with V dominate its cost (N R S of at least
 ``_ANDERSON_WORK`` per lambda, S the rows of V^T), ADMM is
 Anderson-accelerated: each (lambda, node) column mixes its last few
@@ -92,9 +94,12 @@ class SolverConfig:
     selects the estimator: ``group_l1`` for the sparse ADMM path,
     ``squared`` for the closed-form ridge path.  ``rho`` is the ADMM
     penalty parameter; None gives each fit rho = 10 lambda (``rho_for``).
-    An ADMM fit stops once both scaled residuals are within ``tol_primal``
-    and ``tol_dual``, or at the first duality-gap certificate whose worst
-    relative gap is at most ``tol_gap`` (0 leaves only the residual test).
+    Each target column of an ADMM fit stops at the first duality-gap
+    certificate whose relative gap is at most ``tol_gap``.  Certificates
+    come every 10 iterations, at ``max_iter``, and wherever the scaled
+    residuals are within ``tol_primal`` and ``tol_dual``: with
+    ``tol_gap`` > 0 the residuals only ask for a certificate, and with
+    ``tol_gap`` = 0 they stop the whole fit (the only stopping rule then).
     No setting turns Anderson acceleration on or off: it follows the size
     of the fit (see ``FitDiagnostics.accelerated``).  The edge threshold is
     an argument of ``threshold_edges``.
@@ -247,15 +252,24 @@ class DualState:
 class FitDiagnostics:
     """Per-fit convergence record.
 
+    Each target column stops at its own certificate (see ``_admm``):
+    ``iterations`` is the iteration at which the last one stopped and
+    ``column_iterations`` the sum over columns of the iterations each ran.
     ``fidelity`` is the 0.5 * ||Y - Yhat||_F^2 term of the objective at the
-    returned coefficients and ``penalty`` the weighted group-norm term, so
-    ``final_objective = fidelity + penalty``.  ``residual_ratio`` is the
-    larger of the final primal and dual residuals over their scaled
-    tolerances.  The fit converged when that ratio is at most 1 or when its
-    last certificate's relative gap is at most ``tol_gap``, whichever came
-    first.  Residual traces are not monotone in general.  ``relative_gaps``
-    maps every ``_GAP_EVERY``-th and the last iteration to its worst
-    relative duality gap.  ``rho`` is the ADMM penalty parameter the fit used.
+    returned coefficients and ``penalty`` the weighted group-norm term,
+    each summed over the columns' certificates at the iterations where
+    they stopped, so ``final_objective = fidelity + penalty``.  Residual
+    traces cover the columns still live at each iteration, and
+    ``residual_ratio`` is the larger of the final primal and dual residuals
+    over their tolerances, scaled by the square root of those columns'
+    kept dimension.  The fit converged when every column's relative gap is
+    at most ``tol_gap`` (with ``tol_gap`` = 0: when the residuals met
+    their tolerances within ``max_iter``).  Residual traces are not
+    monotone in general.  ``relative_gaps`` maps every certified
+    iteration (every ``_GAP_EVERY``-th, the last, and those where the
+    residuals met their tolerances) to the worst relative duality gap over
+    all columns, a stopped column counting the gap it stopped at.  ``rho``
+    is the ADMM penalty parameter the fit used.
     ``accelerated`` is True when the fit was large enough for Anderson
     acceleration: N R S of at least ``_ANDERSON_WORK`` per lambda, for N
     nodes, stacked rank R and S <= min(T', R) the rows of V^T, so that the
@@ -265,6 +279,7 @@ class FitDiagnostics:
     """
 
     iterations: int
+    column_iterations: int
     converged: bool
     primal_residuals: np.ndarray
     dual_residuals: np.ndarray
@@ -365,11 +380,17 @@ class _StackedFactor:
     ``CoefficientTensor.coords`` and ``DualState``.  ``deleted[j]`` lists
     the columns D_j that target node j deletes (its own instantaneous
     blocks).
+
+    Axis 1 of the working layout holds every node in order unless
+    ``nodes`` says otherwise: a ``_FactorSystem`` that has dropped part of
+    a penalty's columns keeps its live ones on one row, shape (1, M, R),
+    column m targeting node ``nodes[m]``.
     """
 
     def __init__(self, kms: KernelMatrixSet):
         self.F = kms.factor
         self.total_rank = self.F.shape[1]
+        self.n_nodes = kms.n_nodes
         self.groups = kms.groups
         self.scalar_blocks = [rank for _, _, rank, _ in self.groups] == [1]  # no rank above 1
         cols = np.arange(self.total_rank)
@@ -378,9 +399,11 @@ class _StackedFactor:
             for j in range(kms.n_nodes)
         ]
         self.deleted_sizes = np.array([d.size for d in self.deleted], dtype=int)
-        self.kept_dim = int(kms.n_nodes * self.total_rank - self.deleted_sizes.sum())
+        self.kept_dims = self.total_rank - self.deleted_sizes
         self.deleted_nodes = np.repeat(np.arange(kms.n_nodes), self.deleted_sizes)
         self.deleted_cols = np.concatenate(self.deleted)
+        self.nodes = None
+        self.mask = self.deleted_nodes, self.deleted_cols
 
     def to_public(self, a: np.ndarray) -> np.ndarray:
         """Working (N, R) coordinates in the (R, N) layout, as a new array."""
@@ -390,24 +413,44 @@ class _StackedFactor:
         """Views of (..., R) ``a``, one per rank group, shaped (..., blocks, rank)."""
         return [a[..., lo:hi].reshape(*a.shape[:-1], -1, rank) for lo, hi, rank, _ in self.groups]
 
+    def deleted_entries(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(column, factor column) of every deleted entry of a row of
+        columns that target ``nodes``."""
+        sizes = self.deleted_sizes[nodes]
+        ends = np.cumsum(sizes)
+        starts = np.cumsum(self.deleted_sizes) - self.deleted_sizes
+        at = np.arange(ends[-1] if ends.size else 0) + np.repeat(starts[nodes] - ends + sizes, sizes)
+        return np.repeat(np.arange(nodes.size), sizes), self.deleted_cols[at]
+
     def mask_deleted(self, arr: np.ndarray) -> np.ndarray:
-        arr[:, self.deleted_nodes, self.deleted_cols] = 0.0
+        rows, cols = self.mask
+        arr[:, rows, cols] = 0.0
         return arr
 
     def project(self, y: np.ndarray) -> np.ndarray:
         """F^T y_j with deleted columns zeroed, shape (1, N, R)."""
         return self.mask_deleted((y.T @ self.F)[None])
 
+    def column_targets(self, y: np.ndarray) -> np.ndarray:
+        """The target y_j of each column on axis 1, shape (N or M, T')."""
+        return y.T if self.nodes is None else y.T[self.nodes]
+
     def residual(self, y: np.ndarray, g: np.ndarray) -> np.ndarray:
         """y_j - F g_j for (K, N, R) g, shape (K, N, T')."""
-        return y.T - g @ self.F.T
+        return self.column_targets(y) - g @ self.F.T
 
     def shrink(self, v: np.ndarray, kappa: np.ndarray) -> np.ndarray:
-        """Block soft-thresholding of (K, N, R) ``v`` at (K, 1, 1) ``kappa``:
-        each block scaled by max(1 - kappa / ||v_b||, 0), so a block whose
-        norm is within kappa becomes exactly 0."""
+        """Block soft-thresholding of (K, N, R) ``v`` at ``kappa``, (K, 1, 1)
+        per row or (1, M, 1) per column: each block scaled by
+        max(1 - kappa / ||v_b||, 0), so a block whose norm is within kappa
+        becomes exactly 0."""
         if self.scalar_blocks:
-            return v - np.clip(v, -kappa, kappa)
+            if kappa.shape[1] == 1:
+                return v - np.clip(v, -kappa, kappa)
+            # clip with per-column bounds costs half again as much
+            out = np.maximum(v, -kappa)
+            np.minimum(out, kappa, out=out)
+            return np.subtract(v, out, out=out)
         out = np.empty_like(v)
         for v_b, g_b in zip(self.grouped(v), self.grouped(out)):
             if v_b.shape[-1] == 1:
@@ -470,10 +513,12 @@ class _FactorSystem(_StackedFactor):
     instead.
 
     s and V are shared by the K penalties (one per lambda of a batched ADMM
-    run); the weights and the Schur inverses carry the K axis, and
-    ``keep`` drops penalties whose fits have stopped.  Everything is in the
-    working layout of ``_StackedFactor``: q and x have shape (K, N, R), and
-    V's rows follow F's columns.
+    run); the weights carry the K axis and the Schur inverses one entry
+    per (penalty, node) column, and ``keep`` drops the columns whose fits
+    have stopped.  Everything is in the working layout of
+    ``_StackedFactor``: q and x have shape (K, N, R), or (1, M, R) once
+    ``keep`` has dropped part of a penalty's columns, and V's rows follow
+    F's columns.
     """
 
     def __init__(self, kms: KernelMatrixSet, penalties, scale=1.0):
@@ -520,15 +565,55 @@ class _FactorSystem(_StackedFactor):
             left, right = left.sum(axis=-1), right.sum(axis=-2)
         self.left, self.right = left, right
         scale = np.broadcast_to(scale, penalties.shape)
-        self.span_weight = scale[:, None, None] * span[:, None, :]
-        self.null_weight = None if full_span else (scale * null)[:, None, None]
+        self.span_by_penalty = scale[:, None, None] * span[:, None, :]
+        self.null_by_penalty = None if full_span else (scale * null)[:, None, None]
+        # the rows of the live runs' penalties, in run order
+        self.span_weight, self.null_weight = self.span_by_penalty, self.null_by_penalty
+        self.column_pens = np.repeat(np.arange(penalties.size), n)
+        self.column_nodes = np.tile(np.arange(n), penalties.size)
+        self.run_pens = np.arange(penalties.size)
+        self.bounds = np.arange(penalties.size + 1) * n
+        self.lead = (penalties.size, n)
+        self.runs = None
 
-    def keep(self, rows: list[int]) -> None:
-        """Keep only the penalties at ``rows``, in that order."""
-        self.left, self.right = self.left[rows], self.right[rows]
-        self.span_weight = self.span_weight[rows]
-        if self.null_weight is not None:
-            self.null_weight = self.null_weight[rows]
+    def keep(self, cols) -> None:
+        """Keep only the columns at ``cols``, in that order: flat positions
+        over the leading (K, N) or (1, M) axes of the working layout.
+
+        ``run_pens`` then lists the penalty of each run of consecutive
+        columns that share one, ``bounds`` the runs' flat column bounds and
+        ``lead`` the new leading axes: (runs, N) while every run holds all N
+        columns in node order, else (1, M) with ``nodes`` set.  The
+        per-penalty weights keep one row per run, so they broadcast over
+        axis 1 unless there are several runs on one row; ``runs`` then pairs
+        each run's columns with its weights' row, and is None otherwise.
+        """
+        cols = np.asarray(cols, dtype=int)
+        self.column_pens, self.column_nodes = self.column_pens[cols], self.column_nodes[cols]
+        starts = np.flatnonzero(np.diff(self.column_pens, prepend=-1))
+        self.bounds = np.append(starts, cols.size)
+        self.run_pens = self.column_pens[starts]
+        n = self.n_nodes
+        full = bool((np.diff(self.bounds) == n).all())
+        self.lead = (starts.size, n) if full else (1, cols.size)
+        self.left = _take_columns(self.left, cols, self.lead)
+        self.right = _take_columns(self.right, cols, self.lead)
+        self.span_weight = self.span_by_penalty[self.run_pens]
+        if self.null_by_penalty is not None:
+            self.null_weight = self.null_by_penalty[self.run_pens]
+        self.runs = None
+        if full:
+            self.nodes = None
+            self.mask = self.deleted_nodes, self.deleted_cols
+            return
+        self.nodes = self.column_nodes
+        self.mask = self.deleted_entries(self.nodes)
+        if starts.size > 1:
+            bounds = self.bounds.tolist()
+            self.runs = [
+                (slice(lo, hi), slice(k, k + 1))
+                for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+            ]
 
     def solve(self, q: np.ndarray) -> np.ndarray:
         """Columnwise solve of (K, N, R) q, already zero at deleted columns."""
@@ -538,11 +623,33 @@ class _FactorSystem(_StackedFactor):
             t -= np.vecdot(t, self.left)[..., None] * self.right
         else:
             t -= ((t[:, :, None] @ self.left) @ self.right)[:, :, 0]
-        t *= self.span_weight
+        if self.runs is None:
+            t *= self.span_weight
+        else:
+            for cols, pens in self.runs:
+                t[:, cols] *= self.span_weight[pens]
         x = (t.reshape(k * n, -1) @ self.vt).reshape(k, n, r)
         if self.null_weight is not None:
-            x += self.null_weight * q
+            if self.runs is None:
+                x += self.null_weight * q
+            else:
+                for cols, pens in self.runs:
+                    x[:, cols] += self.null_weight[pens] * q[:, cols]
         return self.mask_deleted(x)
+
+    def sumsq_each(self, a: np.ndarray) -> list[float]:
+        """Sum of squared entries of each run's columns of (K, N, ...) ``a``."""
+        if self.runs is None:  # a run per row
+            flat = a.reshape(a.shape[0], -1)
+            return np.vecdot(flat, flat).tolist()
+        flat = a.reshape(a.shape[1], -1)
+        return np.add.reduceat(np.vecdot(flat, flat), self.bounds[:-1]).tolist()
+
+
+def _take_columns(a: np.ndarray, cols: np.ndarray, lead: tuple[int, int]) -> np.ndarray:
+    """The columns at flat positions ``cols`` over the two leading axes of
+    ``a``, with leading axes ``lead``."""
+    return a.reshape(-1, *a.shape[2:])[cols].reshape(*lead, *a.shape[2:])
 
 
 def _smaller_gram(f: np.ndarray) -> np.ndarray:
@@ -631,16 +738,12 @@ def lambda_zero_bound(targets: np.ndarray, kms: KernelMatrixSet) -> float:
     return float(_StackedFactor(kms).dual_norms(y.T[None]).max())
 
 
-def _sumsq_each(a: np.ndarray) -> list[float]:
-    """Sum of squared entries of each a[k]."""
-    flat = a.reshape(a.shape[0], -1)
-    return np.vecdot(flat, flat).tolist()
-
-
 def _certificate(
     y: np.ndarray, system: _StackedFactor, g: np.ndarray, lam: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Duality-gap certificate of K iterates g (K, N, R), one per lambda.
+    """Duality-gap certificate of the columns of iterates g (K, N, R) in the
+    system's working layout, at penalties ``lam`` that broadcast against
+    them: (K, 1), one per lambda, or (1, M), one per column.
 
     Per column j, the residual r_j = y_j - F g_j scaled into the dual
     feasible set, theta_j = r_j / max(1, max_b ||B_b^T r_j|| / lambda) over
@@ -649,13 +752,12 @@ def _certificate(
     column's fidelity, penalty and relative gap (P_j - D_j) / P_j (0 where
     P_j = 0), each of shape (K, N).
     """
-    lam = lam[:, None]
-    r = system.residual(y, g)
+    yt = system.column_targets(y)
+    r = yt - g @ system.F.T
     fidelity = 0.5 * np.vecdot(r, r)
     penalty = lam * sum(norms.sum(axis=-1) for norms in system.block_norms(g))
     theta = r / np.maximum(1.0, system.dual_norms(r) / lam)[..., None]
     primal = fidelity + penalty
-    yt = y.T
     gap = primal - 0.5 * (np.vecdot(yt, yt) - np.vecdot(yt - theta, yt - theta))
     return fidelity, penalty, np.divide(gap, primal, out=np.zeros_like(gap), where=primal > 0)
 
@@ -679,7 +781,7 @@ class _Anderson:
     step tv and clears its history; an empty history mixes nothing, so the
     first step is plain.  The point handed out is a buffer that the next
     ``extrapolate`` overwrites.  ``keep`` drops columns as
-    ``_FactorSystem.keep`` drops penalties.
+    ``_FactorSystem.keep`` does.
     """
 
     def __init__(self, shape: tuple[int, int, int]):
@@ -695,12 +797,13 @@ class _Anderson:
         self.sq_norm = None
         self.pushes = 0
 
-    def keep(self, rows: list[int]) -> None:
-        """Keep only the penalties at ``rows``, in that order."""
+    def keep(self, cols: np.ndarray, lead: tuple[int, int]) -> None:
+        """Keep only the columns at flat positions ``cols``, in that order,
+        on leading axes ``lead``."""
         for name in ("df", "dg", "gram", "filled", "point", "tv", "f", "f_last", "step"):
-            setattr(self, name, getattr(self, name)[rows])
+            setattr(self, name, _take_columns(getattr(self, name), cols, lead))
         if self.sq_norm is not None:
-            self.sq_norm = self.sq_norm[rows]
+            self.sq_norm = _take_columns(self.sq_norm, cols, lead)
 
     def _clear(self, cols) -> None:
         self.df[cols] = 0.0
@@ -745,6 +848,34 @@ class _Anderson:
         return self.point
 
 
+class _Stopped:
+    """What one lambda's stopped columns left behind: their coordinates and
+    multipliers in the public (R, N) layout, and the sums over them that
+    ``FitDiagnostics`` reports."""
+
+    def __init__(self, n_nodes: int):
+        self.n_nodes = self.live = n_nodes  # live: columns still iterating
+        self.coords = self.xi = None
+        self.fidelity = self.penalty = 0.0
+        self.worst_gap = -math.inf
+        self.column_iterations = 0
+        self.converged = True
+
+    def add(self, it, nodes, g, xi, fidelity, penalty, gaps, converged) -> None:
+        """Columns that target ``nodes`` stopped at iteration ``it``, with
+        (M, R) iterates g and multipliers xi and their certificates."""
+        if self.coords is None:
+            self.coords = np.zeros((g.shape[1], self.n_nodes))
+            self.xi = np.zeros_like(self.coords)
+        self.coords[:, nodes], self.xi[:, nodes] = g.T, xi.T
+        self.fidelity += float(fidelity.sum())
+        self.penalty += float(penalty.sum())
+        self.worst_gap = max(self.worst_gap, float(gaps.max()))
+        self.converged &= bool(converged.all())
+        self.column_iterations += it * nodes.size
+        self.live -= nodes.size
+
+
 def _admm(
     y: np.ndarray, kms: KernelMatrixSet, lams, cfg: SolverConfig
 ) -> list[tuple[np.ndarray, np.ndarray, FitDiagnostics]]:
@@ -752,18 +883,29 @@ def _admm(
     (gamma, xi, diagnostics) per lambda in the public (R, N) layout.
 
     The columns are (lambda, node) pairs sharing one ``_FactorSystem``;
-    each lambda has its own penalty parameter rho = ``cfg.rho_for(lam)``,
-    shrinks at lambda/rho and stops on its own tests, and its iterate is
-    kept at the iteration where it stopped.  The relaxed point
+    each lambda has its own penalty parameter rho = ``cfg.rho_for(lam)``
+    and shrinks at lambda/rho.  The relaxed point
     alpha x + (1 - alpha) g (alpha = ``_RELAX``) enters the shrinkage and
-    the dual step; the primal residual stays x - g.  The duality gap is
-    evaluated every ``_GAP_EVERY`` iterations and where a lambda stops on
-    its residuals or at ``max_iter``.  A lambda stops when both scaled
-    residuals are within tolerance, or at a certificate whose worst
-    relative gap is at most ``cfg.tol_gap``.  Every decision depends on
-    the iterates alone.
+    the dual step; the primal residual stays x - g.  Each column is its own
+    group lasso with its own duality-gap certificate, and stops on it: a
+    column leaves the batch at the first certificate whose relative gap is
+    at most ``cfg.tol_gap``, keeping its iterate, multiplier, fidelity and
+    penalty from that iteration, and every later product, shrinkage,
+    Anderson step and certificate runs on the live columns only (the
+    working-set idea of Blitz and Celer: Johnson & Guestrin 2015; Massias,
+    Gramfort & Salmon 2018).  A lambda's columns are certified every
+    ``_GAP_EVERY`` iterations, at ``max_iter``, and at any iteration where
+    the scaled residuals of its live columns are within ``cfg.tol_primal``
+    and ``cfg.tol_dual`` (their tolerances scale with the square root of
+    those columns' kept dimension); there the residual rule only asks for
+    a certificate.  With ``cfg.tol_gap`` = 0 no column stops on its gap,
+    and the residual rule stops all of a lambda's columns at once.  A
+    lambda is done when its last column stops, and converged when every
+    column stopped on its test rather than at the cap.  Every decision
+    depends on the iterates alone.
 
-    g is the post-shrinkage iterate, (K, N, R) in the working layout.  The
+    g is the post-shrinkage iterate, (K, N, R) in the working layout, or
+    (1, M, R) once some lambda has dropped only part of its columns.  The
     loop carries w = u + (1 - alpha) g in place of the scaled multiplier
     u = xi / rho, and the system's weights carry alpha rho, so that
 
@@ -779,23 +921,30 @@ def _admm(
     certificates are taken at those points; below it the loop adds no
     array operation.
     """
-    lam_live = np.asarray(lams, dtype=float)
-    rhos = [cfg.rho_for(lam) for lam in lam_live.tolist()]
+    lams = np.asarray(lams, dtype=float)
+    rhos = [cfg.rho_for(lam) for lam in lams.tolist()]
     system = _FactorSystem(kms, rhos, scale=[_RELAX * r for r in rhos])
-    scale_dim = math.sqrt(max(system.kept_dim, 1))
-    tol_primal, tol_dual = cfg.tol_primal * scale_dim, cfg.tol_dual * scale_dim
-    live = list(range(len(lams)))  # grid positions still iterating
+    n = kms.n_nodes
     rho = np.array(rhos)[:, None, None]
-    kappa = lam_live[:, None, None] / rho
+    kappa = kappas = lams[:, None, None] / rho  # kappa: per row or, split, per column
     c0 = system.project(y) / rho
     g = np.zeros((len(lams),) + c0.shape[1:])
     w = np.zeros_like(g)
-    accelerated = kms.n_nodes * system.total_rank * system.vt.shape[0] >= _ANDERSON_WORK
+    accelerated = n * system.total_rank * system.vt.shape[0] >= _ANDERSON_WORK
     anderson = _Anderson(g.shape) if accelerated else None
+    by_gap = cfg.tol_gap > 0  # else certificates only report, and residuals stop
+    live = list(range(len(lams)))  # grid position of each run of live columns
     history: list[list] = [[] for _ in lams]
     gaps: list[dict] = [{} for _ in lams]
+    stopped = [_Stopped(n) for _ in lams]
     out: list = [None] * len(lams)
 
+    def tolerances() -> tuple[list[float], list[float]]:
+        dims = np.add.reduceat(system.kept_dims[system.column_nodes], system.bounds[:-1])
+        scale = np.sqrt(np.maximum(dims, 1))
+        return (cfg.tol_primal * scale).tolist(), (cfg.tol_dual * scale).tolist()
+
+    tol_primal, tol_dual = tolerances()
     for it in range(1, cfg.max_iter + 1):
         xa = system.solve(c0 + (2.0 - _RELAX) * g - w)  # alpha x
         v = xa + w
@@ -804,64 +953,97 @@ def _admm(
             v = anderson.extrapolate()
         g_new = system.shrink(v, kappa)
         ag = _RELAX * g_new
-        primal = _sumsq_each(xa - ag)
-        dual = _sumsq_each(g_new - g)
+        primal = system.sumsq_each(xa - ag)
+        dual = system.sumsq_each(g_new - g)
         w = v - ag
         g = g_new
-        done = set()  # live indices whose residuals are within tolerance
+        del xa, v, ag  # before the certificate and the copies of stopped columns
+        passed = set()  # runs whose residuals are within tolerance
         for i, pos in enumerate(live):
             p, d = math.sqrt(primal[i]) / _RELAX, rhos[pos] * math.sqrt(dual[i])
             if not (math.isfinite(p) and math.isfinite(d)):
                 raise NonFinite(f"ADMM diverged at iteration {it}")
             history[pos].append((p, d))
-            if p <= tol_primal and d <= tol_dual:
-                done.add(i)
+            if p <= tol_primal[i] and d <= tol_dual[i]:
+                passed.add(i)
         at_cap = it == cfg.max_iter
-        checked = range(len(live)) if at_cap or it % _GAP_EVERY == 0 else sorted(done)
+        checked = range(len(live)) if at_cap or it % _GAP_EVERY == 0 else sorted(passed)
         if not checked:
             continue
-        fid, pen, rel = _certificate(y, system, g[checked], lam_live[checked])
-        certified = {}
-        for i, fid_i, pen_i, rel_i in zip(
-            checked, fid.sum(axis=1).tolist(), pen.sum(axis=1).tolist(), rel.max(axis=1).tolist()
-        ):
-            gaps[live[i]][it] = rel_i
-            certified[i] = fid_i, pen_i
-            if rel_i <= cfg.tol_gap and cfg.tol_gap > 0:
-                done.add(i)
-        stop = range(len(live)) if at_cap else sorted(done)
-        for i in stop:
-            pos = live[i]
+        bounds = system.bounds.tolist()
+        if system.nodes is None:  # certify the checked lambdas' rows
+            lam = lams[[live[i] for i in checked]][:, None]
+            fid, pen, rel = _certificate(y, system, g[checked], lam)
+            at = {i: slice(c * n, (c + 1) * n) for c, i in enumerate(checked)}
+        else:  # one row holds every live column
+            fid, pen, rel = _certificate(y, system, g, lams[system.column_pens][None])
+            at = {i: slice(bounds[i], bounds[i + 1]) for i in checked}
+        fid, pen, rel = fid.ravel(), pen.ravel(), rel.ravel()
+        drop = []
+        for i in checked:
+            pos, done = live[i], stopped[live[i]]
+            rel_i = rel[at[i]]
+            gaps[pos][it] = max(float(rel_i.max()), done.worst_gap)
+            ok = rel_i <= cfg.tol_gap if by_gap else np.full(rel_i.shape, i in passed)
+            stop = np.ones_like(ok) if at_cap else ok
+            if not stop.any():
+                continue
+            cols = bounds[i] + np.flatnonzero(stop)
+            drop.append(cols)
+            g_cols = g.reshape(-1, g.shape[-1])[cols]
+            xi = w.reshape(-1, w.shape[-1])[cols]
+            xi -= (1.0 - _RELAX) * g_cols
+            xi *= rhos[pos]
+            done.add(
+                it,
+                system.column_nodes[cols],
+                g_cols,
+                xi,
+                fid[at[i]][stop],
+                pen[at[i]][stop],
+                rel_i[stop],
+                ok[stop],
+            )
+            del g_cols, xi
+            if done.live:
+                continue
             p, d = history[pos][-1]
             primals, duals = np.array(history[pos]).T
-            fid, pen = certified[i]
             out[pos] = (
-                system.to_public(g[i]),
-                system.to_public(rhos[pos] * (w[i] - (1.0 - _RELAX) * g[i])),
+                done.coords,
+                done.xi,
                 FitDiagnostics(
                     iterations=it,
-                    converged=i in done,
+                    column_iterations=done.column_iterations,
+                    converged=done.converged,
                     primal_residuals=primals,
                     dual_residuals=duals,
                     relative_gaps=gaps[pos],
-                    final_objective=fid + pen,
-                    fidelity=fid,
-                    penalty=pen,
-                    residual_ratio=max(p / tol_primal, d / tol_dual),
+                    final_objective=done.fidelity + done.penalty,
+                    fidelity=done.fidelity,
+                    penalty=done.penalty,
+                    residual_ratio=max(p / tol_primal[i], d / tol_dual[i]),
                     rho=rhos[pos],
                     accelerated=accelerated,
                 ),
             )
-        if len(stop) == len(live):
+        if not drop:
+            continue
+        alive = np.ones(bounds[-1], dtype=bool)
+        alive[np.concatenate(drop)] = False
+        if not alive.any():
             break
-        if stop:
-            keep = [i for i in range(len(live)) if i not in done]
-            live = [live[i] for i in keep]
-            system.keep(keep)
-            if anderson is not None:
-                anderson.keep(keep)
-            lam_live, kappa, c0 = lam_live[keep], kappa[keep], c0[keep]
-            g, w = g[keep], w[keep]
+        keep = np.flatnonzero(alive)
+        system.keep(keep)
+        if anderson is not None:
+            anderson.keep(keep, system.lead)
+        g, w, c0 = (_take_columns(a, keep, system.lead) for a in (g, w, c0))
+        live = system.run_pens.tolist()
+        if system.runs is None:
+            kappa = kappas[system.run_pens]
+        else:
+            kappa = kappas[system.column_pens].reshape(1, -1, 1)
+        tol_primal, tol_dual = tolerances()
     return out
 
 
@@ -871,8 +1053,9 @@ def admm_fit(
     """Group-sparse fit by over-relaxed ADMM at rho = ``cfg.rho_for(cfg.lam)``.
 
     Iterates the shared factor solve, the block shrinkage, and the dual
-    ascent until both scaled residuals drop below tolerance or the
-    duality-gap certificate is within ``cfg.tol_gap``.  Returns the
+    ascent; each target column stops at its first duality-gap certificate
+    within ``cfg.tol_gap`` (with ``tol_gap`` = 0, every column stops once
+    both scaled residuals drop below tolerance).  Returns the
     post-shrinkage iterate, whose inactive blocks are exactly zero, together
     with the dual state in factor coordinates and the convergence record.
     """
@@ -963,9 +1146,10 @@ def cross_validate_lambda(
     whose history lies outside its block (``kms.take_rows``), so all
     candidates see the same kernels, data-driven bandwidths included.  Each
     fold factorizes once: the group-sparse path fits the whole grid in one
-    batched ADMM run (each lambda stopping on its own test, as a separate
-    fit would), the ridge path solves once per lambda, and the held-out
-    rows are predicted as F[test] c.  Ties go to the larger lambda.
+    batched ADMM run whose (lambda, node) columns each stop on their own
+    certificate, as in a separate fit, and leave the batch; the ridge path
+    solves once per lambda, and the held-out rows are predicted as
+    F[test] c.  Ties go to the larger lambda.
     """
     if not grid:
         raise ConfigError("lambda grid must be nonempty")

@@ -18,8 +18,10 @@ blocks of ``unit_tensor``); the dense Gram layout (``kbar``, ``dmat``,
 ``dsqrt`` and their deleted forms, and the stacked coefficients
 ``w_stacked``); the Gram-space
 ADMM pieces (``admm_column_update``, ``dual_update``), the objective
-evaluated from coefficient blocks (``objective_value``), the per-block
-cross-Gram ``heldout_prediction`` and the per-fold kernel sets
+evaluated from coefficient blocks (``objective_value``) and each
+column's duality gap from them (``column_relative_gaps``), the per-block
+cross-Gram ``heldout_prediction``, the edge rows of a saved network
+(``network_edges``), and the per-fold kernel sets
 (``contiguous_fold_errors``) that cross-validation used, and the
 dictionary-fit wrappers ``expand_dictionary``, ``mkl_fit`` and
 ``mkl_fit_with_diagnostics``.
@@ -517,6 +519,47 @@ def objective_value(targets: np.ndarray, tensor, lam: float) -> tuple[float, flo
     fidelity = 0.5 * float(np.sum(resid * resid))
     penalty = lam * float(rkhs_block_norms(tensor).sum())
     return fidelity + penalty, fidelity, penalty
+
+
+def column_relative_gaps(targets: np.ndarray, tensor, lam: float) -> np.ndarray:
+    """Relative duality gap (P_j - D_j) / P_j of every column j of
+    ``tensor`` (0 where P_j = 0), from its coefficient blocks and their dense
+    Grams: r_j = y_j - sum_b K_b a_bj, P_j = ||r_j||^2 / 2 +
+    lam sum_b ||K_b^{1/2} a_bj||, and D_j = ||y_j||^2 / 2 - ||y_j - theta_j||^2 / 2
+    at theta_j = r_j / max(1, max_b ||K_b^{1/2} r_j|| / lam) over the blocks
+    column j keeps (Ndiaye et al., JMLR 2017)."""
+    kms = tensor.kernels
+    coeffs = tensor.coeffs
+    out = np.zeros(kms.n_nodes)
+    for j in range(kms.n_nodes):
+        y = targets[:, j]
+        deleted = kms.deleted_positions(j)
+        grams = [block_gram(b) for pos, b in enumerate(kms.blocks) if pos not in deleted]
+        alphas = [
+            coeffs[b.kernel_index, b.lag, b.node, j]
+            for pos, b in enumerate(kms.blocks)
+            if pos not in deleted
+        ]
+        r = y - sum(k @ a for k, a in zip(grams, alphas))
+        penalty = lam * sum(np.sqrt(max(a @ k @ a, 0.0)) for k, a in zip(grams, alphas))
+        primal = 0.5 * r @ r + penalty
+        theta = r / max([1.0] + [np.sqrt(max(r @ k @ r, 0.0)) / lam for k in grams])
+        dual = 0.5 * y @ y - 0.5 * (y - theta) @ (y - theta)
+        out[j] = (primal - dual) / primal if primal > 0 else 0.0
+    return out
+
+
+def network_edges(net) -> list[dict]:
+    """Every nonzero weight of ``net`` as {src, dst, lag, weight}, by a loop
+    over lag, then source, then target: the edge rows a saved network holds."""
+    edges = []
+    for l in range(net.lag + 1):
+        for i in range(net.n_nodes):
+            for j in range(net.n_nodes):
+                w = float(net.weights[l, i, j])
+                if w != 0.0:
+                    edges.append({"src": i, "dst": j, "lag": l, "weight": w})
+    return edges
 
 
 def heldout_prediction(tensor, kms, view) -> np.ndarray:

@@ -35,9 +35,11 @@ from ksvar.pipeline import (
     run_pipeline,
     save_network,
 )
-from ksvar import solver
+from ksvar import pipeline, solver
 from ksvar.solver import EffectiveNetwork
 from ksvar.synth import SynthConfig, generate_truth, simulate
+
+from oracles import network_edges
 
 
 def write_panel_csv(path, t=60, n=3, seed=0, rate=1.0):
@@ -207,6 +209,15 @@ class TestNetworkRoundTrip:
         keys = [(e["lag"], e["src"], e["dst"]) for e in data["edges"]]
         assert keys == sorted(keys)
         assert data["schema_version"] == 1
+
+    def test_edges_are_every_nonzero_weight_in_loop_order(self, tmp_path):
+        rng = np.random.default_rng(3)
+        weights = np.where(rng.random((3, 7, 7)) < 0.4, rng.random((3, 7, 7)), 0.0)
+        weights[0, 1, 2], weights[2, 6, 0] = -0.0, 5e-324
+        net = EffectiveNetwork(supports=weights >= 0.5, weights=weights, tau_alpha=0.5)
+        path = tmp_path / "edges.json"
+        save_network(net, str(path))
+        assert json.loads(path.read_text())["edges"] == network_edges(net)
 
     def test_malformed_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -624,6 +635,27 @@ class TestRunPipeline:
         assert manifest["segments"][0]["rho"] == 2.0
         manifest = run_pipeline(base_config(inp, tmp_path / "ridge", regularizer="squared"))
         assert manifest["segments"][0]["rho"] is None
+
+    def test_column_iterations_are_recorded_in_the_manifest_only(self, tmp_path, monkeypatch):
+        inp = tmp_path / "panel.csv"
+        write_panel_csv(inp, t=120, n=6)
+        seen = []
+
+        def recording(*args):
+            out = solver.admm_fit(*args)
+            seen.append(out[2])
+            return out
+
+        monkeypatch.setattr(pipeline, "admm_fit", recording)
+        out = tmp_path / "run"
+        # residual tolerances no fit meets: each column stops on its own gap
+        manifest = run_pipeline(base_config(inp, out, tol_primal=1e-300, tol_dual=1e-300))
+        [seg], [diag] = manifest["segments"], seen
+        assert seg["column_iterations"] == diag.column_iterations
+        assert seg["iterations"] <= seg["column_iterations"] < 6 * seg["iterations"]
+        assert "column_iterations" not in (out / "seg_000" / "diagnostics.ndjson").read_text()
+        ridge = run_pipeline(base_config(inp, tmp_path / "ridge", regularizer="squared"))
+        assert ridge["segments"][0]["column_iterations"] == 6
 
     def test_acceleration_is_recorded_in_the_manifest_only(self, tmp_path, monkeypatch):
         inp = tmp_path / "panel.csv"

@@ -44,6 +44,7 @@ from oracles import (
     admm_column_update,
     assemble,
     column_designs,
+    column_relative_gaps,
     contiguous_fold_errors,
     dmat_deleted,
     dsqrt,
@@ -545,7 +546,7 @@ class TestDualityGap:
                 live.append(rng.random(blocks.shape[:-1]) < 0.5)
                 blocks *= live[-1][..., None]
             live = np.concatenate(live, axis=-1)
-            fidelity, penalty, relative = _certificate(view.targets, system, g, lams)
+            fidelity, penalty, relative = _certificate(view.targets, system, g, lams[:, None])
             assert (fidelity + penalty > 0).all()
             assert (relative >= -1e-12).all()
             # the dual point is the residual itself once it is feasible
@@ -613,6 +614,58 @@ class TestDualityGap:
             for it, gap in alone.relative_gaps.items():
                 assert diag.relative_gaps[it] == pytest.approx(gap, rel=1e-9, abs=1e-12)
             assert diag.final_objective == pytest.approx(alone.final_objective, rel=1e-12)
+
+
+class TestColumnStopping:
+    """Each (lambda, node) column of a batched fit is its own group lasso and
+    leaves the batch at its own first certificate within ``tol_gap``."""
+
+    # residual tolerances no fit meets: certificates come every 10 iterations
+    CFG = SolverConfig(lam=1.0, max_iter=3000, tol_primal=1e-300, tol_dual=1e-300, tol_gap=1e-6)
+
+    @pytest.mark.parametrize("spec,seed", [(LINEAR, 40), (POLY21, 42)])
+    def test_columns_stop_at_their_first_certificate(self, spec, seed):
+        _, view, kms = make_problem(t=24, n=4, seed=seed, spec=spec)
+        grid = lambda_zero_bound(view.targets, kms) * np.array([0.6, 0.3, 0.1])
+        fits = _admm(view.targets, kms, grid, self.CFG)
+        checks = range(10, max(diag.iterations for _, _, diag in fits) + 1, 10)
+        capped = {t: _admm(view.targets, kms, grid, replace(self.CFG, max_iter=t)) for t in checks}
+        spread = False
+        for k, (lam, (gamma, _, diag)) in enumerate(zip(grid, fits)):
+            tensor = CoefficientTensor(coords=gamma, kernels=kms)
+            gaps = column_relative_gaps(view.targets, tensor, lam)
+            assert diag.converged and (gaps <= self.CFG.tol_gap).all()
+            assert diag.relative_gap == pytest.approx(gaps.max(), rel=1e-6)
+            assert objective_value(view.targets, tensor, lam)[0] == pytest.approx(
+                diag.final_objective, rel=1e-10
+            )
+            capped_gaps = {
+                t: column_relative_gaps(
+                    view.targets, CoefficientTensor(coords=runs[k][0], kernels=kms), lam
+                )
+                for t, runs in capped.items()
+            }
+            stops = []
+            for j in range(kms.n_nodes):
+                # the column as a fit capped at its stop would return it
+                t = next(t for t in checks if capped_gaps[t][j] <= self.CFG.tol_gap)
+                np.testing.assert_allclose(gamma[:, j], capped[t][k][0][:, j], rtol=0, atol=1e-10)
+                stops.append(t)
+            assert diag.iterations == max(stops)
+            assert diag.column_iterations == sum(stops)
+            spread |= len(set(stops)) > 1
+        assert spread
+
+    def test_residual_rule_only_asks_for_a_certificate(self):
+        # residual tolerances this loose pass long before the gap does
+        _, view, kms = make_problem(t=24, n=4, seed=40)
+        lam = 0.3 * lambda_zero_bound(view.targets, kms)
+        cfg = SolverConfig(lam=lam, max_iter=3000, tol_primal=0.1, tol_dual=0.1, tol_gap=1e-6)
+        _, _, diag = admm_fit(view.targets, kms, cfg)
+        assert diag.converged and diag.relative_gap <= cfg.tol_gap
+        asked = [it for it in diag.relative_gaps if it % 10]
+        assert asked and min(asked) < diag.iterations
+        assert all(gap > cfg.tol_gap for it, gap in diag.relative_gaps.items() if it < diag.iterations)
 
 
 class TestAnderson:
@@ -862,7 +915,8 @@ class TestSharedSolve:
                     a.T @ a + penalty * np.eye(kept.size), q[k, j, kept]
                 )
                 np.testing.assert_allclose(x[k, j], scales[k] * want, rtol=1e-9, atol=1e-10)
-        system.keep([2, 0])
+        n = kms.n_nodes
+        system.keep(np.r_[2 * n : 3 * n, :n])  # every column of penalties 2 and 0
         np.testing.assert_allclose(system.solve(q[[2, 0]]), x[[2, 0]], rtol=1e-12, atol=1e-13)
 
     @pytest.mark.parametrize("case", sorted(CASES))
