@@ -26,6 +26,7 @@ import os
 import re
 import shutil
 import time
+from concurrent.futures import BrokenExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
@@ -483,13 +484,14 @@ def _pool_size(n_segments: int) -> int:
     return workers
 
 
-def _fit_in_pool(panels: list[TimeSeriesPanel], cfg: PipelineConfig, workers: int):
-    """Run ``_process_segment`` on every panel in ``workers`` forked processes.
+def _run_pool(panels: list[TimeSeriesPanel], indices, cfg: PipelineConfig, workers: int):
+    """Run ``_process_segment`` on the panels at ``indices`` in ``workers``
+    forked processes.
 
-    Returns (the results of the segments that finished, in index order,
-    the exception of the lowest-index segment that failed or None).  On a
-    failure, segments not yet started are cancelled and those running are
-    waited for, so the results name every segment directory written.
+    Returns ({index: result} of the segments that finished, the exception
+    of the lowest-index segment that failed or None).  On a failure,
+    segments not yet started are cancelled and those running are waited
+    for, so the results name every segment directory written.
     """
     import multiprocessing
     from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
@@ -502,17 +504,35 @@ def _fit_in_pool(panels: list[TimeSeriesPanel], cfg: PipelineConfig, workers: in
         initializer=_pin_blas_to_one_thread,
     )
     try:
-        futures = [
-            pool.submit(_process_segment, i, p, cfg, cfg.output_dir) for i, p in enumerate(panels)
-        ]
-        wait(futures, return_when=FIRST_EXCEPTION)
+        futures = {
+            i: pool.submit(_process_segment, i, panels[i], cfg, cfg.output_dir) for i in indices
+        }
+        wait(futures.values(), return_when=FIRST_EXCEPTION)
     finally:
         # also on an interrupt: drop the segments not yet started, wait
         # for the running ones and join every worker
         pool.shutdown(cancel_futures=True)
-    finished = [f for f in futures if not f.cancelled()]
-    failure = next((f.exception() for f in finished if f.exception() is not None), None)
-    return [f.result() for f in finished if f.exception() is None], failure
+    finished = {i: f for i, f in futures.items() if not f.cancelled()}
+    failure = next((f.exception() for f in finished.values() if f.exception() is not None), None)
+    return {i: f.result() for i, f in finished.items() if f.exception() is None}, failure
+
+
+def _fit_in_pool(panels: list[TimeSeriesPanel], cfg: PipelineConfig, workers: int):
+    """Fit every panel in a pool of ``workers`` forked processes.
+
+    Returns (the results of the segments that finished, in index order,
+    the failure of the lowest-index segment that failed or None), as
+    ``_run_pool`` does.  A worker that dies breaks its pool, which fails
+    every segment not finished by then; those are fitted once more in a
+    fresh pool, and a second break is the failure.
+    """
+    results, failure = _run_pool(panels, range(len(panels)), cfg, workers)
+    if isinstance(failure, BrokenExecutor):
+        todo = [i for i in range(len(panels)) if i not in results]
+        log.warning("process pool broke (%s); fitting %d segments again", failure, len(todo))
+        more, failure = _run_pool(panels, todo, cfg, min(workers, len(todo)))
+        results.update(more)
+    return [results[i] for i in sorted(results)], failure
 
 
 def _padded(arrays: list[np.ndarray], lag_max: int, fill) -> list[np.ndarray]:
@@ -571,15 +591,19 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     The ``manifest.json``, ``error.json``, ``aggregate.json`` and
     ``seg_NNN`` directories of an earlier run into the output directory
     are removed before anything else; other files there are kept.  Any
-    KsvarError or OSError is recorded to ``error.json`` (stage, message, and the
-    segments whose directories were fully written) before being re-raised,
-    so partial runs are inspectable; when a pooled segment fails, the
-    segments already running are waited for, every one that finished is
-    listed and the failure of the lowest-index segment is raised.  A fit
-    converges when its ADMM residuals meet their tolerances or its
-    duality gap meets ``SolverConfig.tol_gap``.  Each segment that stops
-    at ``max_iter`` without converging is logged as a warning on the
-    ``ksvar`` logger and listed in the manifest's ``convergence`` block,
+    KsvarError, OSError or broken process pool is recorded to ``error.json``
+    (stage, message, and the segments whose directories were fully
+    written) before being re-raised, so partial runs are inspectable; when
+    a pooled segment fails, the segments already running are waited for,
+    every one that finished is listed and the failure of the lowest-index
+    segment is raised.  A worker that dies (``BrokenProcessPool``) costs
+    only a refit: the segments its pool had not finished are fitted once
+    more in a fresh pool, and only a second break fails the run.  An ADMM
+    fit converges when every target column's relative duality gap is at
+    most ``SolverConfig.tol_gap`` (with ``tol_gap`` = 0: when its
+    residuals met their tolerances within ``max_iter``).  Each segment
+    that stops at ``max_iter`` without converging is logged as a warning
+    on the ``ksvar`` logger and listed in the manifest's ``convergence`` block,
     which also gives the worst ratio of a final ADMM residual to its
     tolerance over segments (above 1 also for a fit stopped by its gap)
     and the worst relative duality gap (the share of a fit's objective by
@@ -659,7 +683,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         }
         _write_json(os.path.join(cfg.output_dir, "manifest.json"), manifest)
         return manifest
-    except (KsvarError, OSError) as exc:
+    except (KsvarError, OSError, BrokenExecutor) as exc:
         _write_json(
             os.path.join(cfg.output_dir, "error.json"),
             {

@@ -26,10 +26,11 @@ eigensolve of the stacked factor's smaller Gram per fit; see
 ``_FactorSystem``.  The factor is the kernel set's own
 (``KernelMatrixSet.factor``), whose columns are grouped by block rank, and
 its column order is the row order of ``CoefficientTensor.coords`` and
-``DualState``.  Inside, the solver works node-major, on (K, N, R) arrays,
-so block norms and shrinkage are one reduction per rank group and the
-solves are plain row-major products; a result is handed out as its
-transpose.  Model selection works
+``DualState``.  Inside, the solver works on (M, R) arrays with one row per
+(lambda, node) column, lambda-major, M = K N for K lambdas until columns
+stop: block norms and shrinkage are one reduction per rank group, the
+solves are plain row-major products, dropping columns is row indexing,
+and a result is handed out as its transpose.  Model selection works
 on row subsets of one kernel set (``KernelMatrixSet.take_rows``): each
 cross-validation fold runs the whole lambda grid through one batched ADMM
 loop on its training rows and predicts its held-out rows with the same
@@ -375,22 +376,17 @@ class _StackedFactor:
     """The solver's view of a kernel set's stacked T' x R factor F
     (``KernelMatrixSet.factor``) and of its rank groups.
 
-    Working coordinates are node-major, shape (K, N, R), over F's columns,
-    so ``to_public`` is a transpose into the (R, N) layout of
+    Working arrays have one row per target column, shape (M, R) over F's
+    columns: row m fits node ``column_nodes[m]``, here every node once in
+    order, so ``to_public`` is a transpose into the (R, N) layout of
     ``CoefficientTensor.coords`` and ``DualState``.  ``deleted[j]`` lists
     the columns D_j that target node j deletes (its own instantaneous
-    blocks).
-
-    Axis 1 of the working layout holds every node in order unless
-    ``nodes`` says otherwise: a ``_FactorSystem`` that has dropped part of
-    a penalty's columns keeps its live ones on one row, shape (1, M, R),
-    column m targeting node ``nodes[m]``.
+    blocks), and ``mask`` indexes every deleted entry of the rows.
     """
 
     def __init__(self, kms: KernelMatrixSet):
         self.F = kms.factor
         self.total_rank = self.F.shape[1]
-        self.n_nodes = kms.n_nodes
         self.groups = kms.groups
         self.scalar_blocks = [rank for _, _, rank, _ in self.groups] == [1]  # no rank above 1
         cols = np.arange(self.total_rank)
@@ -400,10 +396,17 @@ class _StackedFactor:
         ]
         self.deleted_sizes = np.array([d.size for d in self.deleted], dtype=int)
         self.kept_dims = self.total_rank - self.deleted_sizes
-        self.deleted_nodes = np.repeat(np.arange(kms.n_nodes), self.deleted_sizes)
         self.deleted_cols = np.concatenate(self.deleted)
-        self.nodes = None
-        self.mask = self.deleted_nodes, self.deleted_cols
+        self._set_nodes(np.arange(kms.n_nodes))
+
+    def _set_nodes(self, nodes: np.ndarray) -> None:
+        """Let row m target node ``nodes[m]``: sets ``column_nodes`` and ``mask``."""
+        sizes = self.deleted_sizes[nodes]
+        ends = np.cumsum(sizes)
+        starts = np.cumsum(self.deleted_sizes) - self.deleted_sizes
+        at = np.arange(ends[-1] if ends.size else 0) + np.repeat(starts[nodes] - ends + sizes, sizes)
+        self.column_nodes = nodes
+        self.mask = np.repeat(np.arange(nodes.size), sizes), self.deleted_cols[at]
 
     def to_public(self, a: np.ndarray) -> np.ndarray:
         """Working (N, R) coordinates in the (R, N) layout, as a new array."""
@@ -413,41 +416,23 @@ class _StackedFactor:
         """Views of (..., R) ``a``, one per rank group, shaped (..., blocks, rank)."""
         return [a[..., lo:hi].reshape(*a.shape[:-1], -1, rank) for lo, hi, rank, _ in self.groups]
 
-    def deleted_entries(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(column, factor column) of every deleted entry of a row of
-        columns that target ``nodes``."""
-        sizes = self.deleted_sizes[nodes]
-        ends = np.cumsum(sizes)
-        starts = np.cumsum(self.deleted_sizes) - self.deleted_sizes
-        at = np.arange(ends[-1] if ends.size else 0) + np.repeat(starts[nodes] - ends + sizes, sizes)
-        return np.repeat(np.arange(nodes.size), sizes), self.deleted_cols[at]
-
     def mask_deleted(self, arr: np.ndarray) -> np.ndarray:
-        rows, cols = self.mask
-        arr[:, rows, cols] = 0.0
+        arr[self.mask] = 0.0
         return arr
 
     def project(self, y: np.ndarray) -> np.ndarray:
-        """F^T y_j with deleted columns zeroed, shape (1, N, R)."""
-        return self.mask_deleted((y.T @ self.F)[None])
-
-    def column_targets(self, y: np.ndarray) -> np.ndarray:
-        """The target y_j of each column on axis 1, shape (N or M, T')."""
-        return y.T if self.nodes is None else y.T[self.nodes]
+        """F^T y_j for each row's target j with deleted columns zeroed, shape (M, R)."""
+        return self.mask_deleted((y.T @ self.F)[self.column_nodes])
 
     def residual(self, y: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """y_j - F g_j for (K, N, R) g, shape (K, N, T')."""
-        return self.column_targets(y) - g @ self.F.T
+        """y_j - F g_j for (M, R) g, shape (M, T')."""
+        return y.T[self.column_nodes] - g @ self.F.T
 
-    def shrink(self, v: np.ndarray, kappa: np.ndarray) -> np.ndarray:
-        """Block soft-thresholding of (K, N, R) ``v`` at ``kappa``, (K, 1, 1)
-        per row or (1, M, 1) per column: each block scaled by
-        max(1 - kappa / ||v_b||, 0), so a block whose norm is within kappa
-        becomes exactly 0."""
-        if self.scalar_blocks:
-            if kappa.shape[1] == 1:
-                return v - np.clip(v, -kappa, kappa)
-            # clip with per-column bounds costs half again as much
+    def shrink(self, v: np.ndarray, kappa) -> np.ndarray:
+        """Block soft-thresholding of (M, R) ``v`` at ``kappa``, a scalar or
+        an (M, 1) column: each block scaled by max(1 - kappa / ||v_b||, 0),
+        so a block whose norm is within kappa becomes exactly 0."""
+        if self.scalar_blocks:  # v - clip(v, -kappa, kappa); clip costs more per column
             out = np.maximum(v, -kappa)
             np.minimum(out, kappa, out=out)
             return np.subtract(v, out, out=out)
@@ -472,12 +457,19 @@ class _StackedFactor:
         ]
 
     def dual_norms(self, r: np.ndarray) -> np.ndarray:
-        """max_b ||B_b^T r_j|| over each column's kept blocks, for (K, N, T')
-        r; shape (K, N)."""
-        best = np.zeros(r.shape[:-1])
+        """max_b ||B_b^T r_j|| over each row's kept blocks, for (M, T') r;
+        shape (M,)."""
+        best = np.zeros(r.shape[0])
         for norms in self.block_norms(self.mask_deleted(r @ self.F)):
             np.maximum(best, norms.max(axis=-1), out=best)
         return best
+
+
+def _by_column(values: np.ndarray):
+    """Per-row ``values`` as the scalar they all share, else as an (M, 1)
+    column; a scalar broadcasts at about a third of the column's cost."""
+    first = values[0]
+    return first if (values == first).all() else values[:, None]
 
 
 class _FactorSystem(_StackedFactor):
@@ -506,19 +498,22 @@ class _FactorSystem(_StackedFactor):
     with zero rows of V, so a solve is two products with V, the correction
     and one scaling by w, whatever the kernels' ranks.  When every deleted
     block has rank at most 1 the correction is elementwise; otherwise it
-    is one small product per (penalty, node) each way.  ``solve`` returns
+    is one small product per column each way.  ``solve`` returns
     scale_k * x_k, so a caller can fold constant factors into the weights
     (ADMM folds its rho and its over-relaxation).  A zero penalty is
     singular unless R <= T'; a rank-deficient F then takes ``_JITTER``
     instead.
 
     s and V are shared by the K penalties (one per lambda of a batched ADMM
-    run); the weights carry the K axis and the Schur inverses one entry
-    per (penalty, node) column, and ``keep`` drops the columns whose fits
-    have stopped.  Everything is in the working layout of
-    ``_StackedFactor``: q and x have shape (K, N, R), or (1, M, R) once
-    ``keep`` has dropped part of a penalty's columns, and V's rows follow
-    F's columns.
+    run).  The rows of the working layout are the (penalty, node) columns,
+    penalty-major: row m has penalty ``column_pens[m]`` and target node
+    ``column_nodes[m]``, M = K N of them until ``keep`` drops the columns
+    whose fits have stopped.  Each row carries its own span weights and
+    Schur factors, and the null-space weight 1/penalty (R > T' only) is a
+    scalar while the live rows share it.  ``run_pens`` lists the penalty of
+    each run of consecutive rows that share one, and ``bounds`` the runs'
+    row bounds.  q and x have shape (M, R), and V's rows follow F's
+    columns.
     """
 
     def __init__(self, kms: KernelMatrixSet, penalties, scale=1.0):
@@ -563,93 +558,49 @@ class _FactorSystem(_StackedFactor):
         self.rank_one = r_max <= 1
         if self.rank_one:  # (K, N, S): the correction is a vecdot and a scaled row
             left, right = left.sum(axis=-1), right.sum(axis=-2)
-        self.left, self.right = left, right
+        k = penalties.size
+        self.left = left.reshape(k * n, *left.shape[2:])
+        self.right = right.reshape(k * n, *right.shape[2:])
         scale = np.broadcast_to(scale, penalties.shape)
-        self.span_by_penalty = scale[:, None, None] * span[:, None, :]
-        self.null_by_penalty = None if full_span else (scale * null)[:, None, None]
-        # the rows of the live runs' penalties, in run order
-        self.span_weight, self.null_weight = self.span_by_penalty, self.null_by_penalty
-        self.column_pens = np.repeat(np.arange(penalties.size), n)
-        self.column_nodes = np.tile(np.arange(n), penalties.size)
-        self.run_pens = np.arange(penalties.size)
-        self.bounds = np.arange(penalties.size + 1) * n
-        self.lead = (penalties.size, n)
-        self.runs = None
+        self.span = np.repeat(scale[:, None] * span, n, axis=0)
+        self.null_by_penalty = None if full_span else scale * null
+        self.column_pens = np.repeat(np.arange(k), n)
+        self._set_nodes(np.tile(np.arange(n), k))
+        self._set_runs()
 
-    def keep(self, cols) -> None:
-        """Keep only the columns at ``cols``, in that order: flat positions
-        over the leading (K, N) or (1, M) axes of the working layout.
-
-        ``run_pens`` then lists the penalty of each run of consecutive
-        columns that share one, ``bounds`` the runs' flat column bounds and
-        ``lead`` the new leading axes: (runs, N) while every run holds all N
-        columns in node order, else (1, M) with ``nodes`` set.  The
-        per-penalty weights keep one row per run, so they broadcast over
-        axis 1 unless there are several runs on one row; ``runs`` then pairs
-        each run's columns with its weights' row, and is None otherwise.
-        """
-        cols = np.asarray(cols, dtype=int)
-        self.column_pens, self.column_nodes = self.column_pens[cols], self.column_nodes[cols]
+    def _set_runs(self) -> None:
+        """``run_pens``, ``bounds`` and ``null`` of the rows' ``column_pens``."""
         starts = np.flatnonzero(np.diff(self.column_pens, prepend=-1))
-        self.bounds = np.append(starts, cols.size)
         self.run_pens = self.column_pens[starts]
-        n = self.n_nodes
-        full = bool((np.diff(self.bounds) == n).all())
-        self.lead = (starts.size, n) if full else (1, cols.size)
-        self.left = _take_columns(self.left, cols, self.lead)
-        self.right = _take_columns(self.right, cols, self.lead)
-        self.span_weight = self.span_by_penalty[self.run_pens]
+        self.bounds = starts.tolist() + [self.column_pens.size]
+        self.null = None
         if self.null_by_penalty is not None:
-            self.null_weight = self.null_by_penalty[self.run_pens]
-        self.runs = None
-        if full:
-            self.nodes = None
-            self.mask = self.deleted_nodes, self.deleted_cols
-            return
-        self.nodes = self.column_nodes
-        self.mask = self.deleted_entries(self.nodes)
-        if starts.size > 1:
-            bounds = self.bounds.tolist()
-            self.runs = [
-                (slice(lo, hi), slice(k, k + 1))
-                for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
-            ]
+            self.null = _by_column(self.null_by_penalty[self.column_pens])
+
+    def keep(self, cols: np.ndarray) -> None:
+        """Keep only the rows at ``cols``, in that order."""
+        self.left, self.right, self.span = self.left[cols], self.right[cols], self.span[cols]
+        self.column_pens = self.column_pens[cols]
+        self._set_nodes(self.column_nodes[cols])
+        self._set_runs()
 
     def solve(self, q: np.ndarray) -> np.ndarray:
-        """Columnwise solve of (K, N, R) q, already zero at deleted columns."""
-        k, n, r = q.shape
-        t = (q.reshape(k * n, r) @ self.vt.T).reshape(k, n, -1)
+        """Row-wise solve of (M, R) q, already zero at deleted columns."""
+        t = q @ self.vt.T
         if self.rank_one:
-            t -= np.vecdot(t, self.left)[..., None] * self.right
+            t -= np.vecdot(t, self.left)[:, None] * self.right
         else:
-            t -= ((t[:, :, None] @ self.left) @ self.right)[:, :, 0]
-        if self.runs is None:
-            t *= self.span_weight
-        else:
-            for cols, pens in self.runs:
-                t[:, cols] *= self.span_weight[pens]
-        x = (t.reshape(k * n, -1) @ self.vt).reshape(k, n, r)
-        if self.null_weight is not None:
-            if self.runs is None:
-                x += self.null_weight * q
-            else:
-                for cols, pens in self.runs:
-                    x[:, cols] += self.null_weight[pens] * q[:, cols]
+            t -= ((t[:, None] @ self.left) @ self.right)[:, 0]
+        t *= self.span
+        x = t @ self.vt
+        if self.null is not None:
+            x += self.null * q
         return self.mask_deleted(x)
 
     def sumsq_each(self, a: np.ndarray) -> list[float]:
-        """Sum of squared entries of each run's columns of (K, N, ...) ``a``."""
-        if self.runs is None:  # a run per row
-            flat = a.reshape(a.shape[0], -1)
-            return np.vecdot(flat, flat).tolist()
-        flat = a.reshape(a.shape[1], -1)
-        return np.add.reduceat(np.vecdot(flat, flat), self.bounds[:-1]).tolist()
-
-
-def _take_columns(a: np.ndarray, cols: np.ndarray, lead: tuple[int, int]) -> np.ndarray:
-    """The columns at flat positions ``cols`` over the two leading axes of
-    ``a``, with leading axes ``lead``."""
-    return a.reshape(-1, *a.shape[2:])[cols].reshape(*lead, *a.shape[2:])
+        """Sum of squared entries of each run's rows of (M, ...) ``a``."""
+        runs = (a[lo:hi].ravel() for lo, hi in zip(self.bounds, self.bounds[1:]))
+        return [float(np.dot(run, run)) for run in runs]
 
 
 def _smaller_gram(f: np.ndarray) -> np.ndarray:
@@ -735,95 +686,95 @@ def lambda_zero_bound(targets: np.ndarray, kms: KernelMatrixSet) -> float:
     """Smallest lambda at which the all-zero tensor is optimal: the largest
     ||B_b^T y_j|| over every column's kept blocks."""
     y = _check_fit_inputs(targets, kms)
-    return float(_StackedFactor(kms).dual_norms(y.T[None]).max())
+    return float(_StackedFactor(kms).dual_norms(y.T).max())
 
 
 def _certificate(
     y: np.ndarray, system: _StackedFactor, g: np.ndarray, lam: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Duality-gap certificate of the columns of iterates g (K, N, R) in the
-    system's working layout, at penalties ``lam`` that broadcast against
-    them: (K, 1), one per lambda, or (1, M), one per column.
+    """Duality-gap certificate of the rows of iterates g (M, R) in the
+    system's working layout, at penalties ``lam``, one per row (M,) or one
+    scalar.
 
     Per column j, the residual r_j = y_j - F g_j scaled into the dual
     feasible set, theta_j = r_j / max(1, max_b ||B_b^T r_j|| / lambda) over
     kept blocks, gives the lower bound D_j = ||y_j||^2/2 - ||y_j - theta_j||^2/2
     on the column's optimum (Ndiaye et al., JMLR 2017).  Returns each
     column's fidelity, penalty and relative gap (P_j - D_j) / P_j (0 where
-    P_j = 0), each of shape (K, N).
+    P_j = 0), each of shape (M,).
     """
-    yt = system.column_targets(y)
+    yt = y.T[system.column_nodes]
     r = yt - g @ system.F.T
     fidelity = 0.5 * np.vecdot(r, r)
     penalty = lam * sum(norms.sum(axis=-1) for norms in system.block_norms(g))
-    theta = r / np.maximum(1.0, system.dual_norms(r) / lam)[..., None]
+    theta = r / np.maximum(1.0, system.dual_norms(r) / lam)[:, None]
     primal = fidelity + penalty
-    gap = primal - 0.5 * (np.vecdot(yt, yt) - np.vecdot(yt - theta, yt - theta))
+    y_sq = np.vecdot(y.T, y.T)[system.column_nodes]  # summed alike whichever rows are live
+    gap = primal - 0.5 * (y_sq - np.vecdot(yt - theta, yt - theta))
     return fidelity, penalty, np.divide(gap, primal, out=np.zeros_like(gap), where=primal > 0)
 
 
 class _Anderson:
     """Type-II Anderson mixing of a fixed-point map v -> T(v), one history
-    per (lambda, node) column of (K, N, R) points (Walker & Ni, SIAM J.
-    Numer. Anal. 2011).
+    per row of (M, R) points, a row being one (lambda, node) column (Walker
+    & Ni, SIAM J. Numer. Anal. 2011).
 
     ``push(tv)`` records the map value tv = T(v) at the last point v that
     ``extrapolate`` handed out (0 before the first), and with it the
     residual f = tv - v.  ``extrapolate`` returns the next point
-    tv - dG gamma: dF and dG hold the column's last ``_ANDERSON_DEPTH``
-    differences of residuals and of map values, and gamma minimizes
-    ||f - dF gamma||^2 + reg ||gamma||^2, reg being ``_ANDERSON_REG`` times
-    the trace of dF^T dF.  Every push writes one ring slot of every column
-    and one row and column of each column's Gram dF^T dF.  dG enters only
-    the product dG gamma, so it is held in single precision, which halves
-    its memory.  A column whose residual norm grew past ``_ANDERSON_GROWTH``
-    times its last one, or whose mixed point is not finite, takes the plain
-    step tv and clears its history; an empty history mixes nothing, so the
-    first step is plain.  The point handed out is a buffer that the next
-    ``extrapolate`` overwrites.  ``keep`` drops columns as
-    ``_FactorSystem.keep`` does.
+    tv - dG gamma: dF and dG hold the row's last ``_ANDERSON_DEPTH``
+    differences of residuals and of map values, shape (M, depth, R), and
+    gamma minimizes ||f - dF gamma||^2 + reg ||gamma||^2, reg being
+    ``_ANDERSON_REG`` times the trace of dF^T dF.  Every push writes one
+    ring slot of every row and one row and column of each row's Gram
+    dF^T dF.  dG enters only the product dG gamma, so it is held in single
+    precision, which halves its memory.  A row whose residual norm grew
+    past ``_ANDERSON_GROWTH`` times its last one, or whose mixed point is
+    not finite, takes the plain step tv and clears its history; an empty
+    history mixes nothing, so the first step is plain.  The point handed
+    out is a buffer that the next ``extrapolate`` overwrites.  ``keep``
+    drops rows as ``_FactorSystem.keep`` does.
     """
 
-    def __init__(self, shape: tuple[int, int, int]):
-        k, n, r = shape
+    def __init__(self, shape: tuple[int, int]):
+        m, r = shape
         depth = _ANDERSON_DEPTH
-        self.df = np.zeros((k, n, depth, r))
-        self.dg = np.zeros((k, n, depth, r), dtype=np.float32)
-        self.gram = np.zeros((k, n, depth, depth))
-        self.filled = np.zeros((k, n, depth), dtype=bool)
+        self.df = np.zeros((m, depth, r))
+        self.dg = np.zeros((m, depth, r), dtype=np.float32)
+        self.gram = np.zeros((m, depth, depth))
+        self.filled = np.zeros((m, depth), dtype=bool)
         self.point, self.tv = np.zeros(shape), np.zeros(shape)
         self.f, self.f_last = np.zeros(shape), np.zeros(shape)
-        self.step = np.zeros((k, n, 1, r), dtype=np.float32)
+        self.step = np.zeros((m, 1, r), dtype=np.float32)
         self.sq_norm = None
         self.pushes = 0
 
-    def keep(self, cols: np.ndarray, lead: tuple[int, int]) -> None:
-        """Keep only the columns at flat positions ``cols``, in that order,
-        on leading axes ``lead``."""
+    def keep(self, cols: np.ndarray) -> None:
+        """Keep only the rows at ``cols``, in that order."""
         for name in ("df", "dg", "gram", "filled", "point", "tv", "f", "f_last", "step"):
-            setattr(self, name, _take_columns(getattr(self, name), cols, lead))
+            setattr(self, name, getattr(self, name)[cols])
         if self.sq_norm is not None:
-            self.sq_norm = _take_columns(self.sq_norm, cols, lead)
+            self.sq_norm = self.sq_norm[cols]
 
-    def _clear(self, cols) -> None:
-        self.df[cols] = 0.0
-        self.dg[cols] = 0.0
-        self.gram[cols] = 0.0
-        self.filled[cols] = False
+    def _clear(self, rows) -> None:
+        self.df[rows] = 0.0
+        self.dg[rows] = 0.0
+        self.gram[rows] = 0.0
+        self.filled[rows] = False
 
     def push(self, tv: np.ndarray) -> None:
         self.f, self.f_last = self.f_last, self.f
         f = np.subtract(tv, self.point, out=self.f)
         sq_norm = np.vecdot(f, f)
         if self.sq_norm is not None:
-            slot = self.pushes % self.df.shape[2]
+            slot = self.pushes % self.df.shape[1]
             self.pushes += 1
-            np.subtract(f, self.f_last, out=self.df[:, :, slot])
-            np.subtract(tv, self.tv, out=self.dg[:, :, slot])
-            row = np.vecdot(self.df[:, :, slot, None], self.df)
+            np.subtract(f, self.f_last, out=self.df[:, slot])
+            np.subtract(tv, self.tv, out=self.dg[:, slot])
+            row = np.vecdot(self.df[:, slot, None], self.df)
+            self.gram[:, slot] = row
             self.gram[:, :, slot] = row
-            self.gram[:, :, :, slot] = row
-            self.filled[:, :, slot] = True
+            self.filled[:, slot] = True
             grew = ~(sq_norm <= _ANDERSON_GROWTH**2 * self.sq_norm)
             if grew.any():
                 self._clear(grew)
@@ -836,11 +787,11 @@ class _Anderson:
         lhs = self.gram.copy()
         # tiny keeps an all-zero history regular; an empty slot gets gamma 0
         lhs[..., idx, idx] += np.where(self.filled, reg + np.finfo(float).tiny, 1.0)
-        rhs = np.vecdot(self.df, self.f[:, :, None])
+        rhs = np.vecdot(self.df, self.f[:, None])
         # non-finite input gives a non-finite gamma, not an error; caught below
         gamma = np.linalg.solve(lhs, rhs[..., None])
         np.matmul(gamma.mT.astype(np.float32), self.dg, out=self.step)
-        np.subtract(self.tv, self.step[:, :, 0], out=self.point)
+        np.subtract(self.tv, self.step[:, 0], out=self.point)
         bad = ~np.isfinite(np.vecdot(self.point, self.point))  # an overflowing norm too
         if bad.any():
             self.point[bad] = self.tv[bad]
@@ -884,30 +835,32 @@ def _admm(
 
     The columns are (lambda, node) pairs sharing one ``_FactorSystem``;
     each lambda has its own penalty parameter rho = ``cfg.rho_for(lam)``
-    and shrinks at lambda/rho.  The relaxed point
-    alpha x + (1 - alpha) g (alpha = ``_RELAX``) enters the shrinkage and
-    the dual step; the primal residual stays x - g.  Each column is its own
-    group lasso with its own duality-gap certificate, and stops on it: a
-    column leaves the batch at the first certificate whose relative gap is
-    at most ``cfg.tol_gap``, keeping its iterate, multiplier, fidelity and
-    penalty from that iteration, and every later product, shrinkage,
-    Anderson step and certificate runs on the live columns only (the
-    working-set idea of Blitz and Celer: Johnson & Guestrin 2015; Massias,
-    Gramfort & Salmon 2018).  A lambda's columns are certified every
-    ``_GAP_EVERY`` iterations, at ``max_iter``, and at any iteration where
-    the scaled residuals of its live columns are within ``cfg.tol_primal``
-    and ``cfg.tol_dual`` (their tolerances scale with the square root of
-    those columns' kept dimension); there the residual rule only asks for
-    a certificate.  With ``cfg.tol_gap`` = 0 no column stops on its gap,
-    and the residual rule stops all of a lambda's columns at once.  A
-    lambda is done when its last column stops, and converged when every
-    column stopped on its test rather than at the cap.  Every decision
-    depends on the iterates alone.
+    and shrinks at kappa = lambda/rho, one scalar while the live columns
+    share it.  The relaxed point alpha x + (1 - alpha) g
+    (alpha = ``_RELAX``) enters the shrinkage and the dual step; the
+    primal residual stays x - g.  Each column is its own group lasso with
+    its own duality-gap certificate, and stops on it: a column leaves the
+    batch at the first certificate whose relative gap is at most
+    ``cfg.tol_gap``, keeping its iterate, multiplier, fidelity and penalty
+    from that iteration, and every later product, shrinkage, Anderson step
+    and certificate runs on the live columns only (the working-set idea of
+    Blitz and Celer: Johnson & Guestrin 2015; Massias, Gramfort & Salmon
+    2018).  A lambda's columns are checked every ``_GAP_EVERY``
+    iterations, at ``max_iter``, and at any iteration where the scaled
+    residuals of its live columns are within ``cfg.tol_primal`` and
+    ``cfg.tol_dual`` (their tolerances scale with the square root of those
+    columns' kept dimension); there the residual rule only asks for a
+    check.  A check certifies every live column and acts on the checked
+    lambdas' columns only.  With ``cfg.tol_gap`` = 0 no column stops on
+    its gap, and the residual rule stops all of a lambda's columns at
+    once.  A lambda is done when its last column stops, and converged when
+    every column stopped on its test rather than at the cap.  Every
+    decision depends on the iterates alone.
 
-    g is the post-shrinkage iterate, (K, N, R) in the working layout, or
-    (1, M, R) once some lambda has dropped only part of its columns.  The
-    loop carries w = u + (1 - alpha) g in place of the scaled multiplier
-    u = xi / rho, and the system's weights carry alpha rho, so that
+    g is the post-shrinkage iterate, (M, R) with one row per live column
+    in the system's working layout.  The loop carries w = u + (1 - alpha) g
+    in place of the scaled multiplier u = xi / rho, and the system's
+    weights carry alpha rho, so that
 
         alpha x = alpha rho H (c0 / rho + (2 - alpha) g - w),
         v = alpha x + w,  g' = shrink(v),  w' = v - alpha g',
@@ -925,10 +878,11 @@ def _admm(
     rhos = [cfg.rho_for(lam) for lam in lams.tolist()]
     system = _FactorSystem(kms, rhos, scale=[_RELAX * r for r in rhos])
     n = kms.n_nodes
-    rho = np.array(rhos)[:, None, None]
-    kappa = kappas = lams[:, None, None] / rho  # kappa: per row or, split, per column
-    c0 = system.project(y) / rho
-    g = np.zeros((len(lams),) + c0.shape[1:])
+    kappas = lams / rhos
+    kappa = _by_column(kappas[system.column_pens])
+    c0 = system.project(y)
+    c0 /= _by_column(np.array(rhos)[system.column_pens])
+    g = np.zeros_like(c0)
     w = np.zeros_like(g)
     accelerated = n * system.total_rank * system.vt.shape[0] >= _ANDERSON_WORK
     anderson = _Anderson(g.shape) if accelerated else None
@@ -970,19 +924,12 @@ def _admm(
         checked = range(len(live)) if at_cap or it % _GAP_EVERY == 0 else sorted(passed)
         if not checked:
             continue
-        bounds = system.bounds.tolist()
-        if system.nodes is None:  # certify the checked lambdas' rows
-            lam = lams[[live[i] for i in checked]][:, None]
-            fid, pen, rel = _certificate(y, system, g[checked], lam)
-            at = {i: slice(c * n, (c + 1) * n) for c, i in enumerate(checked)}
-        else:  # one row holds every live column
-            fid, pen, rel = _certificate(y, system, g, lams[system.column_pens][None])
-            at = {i: slice(bounds[i], bounds[i + 1]) for i in checked}
-        fid, pen, rel = fid.ravel(), pen.ravel(), rel.ravel()
+        fid, pen, rel = _certificate(y, system, g, lams[system.column_pens])
+        bounds = system.bounds
         drop = []
         for i in checked:
             pos, done = live[i], stopped[live[i]]
-            rel_i = rel[at[i]]
+            rel_i = rel[bounds[i] : bounds[i + 1]]
             gaps[pos][it] = max(float(rel_i.max()), done.worst_gap)
             ok = rel_i <= cfg.tol_gap if by_gap else np.full(rel_i.shape, i in passed)
             stop = np.ones_like(ok) if at_cap else ok
@@ -990,19 +937,11 @@ def _admm(
                 continue
             cols = bounds[i] + np.flatnonzero(stop)
             drop.append(cols)
-            g_cols = g.reshape(-1, g.shape[-1])[cols]
-            xi = w.reshape(-1, w.shape[-1])[cols]
+            g_cols, xi = g[cols], w[cols]
             xi -= (1.0 - _RELAX) * g_cols
             xi *= rhos[pos]
             done.add(
-                it,
-                system.column_nodes[cols],
-                g_cols,
-                xi,
-                fid[at[i]][stop],
-                pen[at[i]][stop],
-                rel_i[stop],
-                ok[stop],
+                it, system.column_nodes[cols], g_cols, xi, fid[cols], pen[cols], rel[cols], ok[stop]
             )
             del g_cols, xi
             if done.live:
@@ -1029,20 +968,17 @@ def _admm(
             )
         if not drop:
             continue
-        alive = np.ones(bounds[-1], dtype=bool)
+        alive = np.ones(len(g), dtype=bool)
         alive[np.concatenate(drop)] = False
         if not alive.any():
             break
         keep = np.flatnonzero(alive)
         system.keep(keep)
         if anderson is not None:
-            anderson.keep(keep, system.lead)
-        g, w, c0 = (_take_columns(a, keep, system.lead) for a in (g, w, c0))
+            anderson.keep(keep)
+        g, w, c0 = g[keep], w[keep], c0[keep]
         live = system.run_pens.tolist()
-        if system.runs is None:
-            kappa = kappas[system.run_pens]
-        else:
-            kappa = kappas[system.column_pens].reshape(1, -1, 1)
+        kappa = _by_column(kappas[system.column_pens])
         tol_primal, tol_dual = tolerances()
     return out
 
@@ -1071,7 +1007,7 @@ def admm_fit(
 def _ridge_coordinates(y: np.ndarray, kms: KernelMatrixSet, lam: float) -> np.ndarray:
     """Ridge solution in factor coordinates, shape (R, N)."""
     system = _FactorSystem(kms, 2.0 * lam)
-    return system.to_public(system.solve(system.project(y))[0])
+    return system.to_public(system.solve(system.project(y)))
 
 
 def ridge_fit(

@@ -6,7 +6,9 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 import pytest
@@ -86,6 +88,24 @@ def tree_bytes(root):
 def _run_with_one_blas_thread(cfg):
     _pin_blas_to_one_thread()
     run_pipeline(cfg)
+
+
+_PROCESS_SEGMENT = pipeline._process_segment
+
+
+def _dies_once_at_segment_1(marker, idx, *args):
+    # stands in for pipeline._process_segment in a pool worker: the first
+    # worker handed segment 1 leaves the marker and dies
+    if idx == 1 and not os.path.exists(marker):
+        open(marker, "w").close()
+        os._exit(1)
+    return _PROCESS_SEGMENT(idx, *args)
+
+
+def _dies_at_segment_1(idx, *args):
+    if idx == 1:
+        os._exit(1)
+    return _PROCESS_SEGMENT(idx, *args)
 
 
 class TestPipelineConfig:
@@ -543,6 +563,54 @@ class TestRunPipeline:
         for rel in a:
             if rel != "manifest.json":
                 assert a[rel] == b[rel], rel
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="the pool needs fork"
+    )
+    def test_killed_worker_costs_only_a_refit(self, tmp_path, monkeypatch):
+        inp = tmp_path / "panel.csv"
+        write_panel_csv(inp, t=80)
+        # the serial reference, with one BLAS thread like the pooled fits
+        monkeypatch.setattr(pipeline, "_pool_size", lambda n: 1)
+        child = multiprocessing.get_context("fork").Process(
+            target=_run_with_one_blas_thread,
+            args=(base_config(inp, tmp_path / "serial", window_s=20.0),),
+        )
+        child.start()
+        child.join(timeout=120)
+        assert not child.is_alive() and child.exitcode == 0
+        monkeypatch.setattr(pipeline, "_pool_size", lambda n: 2)
+        marker = tmp_path / "died"
+        monkeypatch.setattr(
+            pipeline, "_process_segment", partial(_dies_once_at_segment_1, str(marker))
+        )
+        manifest = run_pipeline(base_config(inp, tmp_path / "pool", window_s=20.0))
+        assert marker.exists() and manifest["workers"] == 2 and manifest["n_segments"] == 4
+        assert multiprocessing.active_children() == []
+        a, b = tree_bytes(tmp_path / "serial"), tree_bytes(tmp_path / "pool")
+        assert set(a) == set(b)
+        for rel in a:
+            if rel != "manifest.json":
+                assert a[rel] == b[rel], rel
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="the pool needs fork"
+    )
+    def test_worker_that_always_dies_fails_the_run(self, tmp_path, monkeypatch):
+        inp = tmp_path / "panel.csv"
+        write_panel_csv(inp, t=80)
+        out = tmp_path / "run"
+        monkeypatch.setattr(pipeline, "_pool_size", lambda n: 2)
+        monkeypatch.setattr(pipeline, "_process_segment", _dies_at_segment_1)
+        with pytest.raises(BrokenProcessPool):
+            run_pipeline(base_config(inp, out, window_s=20.0))
+        assert multiprocessing.active_children() == []
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "BrokenProcessPool" and err["stage"] == "fit segments"
+        written = sorted(p.parent.name for p in out.glob("seg_*/metrics.json"))
+        assert "seg_001" not in written
+        assert err["completed_segments"] == written
+        assert not (out / "manifest.json").exists()
 
     def test_success_removes_stale_error_record(self, tmp_path):
         inp = tmp_path / "panel.csv"

@@ -166,7 +166,7 @@ class TestCoefficientTensor:
         _, view, kms = make_problem(seed=1)
         rng = np.random.default_rng(2)
         system = _StackedFactor(kms)
-        c = system.to_public(system.mask_deleted(rng.normal(size=(1, 2, system.total_rank)))[0])
+        c = system.to_public(system.mask_deleted(rng.normal(size=(2, system.total_rank))))
         tensor = CoefficientTensor(coords=c, kernels=kms)
         np.testing.assert_allclose(
             kbar(kms) @ w_stacked(tensor), predict(tensor), atol=1e-10
@@ -536,17 +536,23 @@ class TestDualityGap:
         rng = np.random.default_rng(40)
         for seed in range(41, 46):
             _, view, kms = make_problem(t=16, n=3, seed=seed, spec=spec)
-            system = _StackedFactor(kms)
             lams = lambda_zero_bound(view.targets, kms) * np.array([0.02, 0.3, 0.9, 1.5])
+            system = _FactorSystem(kms, lams)  # one row per (lambda, node)
             shape = (lams.size, kms.n_nodes, system.total_rank)
-            g = system.mask_deleted(rng.normal(scale=0.3, size=shape))
+            g = system.mask_deleted(rng.normal(scale=0.3, size=shape).reshape(-1, shape[-1]))
+            g = g.reshape(shape)
             # zero about half the blocks, as the shrinkage does
             live = []
             for blocks in system.grouped(g):
                 live.append(rng.random(blocks.shape[:-1]) < 0.5)
                 blocks *= live[-1][..., None]
             live = np.concatenate(live, axis=-1)
-            fidelity, penalty, relative = _certificate(view.targets, system, g, lams[:, None])
+            fidelity, penalty, relative = (
+                a.reshape(lams.size, -1)
+                for a in _certificate(
+                    view.targets, system, g.reshape(-1, shape[-1]), lams[system.column_pens]
+                )
+            )
             assert (fidelity + penalty > 0).all()
             assert (relative >= -1e-12).all()
             # the dual point is the residual itself once it is feasible
@@ -623,13 +629,24 @@ class TestColumnStopping:
     # residual tolerances no fit meets: certificates come every 10 iterations
     CFG = SolverConfig(lam=1.0, max_iter=3000, tol_primal=1e-300, tol_dual=1e-300, tol_gap=1e-6)
 
-    @pytest.mark.parametrize("spec,seed", [(LINEAR, 40), (POLY21, 42)])
-    def test_columns_stop_at_their_first_certificate(self, spec, seed):
+    # rho=None shrinks every lambda at kappa = 0.1; a fixed rho gives each
+    # lambda its own kappa = lambda / rho
+    @pytest.mark.parametrize(
+        "spec,seed,rho",
+        [
+            pytest.param(LINEAR, 40, None, id="spec0-40"),
+            pytest.param(POLY21, 42, None, id="spec1-42"),
+            pytest.param(LINEAR, 40, 2.0, id="spec0-40-rho2"),
+            pytest.param(POLY21, 42, 2.0, id="spec1-42-rho2"),
+        ],
+    )
+    def test_columns_stop_at_their_first_certificate(self, spec, seed, rho):
         _, view, kms = make_problem(t=24, n=4, seed=seed, spec=spec)
         grid = lambda_zero_bound(view.targets, kms) * np.array([0.6, 0.3, 0.1])
-        fits = _admm(view.targets, kms, grid, self.CFG)
+        cfg = replace(self.CFG, rho=rho)
+        fits = _admm(view.targets, kms, grid, cfg)
         checks = range(10, max(diag.iterations for _, _, diag in fits) + 1, 10)
-        capped = {t: _admm(view.targets, kms, grid, replace(self.CFG, max_iter=t)) for t in checks}
+        capped = {t: _admm(view.targets, kms, grid, replace(cfg, max_iter=t)) for t in checks}
         spread = False
         for k, (lam, (gamma, _, diag)) in enumerate(zip(grid, fits)):
             tensor = CoefficientTensor(coords=gamma, kernels=kms)
@@ -734,11 +751,11 @@ class TestAnderson:
         injected = []
 
         class Poisoned(_Anderson):
-            # a NaN map difference makes column (0, 1)'s mixed point NaN
+            # a NaN map difference makes column 1's mixed point NaN
             def push(self, tv):
                 super().push(tv)
                 if self.pushes in (3, 7, 12):
-                    self.dg[0, 1, 0, 0] = np.nan
+                    self.dg[1, 0, 0] = np.nan
                     injected.append(self.pushes)
 
         vals, view, kms = make_problem(t=16, n=3, seed=13, spec=[LINEAR, GAUSS1])
@@ -753,18 +770,18 @@ class TestAnderson:
         assert abs(diag.final_objective - want) <= gap + 1e-8 * (1.0 + abs(want))
 
     def test_growing_residual_clears_the_column(self):
-        mixer = _Anderson((1, 2, 3))
-        mixer.push(np.ones((1, 2, 3)))
-        np.testing.assert_array_equal(mixer.extrapolate(), np.ones((1, 2, 3)))
+        mixer = _Anderson((2, 3))
+        mixer.push(np.ones((2, 3)))
+        np.testing.assert_array_equal(mixer.extrapolate(), np.ones((2, 3)))
         # column 0's residual grows threefold, column 1's halves
-        tv = np.ones((1, 2, 3))
-        tv[0, 0] += 3.0
-        tv[0, 1] += 0.5
+        tv = np.ones((2, 3))
+        tv[0] += 3.0
+        tv[1] += 0.5
         mixer.push(tv)
-        assert not mixer.filled[0, 0].any()
-        assert mixer.filled[0, 1].sum() == 1
+        assert not mixer.filled[0].any()
+        assert mixer.filled[1].sum() == 1
         point = mixer.extrapolate()
-        np.testing.assert_array_equal(point[0, 0], tv[0, 0])
+        np.testing.assert_array_equal(point[0], tv[0])
         assert np.isfinite(point).all()
 
 
@@ -904,8 +921,9 @@ class TestSharedSolve:
         penalties, scales = [0.5, 3.0, 40.0], [1.6 * 0.5, 1.0, 2.0]
         system = _FactorSystem(kms, penalties, scale=scales)
         rng = np.random.default_rng(2)
-        q = system.mask_deleted(rng.normal(size=(3, kms.n_nodes, system.total_rank)))
-        x = system.solve(q)
+        shape = (3, kms.n_nodes, system.total_rank)
+        q = system.mask_deleted(rng.normal(size=shape).reshape(-1, shape[-1])).reshape(shape)
+        x = system.solve(q.reshape(-1, shape[-1])).reshape(shape)
         for k, penalty in enumerate(penalties):
             for j in range(kms.n_nodes):
                 kept = np.setdiff1d(np.arange(system.total_rank), system.deleted[j])
@@ -915,9 +933,13 @@ class TestSharedSolve:
                     a.T @ a + penalty * np.eye(kept.size), q[k, j, kept]
                 )
                 np.testing.assert_allclose(x[k, j], scales[k] * want, rtol=1e-9, atol=1e-10)
-        n = kms.n_nodes
-        system.keep(np.r_[2 * n : 3 * n, :n])  # every column of penalties 2 and 0
-        np.testing.assert_allclose(system.solve(q[[2, 0]]), x[[2, 0]], rtol=1e-12, atol=1e-13)
+        # penalty 2 at the first and last nodes, then penalty 0 at node 1:
+        # rows that mix penalties and skip nodes
+        pens, nodes = np.array([2, 2, 0]), np.array([0, kms.n_nodes - 1, 1])
+        system.keep(pens * kms.n_nodes + nodes)
+        np.testing.assert_allclose(
+            system.solve(q[pens, nodes]), x[pens, nodes], rtol=1e-12, atol=1e-13
+        )
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_eigensolve_matches_svd_reference(self, case):
@@ -927,8 +949,9 @@ class TestSharedSolve:
         penalties = [0.05, 2.0]
         system = _FactorSystem(kms, penalties)
         rng = np.random.default_rng(3)
-        q = system.mask_deleted(rng.normal(size=(2, kms.n_nodes, system.total_rank)))
-        x = system.solve(q)
+        shape = (2, kms.n_nodes, system.total_rank)
+        q = system.mask_deleted(rng.normal(size=shape).reshape(-1, shape[-1])).reshape(shape)
+        x = system.solve(q.reshape(-1, shape[-1])).reshape(shape)
         for k, penalty in enumerate(penalties):
             want = svd_factor_solve(system.F, system.deleted, penalty, q[k])
             np.testing.assert_allclose(x[k], want, rtol=1e-9, atol=1e-10)
@@ -949,8 +972,8 @@ class TestSharedSolve:
         view, kms = self.rank_deficient_problem()
         system = _FactorSystem(kms, 0.0)
         q = system.project(view.targets)
-        fitted = system.solve(q)[0] @ system.F.T
-        want = svd_factor_solve(system.F, system.deleted, 0.0, q[0]) @ system.F.T
+        fitted = system.solve(q) @ system.F.T
+        want = svd_factor_solve(system.F, system.deleted, 0.0, q) @ system.F.T
         np.testing.assert_allclose(fitted, want, rtol=0, atol=1e-3)
         for j, deleted in enumerate(system.deleted):
             a = np.delete(system.F, deleted, axis=1)
