@@ -81,7 +81,7 @@ def _parsed(parse):
 @click.option("--folds", "cv_folds", type=int, help="CV folds")
 @click.option("--rho", type=float, help="ADMM penalty parameter [default: 10 x lambda]")
 @click.option("--tau-alpha", type=float, help="edge threshold on block norms")
-@click.option("--max-iter", type=int, help="ADMM iteration cap")
+@click.option("--max-iter", type=int, help="ADMM iteration or lasso path step cap")
 @click.option("--tol-primal", type=float)
 @click.option("--tol-dual", type=float)
 @click.option("--regularizer", type=click.Choice(["group_l1", "squared"]))

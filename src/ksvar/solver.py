@@ -48,11 +48,13 @@ iterates (type-II Anderson mixing of the Douglas-Rachford map, Walker & Ni
 2011; Fu, Zhang & Boyd 2020), with a restart guard, and
 ``FitDiagnostics.accelerated`` records it.  Smaller fits run the plain
 loop.
+``fit``, which the pipeline calls, hands wide rank-1 fits (``_takes_path``) to an
+exact lasso path, ``_lasso_path``: no first-order method certifies them in any measured cap.
 
 Contents
 --------
 - SolverConfig, CoefficientTensor, DualState, FitDiagnostics, EffectiveNetwork
-- admm_fit, block_shrinkage
+- fit (ridge, exact lasso path or ADMM), admm_fit, block_shrinkage
 - ridge_fit (squared RKHS-norm regularizer, closed form)
 - threshold_edges, predict, lambda_zero_bound
 - cross_validate_lambda (h-block time folds), select_lag_bic
@@ -85,6 +87,12 @@ _ANDERSON_WORK = 7_000_000
 _ANDERSON_DEPTH = 5  # map differences each column's Anderson history keeps
 _ANDERSON_REG = 1e-10  # Tikhonov weight of the mixing least squares, relative to its trace
 _ANDERSON_GROWTH = 2.0  # a residual above this factor times the last one restarts a column
+# rank-1 fits that ``fit`` hands to the exact lasso path: T' up to the first and
+# 2 T' < R up to the second; every shape so admitted in the sweep recorded in
+# CHANGES.md fit faster than ADMM at its cap, some shapes outside it slower
+_PATH_MAX_TARGETS = 24
+_PATH_MAX_RANK = 600
+_PATH_PIVOT = 1e-9  # Schur pivot, relative to the squared norm, below which nothing enters
 
 
 @dataclass(frozen=True)
@@ -276,21 +284,29 @@ class FitDiagnostics:
     nodes, stacked rank R and S <= min(T', R) the rows of V^T, so that the
     two products with V dominate an iteration.  Each iterate is then the
     Anderson extrapolation of the plain step, and the residuals and gaps
-    above are those of the extrapolated iterates.
+    above are those of the extrapolated iterates.  ``solver`` is ``admm``,
+    or ``path`` (``_lasso_path``: ``iterations`` is the most steps a column
+    took, ``column_iterations`` their sum) or ``ridge`` (one iteration per
+    column, gap 0), which have one certificate, no residual trace, ``rho``
+    None and ``residual_ratio`` 0.
     """
 
     iterations: int
     column_iterations: int
     converged: bool
-    primal_residuals: np.ndarray
-    dual_residuals: np.ndarray
     relative_gaps: dict[int, float]
-    final_objective: float
     fidelity: float
     penalty: float
-    residual_ratio: float
-    rho: float
-    accelerated: bool
+    solver: str = "admm"
+    primal_residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    dual_residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    residual_ratio: float = 0.0
+    rho: float | None = None
+    accelerated: bool = False
+
+    @property
+    def final_objective(self) -> float:
+        return self.fidelity + self.penalty
 
     @property
     def relative_gap(self) -> float:
@@ -299,10 +315,11 @@ class FitDiagnostics:
         return self.relative_gaps[self.iterations]
 
     def records(self) -> list[dict]:
-        """One dict per iteration, ready for newline-delimited JSON; certified
-        iterations also carry their relative gap."""
+        """One dict per iteration of the residual trace (none for a path or
+        ridge fit), ready for newline-delimited JSON; certified iterations
+        also carry their relative gap."""
         out = []
-        for k in range(self.iterations):
+        for k in range(len(self.primal_residuals)):
             record = {
                 "iteration": k + 1,
                 "primal_residual": float(self.primal_residuals[k]),
@@ -958,7 +975,6 @@ def _admm(
                     primal_residuals=primals,
                     dual_residuals=duals,
                     relative_gaps=gaps[pos],
-                    final_objective=done.fidelity + done.penalty,
                     fidelity=done.fidelity,
                     penalty=done.penalty,
                     residual_ratio=max(p / tol_primal[i], d / tol_dual[i]),
@@ -1002,6 +1018,161 @@ def admm_fit(
     y = _check_fit_inputs(targets, kms)
     [(gamma, xi, diagnostics)] = _admm(y, kms, [cfg.lam], cfg)
     return CoefficientTensor(coords=gamma, kernels=kms), DualState(gamma=gamma, xi=xi), diagnostics
+
+
+def _hit(gap: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """Step at which a gap closing at ``rate`` closes: max(gap, 0) / rate, inf if rate <= 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(rate > 0, np.maximum(gap, 0.0) / rate, np.inf)
+
+
+def _lasso_path(y: np.ndarray, kms: KernelMatrixSet, cfg: SolverConfig):
+    """Exact lasso path of every column from its lambda_max down to
+    ``cfg.lam``, for rank-1 blocks; returns (R, N) coordinates and diagnostics.
+
+    Column j is then a lasso over F's kept columns, piecewise linear in
+    lambda (Osborne, Presnell & Turlach 2000; Efron et al. 2004): with
+    active set A and signs s, c_A = G_AA^{-1} (F_A^T y_j - lambda s) for
+    G = F^T F, so as lambda falls by delta, c_A moves by delta d for
+    d = G_AA^{-1} s and the correlations F^T r_j fall by delta F^T F d.  A
+    step goes to the nearest event: an inactive correlation reaching
+    +-lambda enters with that sign (a tie enters on a step of length 0), an
+    active coefficient reaching 0 drops (and may re-enter on the next step
+    only with the other sign), or lambda is reached.  Each column keeps
+    G_AA^{-1} in min(T', R) padded slots, bordered on an entry and
+    downdated on a drop; a coefficient with a Schur pivot within
+    ``_PATH_PIVOT`` of its squared norm may not enter before the next drop.
+    All columns step together, and one leaves at lambda, after
+    ``cfg.max_iter`` steps or at a non-positive downdate pivot.  A batched
+    solve on each support and signs then polishes the coefficients where
+    it keeps those signs; the duality-gap certificate alone sets
+    ``converged``.
+    """
+    system = _StackedFactor(kms)
+    f, lam, r = system.F, cfg.lam, system.total_rank
+    n, p = kms.n_nodes, min(kms.n_targets, r)
+    gram = np.pad(f.T @ f, (0, 1))  # index r is an empty slot's column
+    xty = system.project(y)
+    level = np.abs(xty).max(axis=1)  # the lambda each column's path stands at
+    deleted = np.zeros((n, r + 1), dtype=bool)
+    deleted[system.mask] = deleted[:, r] = True
+    slot, sign, coef = np.full((n, p), r), np.zeros((n, p)), np.zeros((n, p))
+    steps, final = np.zeros(n, dtype=int), [slot.copy(), sign.copy(), coef.copy()]
+    rows = np.flatnonzero(level > lam)
+    # blocked: deleted, active or refused since the last drop; held: the
+    # column dropped on the last step, and held_sign its sign
+    state = [a[rows] for a in (xty, level, deleted, slot, sign, coef)]
+    state += [np.zeros((rows.size, p, p)), np.full(rows.size, r), np.zeros(rows.size)]
+    buf = np.empty((rows.size, p, p))
+    for it in range(1, cfg.max_iter + 1):
+        if not rows.size:
+            break
+        corr, level, blocked, slot, sign, coef, hinv, held, held_sign = state
+        at = np.arange(rows.size)
+        d = np.vecdot(hinv, sign[:, None])
+        dense = np.zeros((rows.size, r + 1))
+        dense[at[:, None], slot] = d
+        a = (dense[:, :r] @ f.T) @ f
+        lv = level[:, None]
+        enter = np.minimum(_hit(lv - corr, 1.0 - a), _hit(lv + corr, 1.0 + a))
+        enter[blocked[:, :r]] = np.inf
+        h, hs = np.flatnonzero(held < r), held_sign[held < r]  # may return on the other side
+        enter[h, held[h]] = _hit(level[h] + hs * corr[h, held[h]], 1.0 + hs * a[h, held[h]])
+        k = enter.argmin(axis=1)
+        drop = _hit(coef * sign, -d * sign)
+        i = drop.argmin(axis=1)
+        to_enter, to_drop, to_stop = enter[at, k], drop[at, i], level - lam
+        delta = np.minimum(np.minimum(to_enter, to_drop), to_stop)
+        coef += delta[:, None] * d
+        corr -= delta[:, None] * a
+        level -= delta
+        done = to_stop <= np.minimum(to_enter, to_drop)
+        drops = ~done & (to_drop <= to_enter)
+        w, scale = np.zeros_like(d), np.zeros(rows.size)
+        e = np.flatnonzero(~done & ~drops)
+        ke = k[e]
+        g = gram[slot[e], ke[:, None]]
+        b = np.vecdot(hinv[e], g[:, None])
+        pivot = gram[ke, ke] - np.vecdot(g, b)
+        q = (slot[e] == r).argmax(axis=1)  # the first empty slot
+        blocked[e, ke] = True
+        ok = (pivot > _PATH_PIVOT * gram[ke, ke]) & (slot[e, q] == r)
+        e, ke, b, q = e[ok], ke[ok], b[ok], q[ok]
+        b[np.arange(e.size), q] = -1.0  # G_AA^{-1} grows by (b - e_q)(b - e_q)^T / pivot
+        w[e], scale[e] = b, 1.0 / pivot[ok]
+        slot[e, q], sign[e, q] = ke, np.sign(corr[e, ke])
+        dr = np.flatnonzero(drops)
+        hii = hinv[dr, i[dr], i[dr]]
+        done[dr[hii <= 0]] = True
+        dr = dr[hii > 0]
+        di = i[dr]  # with h = G_AA^{-1} e_i, it shrinks by h h^T / h_i
+        w[dr], scale[dr] = hinv[dr, :, di], -1.0 / hinv[dr, di, di]
+        np.multiply(w[:, :, None], (scale[:, None] * w)[:, None, :], out=buf[: rows.size])
+        hinv += buf[: rows.size]
+        hinv[dr, di, :] = hinv[dr, :, di] = 0.0
+        held[:] = r
+        held[dr], held_sign[dr] = slot[dr, di], sign[dr, di]
+        slot[dr, di], sign[dr, di], coef[dr, di] = r, 0.0, 0.0
+        blocked[dr] = deleted[rows[dr]]
+        blocked[dr[:, None], slot[dr]] = True
+        done |= it == cfg.max_iter
+        if done.any():
+            for out, now in zip(final, (slot, sign, coef)):
+                out[rows[done]] = now[done]
+            steps[rows[done]] = it
+            rows, state = rows[~done], [a[~done] for a in state]
+    slot, sign, coef = final
+    g_aa = gram[slot[:, :, None], slot[:, None, :]]
+    g_aa[:, np.arange(p), np.arange(p)] += slot == r  # 1 on the empty slots
+    rhs = np.take_along_axis(np.pad(xty, ((0, 0), (0, 1))), slot, axis=1) - lam * sign
+    try:
+        polished = np.linalg.solve(g_aa, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # a singular support keeps the path's coefficients
+        polished = coef
+    kept = np.isfinite(polished).all(axis=1) & (polished * sign >= 0).all(axis=1)
+    coef = np.where(kept[:, None], polished, coef)
+    coords = np.zeros((n, r + 1))
+    coords[np.arange(n)[:, None], slot] = coef  # 0 on the empty slots
+    coords = coords[:, :r]
+    fid, pen, rel = _certificate(y, system, coords, lam)
+    iterations = int(steps.max())
+    return system.to_public(coords), FitDiagnostics(
+        iterations=iterations, column_iterations=int(steps.sum()),
+        converged=bool((rel <= cfg.tol_gap).all()), relative_gaps={iterations: float(rel.max())},
+        fidelity=float(fid.sum()), penalty=float(pen.sum()), solver="path",
+    )
+
+
+def _takes_path(kms: KernelMatrixSet, cfg: SolverConfig) -> bool:
+    """Whether ``fit`` takes the exact lasso path: rank-1 blocks, T' <= ``_PATH_MAX_TARGETS``,
+    2 T' < R <= ``_PATH_MAX_RANK``, and a gap-stopped fit (``tol_gap`` > 0) at lambda > 0."""
+    t, r = kms.n_targets, kms.factor.shape[1]
+    ranks = [rank for _, _, rank, _ in kms.groups]
+    wide = t <= _PATH_MAX_TARGETS and 2 * t < r <= _PATH_MAX_RANK
+    return ranks == [1] and wide and cfg.lam > 0 < cfg.tol_gap
+
+
+def fit(
+    targets: np.ndarray, kms: KernelMatrixSet, cfg: SolverConfig
+) -> tuple[CoefficientTensor, FitDiagnostics]:
+    """The pipeline's fit under ``cfg``, naming its ``FitDiagnostics.solver``:
+    ``ridge_fit`` for the squared penalty (one iteration per column, gap
+    0), the exact lasso path where ``_takes_path`` admits the fit
+    (``cfg.max_iter`` capping its steps), else ``admm_fit``."""
+    if cfg.regularizer == "squared":
+        tensor = ridge_fit(targets, kms, cfg)
+        resid = targets - predict(tensor)
+        fidelity = 0.5 * float(np.sum(resid * resid))
+        penalty = cfg.lam * float((rkhs_block_norms(tensor) ** 2).sum())
+        return tensor, FitDiagnostics(
+            iterations=1, column_iterations=kms.n_nodes, converged=True, relative_gaps={1: 0.0},
+            fidelity=fidelity, penalty=penalty, solver="ridge",
+        )
+    if not _takes_path(kms, cfg):
+        tensor, _, diagnostics = admm_fit(targets, kms, cfg)
+        return tensor, diagnostics
+    coords, diagnostics = _lasso_path(_check_fit_inputs(targets, kms), kms, cfg)
+    return CoefficientTensor(coords=coords, kernels=kms), diagnostics
 
 
 def _ridge_coordinates(y: np.ndarray, kms: KernelMatrixSet, lam: float) -> np.ndarray:

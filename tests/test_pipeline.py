@@ -28,9 +28,11 @@ from ksvar.pipeline import (
     PER_NODE_METRICS,
     SEGMENT_STAGES,
     PipelineConfig,
+    _network_payload,
     _pin_blas_to_one_thread,
     _write_json,
     _write_ndjson,
+    _write_network,
     aggregate_networks,
     compare_runs,
     load_network,
@@ -58,6 +60,15 @@ def write_panel_csv(path, t=60, n=3, seed=0, rate=1.0):
     panel = simulate(generate_truth(cfg), cfg)
     write_csv_panel(panel, str(path))
     return panel
+
+
+def write_wide_panel_csv(path, t=52, n=20, seed=0):
+    """Gaussian noise on ``n`` nodes: 13-sample windows give T'=12 < R/2 = n
+    under a lag-1 linear kernel, a fit for the exact lasso path."""
+    values = np.random.default_rng(seed).normal(size=(t, n))
+    labels = tuple(f"n{i}" for i in range(n))
+    panel = TimeSeriesPanel(values=values, node_labels=labels, sample_rate_hz=1.0)
+    write_csv_panel(panel, str(path))
 
 
 def base_config(inp, out, **kwargs):
@@ -238,6 +249,28 @@ class TestNetworkRoundTrip:
         path = tmp_path / "edges.json"
         save_network(net, str(path))
         assert json.loads(path.read_text())["edges"] == network_edges(net)
+
+    def test_file_is_what_json_dump_writes(self, tmp_path):
+        rng = np.random.default_rng(5)
+        path = tmp_path / "edges.json"
+        cases = [
+            (np.zeros((2, 3, 3)), None),  # no edges
+            (np.array([[[0.0, 5e-324], [0.1, 1e16]]]), ('say "hi"', "back\\slash")),
+        ]
+        for n in (1, 4, 9):
+            w = np.where(rng.random((2, n, n)) < 0.5, rng.random((2, n, n)), 0.0)
+            cases.append((w, tuple(f"n\u00e9\u2603\U0001f9e0{i}\"\\" for i in range(n))))
+        for weights, labels in cases:
+            net = EffectiveNetwork(
+                supports=weights >= 0.3, weights=weights, tau_alpha=0.3, node_labels=labels
+            )
+            payload = _network_payload(net)
+            save_network(net, str(path))
+            assert path.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
+            # aggregate.json carries keys after the edges
+            payload.update(rule="union", n_segments=3)
+            _write_network(str(path), payload)
+            assert path.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
 
     def test_malformed_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -542,6 +575,26 @@ class TestRunPipeline:
             dictionary=("linear", "gaussian:sigma=median"),
             aggregate="union",
         )
+        a = self.serial_and_pooled(tmp_path, monkeypatch, inp, kwargs)
+        assert len([rel for rel in a if rel.endswith("attribution.csv")]) == 5
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="the pool needs fork"
+    )
+    def test_pool_writes_the_serial_bytes_on_the_lasso_path(self, tmp_path, monkeypatch):
+        inp = tmp_path / "panel.csv"
+        write_wide_panel_csv(inp)
+        kwargs = dict(window_s=13.0, lam=0.2, aggregate="majority")
+        self.serial_and_pooled(tmp_path, monkeypatch, inp, kwargs)
+        for run in ("serial", "pool"):
+            manifest = json.loads((tmp_path / run / "manifest.json").read_text())
+            assert manifest["n_segments"] == 4
+            assert all(s["solver"] == "path" and s["converged"] for s in manifest["segments"])
+
+    @staticmethod
+    def serial_and_pooled(tmp_path, monkeypatch, inp, kwargs):
+        """Run ``kwargs`` serially and in a pool of two; the artifacts other
+        than the manifest must match byte for byte.  Returns them."""
         # pooled fits use one BLAS thread, so the serial run does as well;
         # it runs in a forked child to leave this process's BLAS as it was
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -559,10 +612,10 @@ class TestRunPipeline:
         assert serial["workers"] == 1
         a, b = tree_bytes(tmp_path / "serial"), tree_bytes(tmp_path / "pool")
         assert set(a) == set(b)
-        assert len([rel for rel in a if rel.endswith("attribution.csv")]) == 5
         for rel in a:
             if rel != "manifest.json":
                 assert a[rel] == b[rel], rel
+        return a
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(), reason="the pool needs fork"
@@ -708,13 +761,15 @@ class TestRunPipeline:
         inp = tmp_path / "panel.csv"
         write_panel_csv(inp, t=120, n=6)
         seen = []
+        admm_fit = solver.admm_fit
 
         def recording(*args):
-            out = solver.admm_fit(*args)
+            out = admm_fit(*args)
             seen.append(out[2])
             return out
 
-        monkeypatch.setattr(pipeline, "admm_fit", recording)
+        # solver.fit, which the pipeline calls, looks admm_fit up in its module
+        monkeypatch.setattr(solver, "admm_fit", recording)
         out = tmp_path / "run"
         # residual tolerances no fit meets: each column stops on its own gap
         manifest = run_pipeline(base_config(inp, out, tol_primal=1e-300, tol_dual=1e-300))
@@ -741,6 +796,54 @@ class TestRunPipeline:
         for run in (tmp_path / "plain", out):
             text = (run / "seg_000" / "diagnostics.ndjson").read_text()
             assert "accelerated" not in text
+
+    def test_wide_linear_windows_take_the_lasso_path(self, tmp_path, caplog):
+        # a 76-node recording cut into 25-sample windows, as in criterion 10
+        cfg = SynthConfig(
+            n_nodes=76, n_samples=100, lag=1, edge_density=0.05,
+            noise=NoiseModel(variance=1.0), seed=3, sample_rate_hz=50.0,
+        )
+        inp = tmp_path / "panel.csv"
+        write_csv_panel(simulate(generate_truth(cfg), cfg), str(inp))
+        out = tmp_path / "run"
+        with caplog.at_level(logging.WARNING, logger="ksvar"):
+            manifest = run_pipeline(
+                base_config(inp, out, window_s=0.5, lam=0.1, tau_alpha=0.05, max_iter=300)
+            )
+        assert not [r for r in caplog.records if r.name == "ksvar"]
+        assert manifest["convergence"]["converged"] == manifest["n_segments"] == 4
+        assert manifest["convergence"]["worst_relative_gap"] <= 1e-10
+        for seg in manifest["segments"]:
+            assert (seg["solver"], seg["rho"], seg["residual_ratio"]) == ("path", None, 0.0)
+            assert seg["iterations"] < seg["column_iterations"] <= 76 * seg["iterations"]
+            # no residual trace: the summary line alone, as for a ridge fit
+            [line] = (out / seg["name"] / "diagnostics.ndjson").read_text().splitlines()
+            summary = json.loads(line)
+            assert summary["iterations"] == seg["iterations"] and summary["converged"]
+            assert summary["relative_gap"] == seg["relative_gap"]
+
+    def test_capped_lasso_path_reports_non_convergence(self, tmp_path, caplog):
+        inp = tmp_path / "panel.csv"
+        write_wide_panel_csv(inp)
+        with caplog.at_level(logging.WARNING, logger="ksvar"):
+            manifest = run_pipeline(
+                base_config(inp, tmp_path / "run", window_s=13.0, lam=0.2, max_iter=1)
+            )
+        segs = manifest["segments"]
+        assert [s["solver"] for s in segs] == ["path"] * 4
+        assert all(s["iterations"] == 1 and s["relative_gap"] > 1e-2 for s in segs)
+        assert manifest["convergence"]["not_converged"] == [s["name"] for s in segs]
+        warned = [r.getMessage() for r in caplog.records if r.name == "ksvar"]
+        assert len(warned) == 4 and all("without converging" in m for m in warned)
+
+    def test_each_segment_names_its_solver(self, tmp_path):
+        inp = tmp_path / "panel.csv"
+        write_panel_csv(inp)
+        for regularizer, solver_name in (("group_l1", "admm"), ("squared", "ridge")):
+            manifest = run_pipeline(
+                base_config(inp, tmp_path / regularizer, regularizer=regularizer)
+            )
+            assert manifest["segments"][0]["solver"] == solver_name
 
     def test_relative_gap_is_reported(self, tmp_path, caplog):
         inp = tmp_path / "panel.csv"

@@ -27,11 +27,14 @@ from ksvar.solver import (
     _certificate,
     _FactorSystem,
     _fold_rows,
+    _lasso_path,
     _ridge_df,
     _StackedFactor,
+    _takes_path,
     admm_fit,
     block_shrinkage,
     cross_validate_lambda,
+    fit,
     lambda_zero_bound,
     predict,
     ridge_fit,
@@ -49,6 +52,7 @@ from oracles import (
     dmat_deleted,
     dsqrt,
     dual_update,
+    fista_group_lasso,
     group_lasso_objective,
     heldout_prediction,
     index_set,
@@ -783,6 +787,120 @@ class TestAnderson:
         point = mixer.extrapolate()
         np.testing.assert_array_equal(point[0], tv[0])
         assert np.isfinite(point).all()
+
+
+class TestLassoPath:
+    """``fit`` on wide rank-1 kernel sets: the exact lasso path, certified."""
+
+    @staticmethod
+    def kernel_set(vals, lag=1):
+        labels = tuple(f"n{i}" for i in range(vals.shape[1]))
+        view = lag_view(TimeSeriesPanel(values=vals, node_labels=labels, sample_rate_hz=1.0), lag)
+        return view, build_kernel_set(view, LINEAR)
+
+    def check_certified(self, view, kms, cfg):
+        tensor, diag = fit(view.targets, kms, cfg)
+        assert diag.solver == "path" and np.isfinite(tensor.coords).all()
+        gaps = column_relative_gaps(view.targets, tensor, cfg.lam)
+        assert diag.relative_gap == pytest.approx(gaps.max(), rel=1e-6, abs=1e-12)
+        assert diag.converged == (gaps <= cfg.tol_gap).all()
+        return tensor, diag, gaps
+
+    # the second and third reach T' active coefficients
+    @pytest.mark.parametrize("t,n,seed,frac", [(8, 10, 4, 0.2), (5, 6, 0, 0.05), (8, 10, 5, 0.05)])
+    def test_matches_the_fista_oracle(self, t, n, seed, frac):
+        view, kms = self.kernel_set(np.random.default_rng(seed).normal(size=(t + 1, n)))
+        lam = frac * lambda_zero_bound(view.targets, kms)
+        tensor, diag, gaps = self.check_certified(view, kms, SolverConfig(lam=lam))
+        assert diag.converged and gaps.max() <= 1e-10
+        assert diag.rho is None and diag.records() == []
+        active = (tensor.coords != 0).sum(axis=0)
+        assert active.max() == t or frac > 0.1
+        system = _StackedFactor(kms)
+        for j in range(n):
+            kept = np.setdiff1d(np.arange(system.total_rank), system.deleted[j])
+            mats = [kms.factor[:, [k]] for k in kept]
+            ref, ref_obj, _ = fista_group_lasso(view.targets[:, j], mats, lam)
+            c = tensor.coords[kept, j]
+            r = view.targets[:, j] - kms.factor[:, kept] @ c
+            assert 0.5 * r @ r + lam * np.abs(c).sum() == pytest.approx(ref_obj, rel=1e-8)
+            np.testing.assert_allclose(c, ref, rtol=0, atol=1e-6)
+        assert diag.column_iterations >= active.sum() and diag.iterations >= active.max()
+
+    def test_tied_coefficients_enter_together(self):
+        # node 0 follows the sum of nodes 1 and 2, whose orthogonal +-1 series
+        # tie exactly at lambda_max: both must enter there, not one of them
+        rng = np.random.default_rng(7)
+        vals = 0.1 * rng.normal(size=(9, 10))
+        vals[1:, 1] = [1, -1, 1, -1, 1, -1, 1, -1]
+        vals[1:, 2] = [1, 1, -1, -1, 1, 1, -1, -1]
+        vals[1:, 0] = vals[1:, 1] + vals[1:, 2]
+        view, kms = self.kernel_set(vals)
+        system = _StackedFactor(kms)
+        corr = np.abs(system.project(view.targets)[0])
+        assert corr[1] == corr[2] == corr.max()
+        for frac in (0.9, 0.5, 0.1):
+            tensor, diag, gaps = self.check_certified(view, kms, SolverConfig(lam=frac * corr[1]))
+            assert diag.converged and gaps.max() <= 1e-10
+            assert tensor.coords[1, 0] == pytest.approx(tensor.coords[2, 0], rel=1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_repeated_node_certifies_or_says_it_did_not(self, seed):
+        rng = np.random.default_rng(seed)
+        vals = rng.normal(size=(13, 14))
+        vals[:, 2] = vals[:, 0]
+        view, kms = self.kernel_set(vals)
+        for frac in (0.3, 0.03, 1e-3):
+            lam = frac * lambda_zero_bound(view.targets, kms)
+            self.check_certified(view, kms, SolverConfig(lam=lam, tol_gap=1e-10))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_dropped_coefficient_may_return_with_the_other_sign(self, seed):
+        # a tall panel, outside the dispatch rule, drops coefficients often;
+        # one that drops can reach -lambda within the next step
+        view, kms = self.kernel_set(np.random.default_rng(seed).normal(size=(13, 5)))
+        for frac in (0.01, 0.001):
+            lam = frac * lambda_zero_bound(view.targets, kms)
+            coords, diag = _lasso_path(view.targets, kms, SolverConfig(lam=lam))
+            gaps = column_relative_gaps(view.targets, CoefficientTensor(coords, kms), lam)
+            assert diag.converged and gaps.max() <= 1e-10
+
+    def test_one_step_reports_non_convergence(self):
+        view, kms = self.kernel_set(np.random.default_rng(3).normal(size=(13, 14)))
+        lam = 0.1 * lambda_zero_bound(view.targets, kms)
+        _, diag, gaps = self.check_certified(view, kms, SolverConfig(lam=lam, max_iter=1))
+        assert not diag.converged and diag.iterations == 1 and gaps.max() > 1e-2
+        assert diag.column_iterations == kms.n_nodes
+
+    def test_dispatch_rule(self):
+        # rank-1 blocks, T' <= 24 and 2 T' < R <= 600, and a gap to stop on
+        cfg = SolverConfig(lam=0.1)
+        for t, n, lag, spec, want in [
+            (24, 25, 1, LINEAR, True),
+            (24, 24, 1, LINEAR, False),  # R = 2 T'
+            (24, 300, 1, LINEAR, True),
+            (24, 301, 1, LINEAR, False),  # R = 602
+            (25, 76, 1, LINEAR, False),
+            (12, 20, 2, LINEAR, True),
+            (12, 20, 1, POLY21, False),  # rank 3
+            (12, 20, 1, [LINEAR, GAUSS1], False),
+        ]:
+            _, view, kms = make_problem(t=t + lag, n=n, lag=lag, spec=spec)
+            assert _takes_path(kms, cfg) is want, (t, n, lag)
+        _, view, kms = make_problem(t=13, n=20)
+        assert _takes_path(kms, cfg)
+        assert not _takes_path(kms, SolverConfig(lam=0.1, tol_gap=0.0))
+        assert fit(view.targets, kms, SolverConfig(lam=0.1, tol_gap=0.0))[1].solver == "admm"
+
+    def test_largest_dispatched_shape_certifies(self):
+        # T' = 24 and R = 600, the corner of the rule
+        rng = np.random.default_rng(11)
+        view, kms = self.kernel_set(rng.normal(size=(25, 300)))
+        cfg = SolverConfig(lam=0.1, max_iter=300)
+        assert _takes_path(kms, cfg)
+        tensor, diag = fit(view.targets, kms, cfg)
+        assert diag.solver == "path" and diag.converged and diag.relative_gap <= 1e-10
+        assert (tensor.coords != 0).sum(axis=0).max() <= 24
 
 
 class TestRidgeFit:
