@@ -82,8 +82,6 @@ def _parsed(parse):
 @click.option("--rho", type=float, help="ADMM penalty parameter [default: 10 x lambda]")
 @click.option("--tau-alpha", type=float, help="edge threshold on block norms")
 @click.option("--max-iter", type=int, help="ADMM iteration or lasso path step cap")
-@click.option("--tol-primal", type=float)
-@click.option("--tol-dual", type=float)
 @click.option("--regularizer", type=click.Choice(["group_l1", "squared"]))
 @click.option("--standardize/--no-standardize", default=None)
 @click.option("--aggregate", type=click.Choice(["union", "majority"]))

@@ -21,7 +21,8 @@ directions a near-singular Gram would otherwise inject.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from copy import copy
+from dataclasses import dataclass, field
 from itertools import groupby
 from math import comb
 
@@ -345,10 +346,15 @@ class KernelMatrixSet:
     def take_rows(self, rows: np.ndarray) -> KernelMatrixSet:
         """The kernel set restricted to target rows ``rows``: every block keeps
         those rows of its samples and factor, so B[rows] B[rows]^T is the
-        Gram of the kept samples under the same resolved kernel, and the
-        stacked factor is ``factor[rows]`` in the same column order."""
-        blocks = [replace(b, samples=b.samples[rows], factor=b.factor[rows]) for b in self.blocks]
-        return replace(self, blocks=blocks, n_targets=len(rows))
+        Gram of the kept samples under the same resolved kernel.  The stacked
+        factor ``factor[rows]`` is taken once; block factors are views of it."""
+        out = copy(self)  # skips __post_init__: columns and groups carry over
+        out.n_targets, out.factor = len(rows), self.factor[rows]
+        out.blocks = [
+            KernelBlock(b.node, b.lag, b.kernel_index, b.spec, b.samples[rows], out.factor[:, cols])
+            for b, cols in zip(self.blocks, self.columns)
+        ]
+        return out
 
 
 def resolve_bandwidth(

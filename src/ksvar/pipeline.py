@@ -7,7 +7,7 @@ Artifacts land under the output directory:
                                  timings, convergence tally, warnings
     seg_000/edges.json           every nonzero block norm, with the threshold
     seg_000/metrics.json|csv     topology report of the thresholded network
-    seg_000/diagnostics.ndjson   ADMM residual trace and duality gaps; summary
+    seg_000/diagnostics.ndjson   ADMM duality gap at each certificate; summary
     seg_000/attribution.csv      per-kernel mass (dictionary runs only)
     seg_000/cv.json              validation table (grid runs only)
     aggregate.json               optional across-segment network
@@ -88,8 +88,6 @@ class PipelineConfig:
     rho: float | None = None
     tau_alpha: float = 0.01
     max_iter: int = 500
-    tol_primal: float = 1e-5
-    tol_dual: float = 1e-5
     regularizer: str = "group_l1"
     standardize: bool = True
     aggregate: str | None = None
@@ -143,8 +141,6 @@ class PipelineConfig:
             lam=lam,
             rho=self.rho,
             max_iter=self.max_iter,
-            tol_primal=self.tol_primal,
-            tol_dual=self.tol_dual,
             regularizer=self.regularizer,
         )
 
@@ -318,7 +314,7 @@ SEGMENT_STAGES = ("lag_selection", "kernels", "cv", "fit", "threshold", "metrics
 _SUMMARY_FIELDS = ("iterations", "converged", "final_objective", "fidelity", "penalty",
                    "relative_gap")
 _MANIFEST_FIELDS = ("solver", "rho", "converged", "iterations", "column_iterations",
-                    "accelerated", "residual_ratio", "relative_gap")
+                    "accelerated", "relative_gap")
 
 
 @contextmanager
@@ -501,21 +497,35 @@ def _run_pool(panels: list[TimeSeriesPanel], indices, cfg: PipelineConfig, worke
     return {i: f.result() for i, f in finished.items() if f.exception() is None}, failure
 
 
+def _remove_unreported(results: dict, n_segments: int, out_root: str) -> list[int]:
+    """Remove the directory of every segment without a result in ``results``;
+    returns those segments.  A worker killed with a broken pool may have
+    left its segment half written (a stray temp file) or fully written but
+    unreported."""
+    missing = [i for i in range(n_segments) if i not in results]
+    for i in missing:
+        shutil.rmtree(os.path.join(out_root, _segment_name(i)), ignore_errors=True)
+    return missing
+
+
 def _fit_in_pool(panels: list[TimeSeriesPanel], cfg: PipelineConfig, workers: int):
     """Fit every panel in a pool of ``workers`` forked processes.
 
     Returns (the results of the segments that finished, in index order,
     the failure of the lowest-index segment that failed or None), as
     ``_run_pool`` does.  A worker that dies breaks its pool, which fails
-    every segment not finished by then; those are fitted once more in a
-    fresh pool, and a second break is the failure.
+    every segment not finished by then; their directories are removed and
+    they are fitted once more in a fresh pool.  A second break is the
+    failure, and removes the directories of the segments it failed too.
     """
     results, failure = _run_pool(panels, range(len(panels)), cfg, workers)
     if isinstance(failure, BrokenExecutor):
-        todo = [i for i in range(len(panels)) if i not in results]
+        todo = _remove_unreported(results, len(panels), cfg.output_dir)
         log.warning("process pool broke (%s); fitting %d segments again", failure, len(todo))
         more, failure = _run_pool(panels, todo, cfg, min(workers, len(todo)))
         results.update(more)
+        if isinstance(failure, BrokenExecutor):
+            _remove_unreported(results, len(panels), cfg.output_dir)
     return [results[i] for i in sorted(results)], failure
 
 
@@ -581,22 +591,24 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     a pooled segment fails, the segments already running are waited for,
     every one that finished is listed and the failure of the lowest-index
     segment is raised.  A worker that dies (``BrokenProcessPool``) costs
-    only a refit: the segments its pool had not finished are fitted once
-    more in a fresh pool, and only a second break fails the run.
+    only a refit: the segments its pool had not finished lose their
+    directories and are fitted once more in a fresh pool, and only a
+    second break fails the run, leaving no directory of a segment it
+    failed.
 
     Each segment's manifest entry names its ``solver`` (``solver.fit``):
     ``ridge`` for the squared penalty, ``path`` (the exact lasso path) for
     rank-1 blocks with T' <= 24 and 2 T' < R <= 600, its ``iterations``
     the most path steps a column took, at most ``max_iter``, else ``admm``.
-    A group-sparse fit converges when every column's relative duality gap
-    is at most ``SolverConfig.tol_gap`` (for ADMM with ``tol_gap`` = 0:
-    when its residuals met their tolerances within ``max_iter``).  Each
-    segment that did not is logged as a warning on the ``ksvar`` logger
-    and listed in the manifest's ``convergence`` block, which also gives
-    the worst ratio of a final ADMM residual to its tolerance (above 1 also
-    for a fit stopped by its gap; path and ridge fits count 0) and the
-    worst relative duality gap (the share of a fit's objective by which it
-    may exceed the optimum; ridge fits count 0).  Each segment whose
+    Every group-sparse fit runs at the default ``SolverConfig.tol_gap``
+    and converges when every column's relative duality gap is within it;
+    an ADMM fit takes no residuals, and its ``diagnostics.ndjson`` lists
+    the worst relative gap at each certificate, one record per check,
+    before the summary line.  Each segment that did not converge is
+    logged as a warning on the ``ksvar`` logger and listed in the
+    manifest's ``convergence`` block, which also gives the worst relative
+    duality gap (the share of a fit's objective by which it may exceed
+    the optimum; ridge fits count 0).  Each segment whose
     cross-validation chose the smallest or largest lambda of its grid is
     logged likewise and listed under the manifest's ``warnings``.
     """
@@ -664,7 +676,6 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                 "converged": len(summaries) - len(not_converged),
                 "segments": len(summaries),
                 "not_converged": [s["name"] for s in not_converged],
-                "worst_residual_ratio": max(s["residual_ratio"] for s in summaries),
                 "worst_relative_gap": max(s["relative_gap"] for s in summaries),
             },
             "warnings": {"lambda_at_grid_edge": at_grid_edge},

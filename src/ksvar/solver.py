@@ -104,11 +104,9 @@ class SolverConfig:
     ``squared`` for the closed-form ridge path.  ``rho`` is the ADMM
     penalty parameter; None gives each fit rho = 10 lambda (``rho_for``).
     Each target column of an ADMM fit stops at the first duality-gap
-    certificate whose relative gap is at most ``tol_gap``.  Certificates
-    come every 10 iterations, at ``max_iter``, and wherever the scaled
-    residuals are within ``tol_primal`` and ``tol_dual``: with
-    ``tol_gap`` > 0 the residuals only ask for a certificate, and with
-    ``tol_gap`` = 0 they stop the whole fit (the only stopping rule then).
+    certificate, taken every 10 iterations and at ``max_iter``, whose
+    relative gap is at most ``tol_gap``.  ``tol_primal`` and ``tol_dual``
+    act only with ``tol_gap`` = 0, where the scaled residuals stop the fit.
     No setting turns Anderson acceleration on or off: it follows the size
     of the fit (see ``FitDiagnostics.accelerated``).  The edge threshold is
     an argument of ``threshold_edges``.
@@ -267,18 +265,14 @@ class FitDiagnostics:
     ``fidelity`` is the 0.5 * ||Y - Yhat||_F^2 term of the objective at the
     returned coefficients and ``penalty`` the weighted group-norm term,
     each summed over the columns' certificates at the iterations where
-    they stopped, so ``final_objective = fidelity + penalty``.  Residual
-    traces cover the columns still live at each iteration, and
-    ``residual_ratio`` is the larger of the final primal and dual residuals
-    over their tolerances, scaled by the square root of those columns'
-    kept dimension.  The fit converged when every column's relative gap is
-    at most ``tol_gap`` (with ``tol_gap`` = 0: when the residuals met
-    their tolerances within ``max_iter``).  Residual traces are not
-    monotone in general.  ``relative_gaps`` maps every certified
-    iteration (every ``_GAP_EVERY``-th, the last, and those where the
-    residuals met their tolerances) to the worst relative duality gap over
-    all columns, a stopped column counting the gap it stopped at.  ``rho``
-    is the ADMM penalty parameter the fit used.
+    they stopped, so ``final_objective = fidelity + penalty``.  The fit
+    converged when every column's relative gap is at most ``tol_gap``
+    (with ``tol_gap`` = 0: when the residuals met their tolerances within
+    ``max_iter``).  ``relative_gaps`` maps every certified iteration to the
+    worst relative duality gap over all columns, a stopped column counting
+    the gap it stopped at.  Only a ``tol_gap`` = 0 fit has residual
+    traces; they cover the live columns and are not monotone in general.
+    ``rho`` is the ADMM penalty parameter the fit used.
     ``accelerated`` is True when the fit was large enough for Anderson
     acceleration: N R S of at least ``_ANDERSON_WORK`` per lambda, for N
     nodes, stacked rank R and S <= min(T', R) the rows of V^T, so that the
@@ -287,8 +281,7 @@ class FitDiagnostics:
     above are those of the extrapolated iterates.  ``solver`` is ``admm``,
     or ``path`` (``_lasso_path``: ``iterations`` is the most steps a column
     took, ``column_iterations`` their sum) or ``ridge`` (one iteration per
-    column, gap 0), which have one certificate, no residual trace, ``rho``
-    None and ``residual_ratio`` 0.
+    column, gap 0), which have one certificate, no trace and ``rho`` None.
     """
 
     iterations: int
@@ -300,7 +293,6 @@ class FitDiagnostics:
     solver: str = "admm"
     primal_residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
     dual_residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    residual_ratio: float = 0.0
     rho: float | None = None
     accelerated: bool = False
 
@@ -315,19 +307,17 @@ class FitDiagnostics:
         return self.relative_gaps[self.iterations]
 
     def records(self) -> list[dict]:
-        """One dict per iteration of the residual trace (none for a path or
-        ridge fit), ready for newline-delimited JSON; certified iterations
-        also carry their relative gap."""
-        out = []
-        for k in range(len(self.primal_residuals)):
-            record = {
-                "iteration": k + 1,
-                "primal_residual": float(self.primal_residuals[k]),
-                "dual_residual": float(self.dual_residuals[k]),
-            }
-            if k + 1 in self.relative_gaps:
-                record["relative_gap"] = self.relative_gaps[k + 1]
-            out.append(record)
+        """The ADMM trace, ready for newline-delimited JSON (none for a path or
+        ridge fit): one dict per iteration where residuals were taken, else
+        one per certificate; certified iterations carry their relative gap."""
+        if self.solver != "admm":
+            return []
+        traced = enumerate(zip(self.primal_residuals.tolist(), self.dual_residuals.tolist()), 1)
+        out = [{"iteration": k, "primal_residual": p, "dual_residual": d} for k, (p, d) in traced]
+        out = out or [{"iteration": k} for k in sorted(self.relative_gaps)]
+        for record in out:
+            if record["iteration"] in self.relative_gaps:
+                record["relative_gap"] = self.relative_gaps[record["iteration"]]
         return out
 
 
@@ -862,17 +852,17 @@ def _admm(
     from that iteration, and every later product, shrinkage, Anderson step
     and certificate runs on the live columns only (the working-set idea of
     Blitz and Celer: Johnson & Guestrin 2015; Massias, Gramfort & Salmon
-    2018).  A lambda's columns are checked every ``_GAP_EVERY``
-    iterations, at ``max_iter``, and at any iteration where the scaled
-    residuals of its live columns are within ``cfg.tol_primal`` and
-    ``cfg.tol_dual`` (their tolerances scale with the square root of those
-    columns' kept dimension); there the residual rule only asks for a
-    check.  A check certifies every live column and acts on the checked
-    lambdas' columns only.  With ``cfg.tol_gap`` = 0 no column stops on
-    its gap, and the residual rule stops all of a lambda's columns at
-    once.  A lambda is done when its last column stops, and converged when
-    every column stopped on its test rather than at the cap.  Every
-    decision depends on the iterates alone.
+    2018).  Columns are checked every ``_GAP_EVERY`` iterations and at
+    ``max_iter``; a check whose objective or gap is not finite raises
+    NonFinite, and a fit with ``cfg.tol_gap`` > 0 takes no residuals.  With
+    ``cfg.tol_gap`` = 0 no column stops on its gap: every iteration takes
+    each lambda's primal and dual residuals (a non-finite one raises), and
+    once they are within ``cfg.tol_primal`` and ``cfg.tol_dual`` (scaled by
+    the square root of its live columns' kept dimension) that lambda is
+    checked and all its columns stop.  A check certifies every live column
+    and acts on the checked lambdas' columns only.  A lambda is done when
+    its last column stops, and converged when every column stopped on its
+    test rather than at the cap.  Every decision depends on the iterates alone.
 
     g is the post-shrinkage iterate, (M, R) with one row per live column
     in the system's working layout.  The loop carries w = u + (1 - alpha) g
@@ -887,8 +877,8 @@ def _admm(
     Douglas-Rachford map v -> T(v).  When one lambda's products with V
     cost N R S multiply-adds of at least ``_ANDERSON_WORK`` (S the rows of
     ``system.vt``, at most min(T', R)), every v is replaced by its
-    ``_Anderson`` extrapolation before the shrinkage, and the residuals and
-    certificates are taken at those points; below it the loop adds no
+    ``_Anderson`` extrapolation before the shrinkage, and any residuals and
+    the certificates are taken at those points; below it the loop adds no
     array operation.
     """
     lams = np.asarray(lams, dtype=float)
@@ -903,7 +893,7 @@ def _admm(
     w = np.zeros_like(g)
     accelerated = n * system.total_rank * system.vt.shape[0] >= _ANDERSON_WORK
     anderson = _Anderson(g.shape) if accelerated else None
-    by_gap = cfg.tol_gap > 0  # else certificates only report, and residuals stop
+    by_gap = cfg.tol_gap > 0  # takes no residuals; else residuals stop, certificates report
     live = list(range(len(lams)))  # grid position of each run of live columns
     history: list[list] = [[] for _ in lams]
     gaps: list[dict] = [{} for _ in lams]
@@ -915,7 +905,8 @@ def _admm(
         scale = np.sqrt(np.maximum(dims, 1))
         return (cfg.tol_primal * scale).tolist(), (cfg.tol_dual * scale).tolist()
 
-    tol_primal, tol_dual = tolerances()
+    if not by_gap:
+        tol_primal, tol_dual = tolerances()
     for it in range(1, cfg.max_iter + 1):
         xa = system.solve(c0 + (2.0 - _RELAX) * g - w)  # alpha x
         v = xa + w
@@ -924,24 +915,27 @@ def _admm(
             v = anderson.extrapolate()
         g_new = system.shrink(v, kappa)
         ag = _RELAX * g_new
-        primal = system.sumsq_each(xa - ag)
-        dual = system.sumsq_each(g_new - g)
+        passed = set()  # runs whose residuals are within tolerance
+        if not by_gap:
+            primal = system.sumsq_each(xa - ag)
+            dual = system.sumsq_each(g_new - g)
+            for i, pos in enumerate(live):
+                p, d = math.sqrt(primal[i]) / _RELAX, rhos[pos] * math.sqrt(dual[i])
+                if not (math.isfinite(p) and math.isfinite(d)):
+                    raise NonFinite(f"ADMM diverged at iteration {it}")
+                history[pos].append((p, d))
+                if p <= tol_primal[i] and d <= tol_dual[i]:
+                    passed.add(i)
         w = v - ag
         g = g_new
         del xa, v, ag  # before the certificate and the copies of stopped columns
-        passed = set()  # runs whose residuals are within tolerance
-        for i, pos in enumerate(live):
-            p, d = math.sqrt(primal[i]) / _RELAX, rhos[pos] * math.sqrt(dual[i])
-            if not (math.isfinite(p) and math.isfinite(d)):
-                raise NonFinite(f"ADMM diverged at iteration {it}")
-            history[pos].append((p, d))
-            if p <= tol_primal[i] and d <= tol_dual[i]:
-                passed.add(i)
         at_cap = it == cfg.max_iter
         checked = range(len(live)) if at_cap or it % _GAP_EVERY == 0 else sorted(passed)
         if not checked:
             continue
         fid, pen, rel = _certificate(y, system, g, lams[system.column_pens])
+        if not np.isfinite(fid + pen + rel).all():
+            raise NonFinite(f"ADMM diverged at iteration {it}")
         bounds = system.bounds
         drop = []
         for i in checked:
@@ -963,8 +957,7 @@ def _admm(
             del g_cols, xi
             if done.live:
                 continue
-            p, d = history[pos][-1]
-            primals, duals = np.array(history[pos]).T
+            primals, duals = np.array(history[pos]).reshape(-1, 2).T
             out[pos] = (
                 done.coords,
                 done.xi,
@@ -977,7 +970,6 @@ def _admm(
                     relative_gaps=gaps[pos],
                     fidelity=done.fidelity,
                     penalty=done.penalty,
-                    residual_ratio=max(p / tol_primal[i], d / tol_dual[i]),
                     rho=rhos[pos],
                     accelerated=accelerated,
                 ),
@@ -995,7 +987,8 @@ def _admm(
         g, w, c0 = g[keep], w[keep], c0[keep]
         live = system.run_pens.tolist()
         kappa = _by_column(kappas[system.column_pens])
-        tol_primal, tol_dual = tolerances()
+        if not by_gap:
+            tol_primal, tol_dual = tolerances()
     return out
 
 

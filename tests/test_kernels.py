@@ -1,6 +1,8 @@
 """Kernel specs, kernel evaluation, factors, kernel sets, and the Gram
 oracles' PSD roots and dense layout."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from ksvar.errors import ConfigError, DegenerateSeries, ShapeMismatch
 from ksvar.kernels import (
     RANK_RTOL,
     KernelDictionary,
+    KernelMatrixSet,
     KernelSpec,
     _gaussian_factors,
     build_kernel_set,
@@ -17,6 +20,7 @@ from ksvar.kernels import (
     parse_kernel_spec,
 )
 from ksvar.panel import TimeSeriesPanel, lag_view
+from ksvar.solver import _fold_rows
 
 from oracles import (
     PSD_ATOL,
@@ -503,6 +507,29 @@ class TestStackedFactor:
         for block in sub.blocks:
             assert np.shares_memory(block.factor, sub.factor)
             assert not np.shares_memory(block.factor, kms.factor)
+
+    def test_take_rows_equals_a_rebuilt_set(self):
+        # the training rows of each cross-validation fold, against a set
+        # rebuilt from the blocks' kept rows, which sorts and stacks anew
+        vals = np.random.default_rng(21).normal(size=(40, 3))
+        _, view = view_from(vals, lag=1)
+        kms = build_kernel_set(view, [LINEAR, POLY21, GAUSS1])
+        for train, _ in _fold_rows(40, 1, 5):
+            sub = kms.take_rows(train)
+            want = KernelMatrixSet(
+                blocks=[replace(b, samples=b.samples[train], factor=b.factor[train]) for b in kms.blocks],
+                n_nodes=kms.n_nodes, lag=kms.lag, n_kernels=kms.n_kernels, n_targets=train.size,
+            )
+            shape = ("n_nodes", "lag", "n_kernels", "n_targets")
+            assert [getattr(sub, k) for k in shape] == [getattr(want, k) for k in shape]
+            np.testing.assert_array_equal(sub.factor, want.factor)
+            assert (sub.columns, sub.groups) == (want.columns, want.groups)
+            for got, ref in zip(sub.blocks, want.blocks, strict=True):
+                ids = ("node", "lag", "kernel_index", "spec")
+                assert [getattr(got, k) for k in ids] == [getattr(ref, k) for k in ids]
+                np.testing.assert_array_equal(got.samples, ref.samples)
+                np.testing.assert_array_equal(got.factor, ref.factor)
+                assert np.shares_memory(got.factor, sub.factor)
 
 
 class TestGaussianFactorBuild:

@@ -339,7 +339,7 @@ class TestAdmmFit:
         y = np.zeros_like(view.targets)
         tensor, _, diag = admm_fit(y, kms, SolverConfig(lam=0.5))
         assert diag.converged
-        assert diag.iterations <= 2
+        assert diag.iterations == 10  # the first certificate
         np.testing.assert_array_equal(tensor.coeffs, zero_tensor(kms))
 
     def test_huge_lambda_zeroes_everything(self):
@@ -414,7 +414,7 @@ class TestAdmmFit:
         assert diag.iterations == len(diag.dual_residuals)
         assert set(diag.relative_gaps) == {*range(10, diag.iterations + 1, 10), diag.iterations}
         assert diag.final_objective == pytest.approx(diag.fidelity + diag.penalty)
-        assert diag.converged and 0.0 < diag.residual_ratio <= 1.0
+        assert diag.converged and diag.iterations < TIGHT.max_iter
         resid = view.targets - predict(tensor)
         assert diag.fidelity == pytest.approx(0.5 * np.sum(resid * resid), abs=1e-9)
         obj, fid, pen = objective_value(view.targets, tensor, TIGHT.lam)
@@ -588,12 +588,13 @@ class TestDualityGap:
 
     @pytest.mark.parametrize("spec", [LINEAR, [LINEAR, GAUSS1]])
     def test_gap_stop_is_within_its_certified_bound(self, spec):
-        # residual tolerances no fit meets: only the gap rule can stop it
+        # a gap-stopped fit takes no residuals, and the tolerances no fit
+        # meets keep the tol_gap=0 fit below running to its cap
         vals, view, kms = make_problem(t=16, n=3, seed=13, spec=spec)
         lam = 0.3 * lambda_zero_bound(view.targets, kms)
         cfg = SolverConfig(lam=lam, max_iter=5000, tol_primal=1e-300, tol_dual=1e-300)
         _, _, diag = admm_fit(view.targets, kms, cfg)
-        assert diag.converged and diag.residual_ratio > 1.0
+        assert diag.converged and diag.primal_residuals.size == 0
         assert diag.iterations % 10 == 0 and diag.iterations < cfg.max_iter
         # it stops at the first certificate within tol_gap
         assert diag.relative_gap <= cfg.tol_gap < diag.relative_gaps[diag.iterations - 10]
@@ -630,8 +631,8 @@ class TestColumnStopping:
     """Each (lambda, node) column of a batched fit is its own group lasso and
     leaves the batch at its own first certificate within ``tol_gap``."""
 
-    # residual tolerances no fit meets: certificates come every 10 iterations
-    CFG = SolverConfig(lam=1.0, max_iter=3000, tol_primal=1e-300, tol_dual=1e-300, tol_gap=1e-6)
+    # certificates come every 10 iterations
+    CFG = SolverConfig(lam=1.0, max_iter=3000, tol_gap=1e-6)
 
     # rho=None shrinks every lambda at kappa = 0.1; a fixed rho gives each
     # lambda its own kappa = lambda / rho
@@ -677,16 +678,46 @@ class TestColumnStopping:
             spread |= len(set(stops)) > 1
         assert spread
 
-    def test_residual_rule_only_asks_for_a_certificate(self):
-        # residual tolerances this loose pass long before the gap does
+    def test_residual_tolerances_do_not_ask_for_a_certificate(self):
+        # residual tolerances this loose pass long before the gap does; a
+        # gap-stopped fit takes no residuals, so they cannot ask for a check
         _, view, kms = make_problem(t=24, n=4, seed=40)
         lam = 0.3 * lambda_zero_bound(view.targets, kms)
         cfg = SolverConfig(lam=lam, max_iter=3000, tol_primal=0.1, tol_dual=0.1, tol_gap=1e-6)
         _, _, diag = admm_fit(view.targets, kms, cfg)
         assert diag.converged and diag.relative_gap <= cfg.tol_gap
-        asked = [it for it in diag.relative_gaps if it % 10]
-        assert asked and min(asked) < diag.iterations
+        assert diag.iterations >= 20 and diag.primal_residuals.size == 0
+        assert all(it % 10 == 0 or it == diag.iterations for it in diag.relative_gaps)
         assert all(gap > cfg.tol_gap for it, gap in diag.relative_gaps.items() if it < diag.iterations)
+
+    def test_residual_rule_stops_a_fit_without_a_gap_tolerance(self):
+        _, view, kms = make_problem(t=24, n=4, seed=40)
+        lam = 0.3 * lambda_zero_bound(view.targets, kms)
+        cfg = SolverConfig(lam=lam, max_iter=3000, tol_primal=0.1, tol_dual=0.1, tol_gap=0.0)
+        _, _, diag = admm_fit(view.targets, kms, cfg)
+        assert diag.converged and diag.iterations < cfg.max_iter
+        assert diag.primal_residuals.size == diag.dual_residuals.size == diag.iterations
+        assert diag.iterations in diag.relative_gaps and diag.iterations % 10
+        p, d = diag.primal_residuals[-1], diag.dual_residuals[-1]
+        # tolerances scale with the square root of the columns' kept dimension
+        scale = np.sqrt(4 * (kms.factor.shape[1] - 1))
+        assert p <= 0.1 * scale and d <= 0.1 * scale
+
+    @pytest.mark.parametrize("tol_gap", [1e-3, 0.0])
+    def test_divergence_raises(self, monkeypatch, tol_gap):
+        solve, calls = _FactorSystem.solve, []
+
+        def blows_up(self, q):
+            calls.append(None)
+            return np.full_like(q, np.inf) if len(calls) >= 3 else solve(self, q)
+
+        monkeypatch.setattr(_FactorSystem, "solve", blows_up)
+        _, view, kms = make_problem(t=24, n=4, seed=40)
+        cfg = SolverConfig(lam=0.3 * lambda_zero_bound(view.targets, kms), tol_gap=tol_gap)
+        # a gap-stopped fit finds it at its first certificate, a residual-stopped one at once
+        at = 10 if tol_gap else 3
+        with np.errstate(all="ignore"), pytest.raises(NonFinite, match=f"diverged at iteration {at}$"):
+            admm_fit(view.targets, kms, cfg)
 
 
 class TestAnderson:
