@@ -18,8 +18,9 @@ retained subspace.  A fit is returned as those coordinates, c of shape
 (R, N) for the stacked rank R; block b's length-T' coefficients onto
 column j are the minimum-norm representative a_bj = B_b (B_b^T B_b)^+ c_bj,
 which keeps edge weights free of null-direction junk from rank-deficient
-Grams.  Block norms expand one block at a time, and only the dense
-``CoefficientTensor.coeffs`` builds all of them.
+Grams.  Block norms need no a_bj: they come from a QR of each rank group
+(``_min_norm_maps``), and only the dense ``CoefficientTensor.coeffs``
+builds the vectors.
 
 All linear solves (ADMM, ridge, cross-validation, BIC) share one
 eigensolve of the stacked factor's smaller Gram per fit; see
@@ -64,6 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -205,17 +207,17 @@ class CoefficientTensor:
     def block_norms(self) -> np.ndarray:
         """Euclidean norm of every block, shape (P, L+1, N, N).
 
-        Only blocks with a nonzero coordinate are expanded, one at a time;
-        each norm runs over a contiguous T' axis, as it would on ``coeffs``,
-        so the values equal ``np.linalg.norm(coeffs, axis=4)`` exactly.
+        ||a_bj|| = ||P_b c_bj|| (``_min_norm_maps``), one batch per rank
+        group; it equals ``np.linalg.norm(coeffs, axis=4)`` up to rounding,
+        and is exactly 0 where the block's coordinates are.
         """
         if self._norms is None:
             kms = self.kernels
             norms = np.zeros((kms.n_kernels, kms.lag + 1, kms.n_nodes, kms.n_nodes))
-            for block, alpha in _block_coefficients(kms, self.coords):
-                norms[block.kernel_index, block.lag, block.node] = np.linalg.norm(
-                    np.ascontiguousarray(alpha.T), axis=1
-                )
+            for (lo, hi, rank, _), (positions, _, p) in zip(kms.groups, _min_norm_maps(kms)):
+                z = p @ self.coords[lo:hi].reshape(len(positions), rank, -1)
+                at = [(b.kernel_index, b.lag, b.node) for b in map(kms.blocks.__getitem__, positions)]
+                norms[tuple(np.array(at).T)] = np.sqrt(np.vecdot(z.mT, z.mT))
             self._norms = norms
         return self._norms
 
@@ -628,24 +630,30 @@ def _check_fit_inputs(targets: np.ndarray, kms: KernelMatrixSet) -> np.ndarray:
     return y
 
 
-def _gram_pinvs(kms: KernelMatrixSet):
-    """(position, B, (B^T B)^+) for every block of nonzero rank, the
-    pseudo-inverses computed in one batch per rank group of ``kms``;
-    B (B^T B)^+ c is the minimum-norm coefficient vector whose factor
-    coordinates are c."""
-    for *_, positions in kms.groups:
+def _min_norm_maps(kms: KernelMatrixSet):
+    """(positions, B, P) per rank group of ``kms``, stacked over its blocks:
+    with B[k] = Q R and P[k] = (R^+)^T, B[k] P[k]^T P[k] c = B (B^T B)^+ c are
+    the minimum-norm coefficients with factor coordinates c, of norm ||P[k] c||.
+    A QR of B (||b|| for rank 1) keeps B's condition number unsquared; R is
+    inverted directly unless a block of the group is rank-deficient."""
+    for _, _, rank, positions in kms.groups:
         factors = np.stack([kms.blocks[pos].factor for pos in positions])
-        pinvs = np.linalg.pinv(factors.transpose(0, 2, 1) @ factors, hermitian=True)
-        yield from zip(positions, factors, pinvs)
+        if rank == 1:
+            r = np.linalg.norm(factors, axis=1, keepdims=True)
+        else:
+            r = np.linalg.qr(factors, mode="r")
+        d = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+        full = (d.min(axis=-1) > rank * np.finfo(float).eps * d.max(axis=-1)).all()
+        yield positions, factors, (np.linalg.inv(r) if full else np.linalg.pinv(r)).mT
 
 
 def _block_coefficients(kms: KernelMatrixSet, coords: np.ndarray):
     """(block, a_b) for every block with a nonzero coordinate in ``coords``,
     a_b = B_b (B_b^T B_b)^+ c_b of shape (T', N); the other blocks are zero."""
-    for pos, factor, pinv in _gram_pinvs(kms):
+    for pos, factor, p in chain.from_iterable(zip(*group) for group in _min_norm_maps(kms)):
         c = coords[kms.columns[pos]]
         if c.any():
-            yield kms.blocks[pos], factor @ (pinv @ c)
+            yield kms.blocks[pos], factor @ (p.T @ (p @ c))
 
 
 def _prediction_map(kms: KernelMatrixSet, view: LagAlignedView) -> np.ndarray:
@@ -656,12 +664,12 @@ def _prediction_map(kms: KernelMatrixSet, view: LagAlignedView) -> np.ndarray:
     prediction of the minimum-norm coefficients with coordinates c.
     """
     phi = np.zeros((view.n_targets, kms.factor.shape[1]))
-    for pos, factor, pinv in _gram_pinvs(kms):
+    for pos, factor, p in chain.from_iterable(zip(*group) for group in _min_norm_maps(kms)):
         b = kms.blocks[pos]
         if b.spec is None or b.samples is None:
             raise ConfigError("prediction on new data needs kernel blocks built from samples")
         kc = cross_gram(b.spec, view.regressor_series(b.node, b.lag), b.samples)
-        phi[:, kms.columns[pos]] = kc @ (factor @ pinv)
+        phi[:, kms.columns[pos]] = kc @ (factor @ (p.T @ p))
     return phi
 
 

@@ -183,7 +183,9 @@ class TestCoefficientTensor:
         tensor, _, _ = admm_fit(view.targets, kms, SolverConfig(lam=lam, max_iter=200))
         weights = threshold_edges(tensor, 0.0).weights
         assert (weights == 0.0).any() and (weights > 0.0).any()
-        np.testing.assert_array_equal(weights, np.linalg.norm(tensor.coeffs, axis=4).max(axis=0))
+        dense = np.linalg.norm(tensor.coeffs, axis=4).max(axis=0)
+        np.testing.assert_array_equal(weights == 0.0, dense == 0.0)
+        np.testing.assert_allclose(weights, dense, rtol=1e-12, atol=0.0)
 
     def test_fit_and_report_never_hold_the_dense_tensor(self):
         # N=40 nodes against a Gaussian rank of about 8 per block: the dense
@@ -519,18 +521,37 @@ class TestCoordinateLayout:
         _, kms, tensor, diag, lam = self.fit()
         norms = tensor.block_norms()
         for pos, block in enumerate(kms.blocks):
-            b = block.factor
             c = tensor.coords[kms.columns[pos]]
-            # the Gaussian blocks' B^T B is ill-conditioned, so the reference
-            # takes the products in the solver's order
-            want = np.linalg.norm(b @ (np.linalg.pinv(b.T @ b, hermitian=True) @ c), axis=0)
+            # the minimum-norm a with B^T a = c, by an SVD of B^T: the
+            # Gaussian blocks' B^T B is too ill-conditioned to invert
+            want = np.linalg.norm(np.linalg.lstsq(block.factor.T, c, rcond=None)[0], axis=0)
             got = norms[block.kernel_index, block.lag, block.node]
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
         # the penalty the fit certified, from the same rows
         assert lam * float(rkhs_block_norms(tensor).sum()) == pytest.approx(
             diag.penalty, rel=1e-10
         )
 
+
+    @pytest.mark.parametrize("t,n,seed,binary", [(20, 3, 47, False), (80, 4, 3, False), (30, 3, 5, True)])
+    def test_block_norms_match_the_minimum_norm_oracle(self, t, n, seed, binary):
+        # every block nonzero, Gaussian blocks whose B^T B squares a large
+        # condition number; a two-valued series gives rank-deficient
+        # polynomial factors (z^2 is affine in z)
+        vals = np.random.default_rng(seed).normal(size=(t, n))
+        if binary:
+            vals[:, 0] = vals[:, 0] > 0
+        labels = tuple(f"n{i}" for i in range(n))
+        panel = TimeSeriesPanel(values=vals, node_labels=labels, sample_rate_hz=1.0)
+        kms = build_kernel_set(lag_view(panel, 1), [LINEAR, GAUSS1, POLY21])
+        system = _StackedFactor(kms)
+        rng = np.random.default_rng(seed)
+        coords = system.to_public(system.mask_deleted(rng.normal(size=(n, system.total_rank))))
+        norms = CoefficientTensor(coords=coords, kernels=kms).block_norms()
+        for pos, block in enumerate(kms.blocks):
+            a = np.linalg.lstsq(block.factor.T, coords[kms.columns[pos]], rcond=None)[0]
+            got = norms[block.kernel_index, block.lag, block.node]
+            np.testing.assert_allclose(got, np.linalg.norm(a, axis=0), rtol=1e-10, atol=0.0)
 
 class TestDualityGap:
     """The certificate behind FitDiagnostics.relative_gap."""
