@@ -209,15 +209,16 @@ class CoefficientTensor:
 
         ||a_bj|| = ||P_b c_bj|| (``_min_norm_maps``), one batch per rank
         group; it equals ``np.linalg.norm(coeffs, axis=4)`` up to rounding,
-        and is exactly 0 where the block's coordinates are.
+        and is exactly 0 for a block whose coordinates are all 0.
         """
         if self._norms is None:
             kms = self.kernels
             norms = np.zeros((kms.n_kernels, kms.lag + 1, kms.n_nodes, kms.n_nodes))
             for (lo, hi, rank, _), (positions, _, p) in zip(kms.groups, _min_norm_maps(kms)):
                 z = p @ self.coords[lo:hi].reshape(len(positions), rank, -1)
-                at = [(b.kernel_index, b.lag, b.node) for b in map(kms.blocks.__getitem__, positions)]
-                norms[tuple(np.array(at).T)] = np.sqrt(np.vecdot(z.mT, z.mT))
+                blocks = [kms.blocks[pos] for pos in positions]
+                at = np.array([(b.kernel_index, b.lag, b.node) for b in blocks]).T
+                norms[tuple(at)] = np.sqrt(np.vecdot(z.mT, z.mT))
             self._norms = norms
         return self._norms
 
