@@ -516,8 +516,9 @@ class TestStackedFactor:
         kms = build_kernel_set(view, [LINEAR, POLY21, GAUSS1])
         for train, _ in _fold_rows(40, 1, 5):
             sub = kms.take_rows(train)
+            blocks = [replace(b, samples=b.samples[train], factor=b.factor[train]) for b in kms.blocks]
             want = KernelMatrixSet(
-                blocks=[replace(b, samples=b.samples[train], factor=b.factor[train]) for b in kms.blocks],
+                blocks=blocks,
                 n_nodes=kms.n_nodes, lag=kms.lag, n_kernels=kms.n_kernels, n_targets=train.size,
             )
             shape = ("n_nodes", "lag", "n_kernels", "n_targets")

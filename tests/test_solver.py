@@ -533,7 +533,9 @@ class TestCoordinateLayout:
         )
 
 
-    @pytest.mark.parametrize("t,n,seed,binary", [(20, 3, 47, False), (80, 4, 3, False), (30, 3, 5, True)])
+    @pytest.mark.parametrize(
+        "t,n,seed,binary", [(20, 3, 47, False), (80, 4, 3, False), (30, 3, 5, True)]
+    )
     def test_block_norms_match_the_minimum_norm_oracle(self, t, n, seed, binary):
         # every block nonzero, Gaussian blocks whose B^T B squares a large
         # condition number; a two-valued series gives rank-deficient
