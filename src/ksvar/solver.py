@@ -405,7 +405,6 @@ class _StackedFactor:
             for j in range(kms.n_nodes)
         ]
         self.deleted_sizes = np.array([d.size for d in self.deleted], dtype=int)
-        self.kept_dims = self.total_rank - self.deleted_sizes
         self.deleted_cols = np.concatenate(self.deleted)
         self._set_nodes(np.arange(kms.n_nodes))
 
@@ -520,10 +519,8 @@ class _FactorSystem(_StackedFactor):
     ``column_nodes[m]``, M = K N of them until ``keep`` drops the columns
     whose fits have stopped.  Each row carries its own span weights and
     Schur factors, and the null-space weight 1/penalty (R > T' only) is a
-    scalar while the live rows share it.  ``run_pens`` lists the penalty of
-    each run of consecutive rows that share one, and ``bounds`` the runs'
-    row bounds.  q and x have shape (M, R), and V's rows follow F's
-    columns.
+    scalar while the live rows share it; ``keep`` refreshes it.  q and x
+    have shape (M, R), and V's rows follow F's columns.
     """
 
     def __init__(self, kms: KernelMatrixSet, penalties, scale=1.0):
@@ -576,23 +573,15 @@ class _FactorSystem(_StackedFactor):
         self.null_by_penalty = None if full_span else scale * null
         self.column_pens = np.repeat(np.arange(k), n)
         self._set_nodes(np.tile(np.arange(n), k))
-        self._set_runs()
-
-    def _set_runs(self) -> None:
-        """``run_pens``, ``bounds`` and ``null`` of the rows' ``column_pens``."""
-        starts = np.flatnonzero(np.diff(self.column_pens, prepend=-1))
-        self.run_pens = self.column_pens[starts]
-        self.bounds = starts.tolist() + [self.column_pens.size]
-        self.null = None
-        if self.null_by_penalty is not None:
-            self.null = _by_column(self.null_by_penalty[self.column_pens])
+        self.null = None if full_span else _by_column(self.null_by_penalty[self.column_pens])
 
     def keep(self, cols: np.ndarray) -> None:
         """Keep only the rows at ``cols``, in that order."""
         self.left, self.right, self.span = self.left[cols], self.right[cols], self.span[cols]
         self.column_pens = self.column_pens[cols]
         self._set_nodes(self.column_nodes[cols])
-        self._set_runs()
+        if self.null is not None:
+            self.null = _by_column(self.null_by_penalty[self.column_pens])
 
     def solve(self, q: np.ndarray) -> np.ndarray:
         """Row-wise solve of (M, R) q, already zero at deleted columns."""
@@ -606,11 +595,6 @@ class _FactorSystem(_StackedFactor):
         if self.null is not None:
             x += self.null * q
         return self.mask_deleted(x)
-
-    def sumsq_each(self, a: np.ndarray) -> list[float]:
-        """Sum of squared entries of each run's rows of (M, ...) ``a``."""
-        runs = (a[lo:hi].ravel() for lo, hi in zip(self.bounds, self.bounds[1:]))
-        return [float(np.dot(run, run)) for run in runs]
 
 
 def _smaller_gram(f: np.ndarray) -> np.ndarray:
@@ -815,34 +799,6 @@ class _Anderson:
         return self.point
 
 
-class _Stopped:
-    """What one lambda's stopped columns left behind: their coordinates and
-    multipliers in the public (R, N) layout, and the sums over them that
-    ``FitDiagnostics`` reports."""
-
-    def __init__(self, n_nodes: int):
-        self.n_nodes = self.live = n_nodes  # live: columns still iterating
-        self.coords = self.xi = None
-        self.fidelity = self.penalty = 0.0
-        self.worst_gap = -math.inf
-        self.column_iterations = 0
-        self.converged = True
-
-    def add(self, it, nodes, g, xi, fidelity, penalty, gaps, converged) -> None:
-        """Columns that target ``nodes`` stopped at iteration ``it``, with
-        (M, R) iterates g and multipliers xi and their certificates."""
-        if self.coords is None:
-            self.coords = np.zeros((g.shape[1], self.n_nodes))
-            self.xi = np.zeros_like(self.coords)
-        self.coords[:, nodes], self.xi[:, nodes] = g.T, xi.T
-        self.fidelity += float(fidelity.sum())
-        self.penalty += float(penalty.sum())
-        self.worst_gap = max(self.worst_gap, float(gaps.max()))
-        self.converged &= bool(converged.all())
-        self.column_iterations += it * nodes.size
-        self.live -= nodes.size
-
-
 def _admm(
     y: np.ndarray, kms: KernelMatrixSet, lams, cfg: SolverConfig
 ) -> list[tuple[np.ndarray, np.ndarray, FitDiagnostics]]:
@@ -857,8 +813,7 @@ def _admm(
     primal residual stays x - g.  Each column is its own group lasso with
     its own duality-gap certificate, and stops on it: a column leaves the
     batch at the first certificate whose relative gap is at most
-    ``cfg.tol_gap``, keeping its iterate, multiplier, fidelity and penalty
-    from that iteration, and every later product, shrinkage, Anderson step
+    ``cfg.tol_gap``, and every later product, shrinkage, Anderson step
     and certificate runs on the live columns only (the working-set idea of
     Blitz and Celer: Johnson & Guestrin 2015; Massias, Gramfort & Salmon
     2018).  Columns are checked every ``_GAP_EVERY`` iterations and at
@@ -867,11 +822,16 @@ def _admm(
     ``cfg.tol_gap`` = 0 no column stops on its gap: every iteration takes
     each lambda's primal and dual residuals (a non-finite one raises), and
     once they are within ``cfg.tol_primal`` and ``cfg.tol_dual`` (scaled by
-    the square root of its live columns' kept dimension) that lambda is
-    checked and all its columns stop.  A check certifies every live column
-    and acts on the checked lambdas' columns only.  A lambda is done when
-    its last column stops, and converged when every column stopped on its
-    test rather than at the cap.  Every decision depends on the iterates alone.
+    the square root of the lambda's kept dimension, the sum over nodes of
+    R minus the deleted columns) that lambda is checked and all its columns
+    stop, so the live rows are whole lambdas.  A check certifies every live
+    column and acts on the checked lambdas' columns only.  A stopped column
+    leaves one record, at its original lambda-major row: its iterate,
+    multiplier, fidelity, penalty, gap, iteration and whether it stopped
+    on its test rather than at the cap.  A lambda's entry in
+    ``relative_gaps`` is the worst latest gap of its columns, and its
+    ``FitDiagnostics`` are built from its columns' records after the loop.
+    Every decision depends on the iterates alone.
 
     g is the post-shrinkage iterate, (M, R) with one row per live column
     in the system's working layout.  The loop carries w = u + (1 - alpha) g
@@ -893,7 +853,7 @@ def _admm(
     lams = np.asarray(lams, dtype=float)
     rhos = [cfg.rho_for(lam) for lam in lams.tolist()]
     system = _FactorSystem(kms, rhos, scale=[_RELAX * r for r in rhos])
-    n = kms.n_nodes
+    k, n = lams.size, kms.n_nodes
     kappas = lams / rhos
     kappa = _by_column(kappas[system.column_pens])
     c0 = system.project(y)
@@ -903,19 +863,16 @@ def _admm(
     accelerated = n * system.total_rank * system.vt.shape[0] >= _ANDERSON_WORK
     anderson = _Anderson(g.shape) if accelerated else None
     by_gap = cfg.tol_gap > 0  # takes no residuals; else residuals stop, certificates report
-    live = list(range(len(lams)))  # grid position of each run of live columns
+    root = math.sqrt(max(n * system.total_rank - system.deleted_cols.size, 1))
+    tol_primal, tol_dual = cfg.tol_primal * root, cfg.tol_dual * root
     history: list[list] = [[] for _ in lams]
     gaps: list[dict] = [{} for _ in lams]
-    stopped = [_Stopped(n) for _ in lams]
-    out: list = [None] * len(lams)
-
-    def tolerances() -> tuple[list[float], list[float]]:
-        dims = np.add.reduceat(system.kept_dims[system.column_nodes], system.bounds[:-1])
-        scale = np.sqrt(np.maximum(dims, 1))
-        return (cfg.tol_primal * scale).tolist(), (cfg.tol_dual * scale).tolist()
-
-    if not by_gap:
-        tol_primal, tol_dual = tolerances()
+    # one record per column, at its original row; the coordinates and multipliers
+    # come at the first stop, since held from the start they raise a fit's peak memory
+    fidelity, penalty, last_gap = np.zeros(k * n), np.zeros(k * n), np.full(k * n, -np.inf)
+    stop_it, converged = np.zeros(k * n, dtype=int), np.zeros(k * n, dtype=bool)
+    coords = xi = None
+    rows = np.arange(k * n)  # the live rows' original rows
     for it in range(1, cfg.max_iter + 1):
         xa = system.solve(c0 + (2.0 - _RELAX) * g - w)  # alpha x
         v = xa + w
@@ -924,80 +881,72 @@ def _admm(
             v = anderson.extrapolate()
         g_new = system.shrink(v, kappa)
         ag = _RELAX * g_new
-        passed = set()  # runs whose residuals are within tolerance
-        if not by_gap:
-            primal = system.sumsq_each(xa - ag)
-            dual = system.sumsq_each(g_new - g)
-            for i, pos in enumerate(live):
-                p, d = math.sqrt(primal[i]) / _RELAX, rhos[pos] * math.sqrt(dual[i])
+        passed = []  # lambdas whose residuals are within tolerance
+        if not by_gap:  # the live rows are whole lambdas, n rows each
+            lams_live = system.column_pens[::n].tolist()
+            shape = (len(lams_live), -1)
+            primal = [math.sqrt(np.dot(r, r)) / _RELAX for r in (xa - ag).reshape(shape)]
+            dual = [math.sqrt(np.dot(r, r)) for r in (g_new - g).reshape(shape)]
+            for pos, p, d in zip(lams_live, primal, dual):
+                d *= rhos[pos]
                 if not (math.isfinite(p) and math.isfinite(d)):
                     raise NonFinite(f"ADMM diverged at iteration {it}")
                 history[pos].append((p, d))
-                if p <= tol_primal[i] and d <= tol_dual[i]:
-                    passed.add(i)
+                if p <= tol_primal and d <= tol_dual:
+                    passed.append(pos)
         w = v - ag
         g = g_new
         del xa, v, ag  # before the certificate and the copies of stopped columns
         at_cap = it == cfg.max_iter
-        checked = range(len(live)) if at_cap or it % _GAP_EVERY == 0 else sorted(passed)
-        if not checked:
+        scheduled = at_cap or it % _GAP_EVERY == 0
+        if not (scheduled or passed):
             continue
-        fid, pen, rel = _certificate(y, system, g, lams[system.column_pens])
+        pens = system.column_pens
+        fid, pen, rel = _certificate(y, system, g, lams[pens])
         if not np.isfinite(fid + pen + rel).all():
             raise NonFinite(f"ADMM diverged at iteration {it}")
-        bounds = system.bounds
-        drop = []
-        for i in checked:
-            pos, done = live[i], stopped[live[i]]
-            rel_i = rel[bounds[i] : bounds[i + 1]]
-            gaps[pos][it] = max(float(rel_i.max()), done.worst_gap)
-            ok = rel_i <= cfg.tol_gap if by_gap else np.full(rel_i.shape, i in passed)
-            stop = np.ones_like(ok) if at_cap else ok
-            if not stop.any():
-                continue
-            cols = bounds[i] + np.flatnonzero(stop)
-            drop.append(cols)
-            g_cols, xi = g[cols], w[cols]
-            xi -= (1.0 - _RELAX) * g_cols
-            xi *= rhos[pos]
-            done.add(
-                it, system.column_nodes[cols], g_cols, xi, fid[cols], pen[cols], rel[cols], ok[stop]
-            )
-            del g_cols, xi
-            if done.live:
-                continue
-            primals, duals = np.array(history[pos]).reshape(-1, 2).T
-            out[pos] = (
-                done.coords,
-                done.xi,
-                FitDiagnostics(
-                    iterations=it,
-                    column_iterations=done.column_iterations,
-                    converged=done.converged,
-                    primal_residuals=primals,
-                    dual_residuals=duals,
-                    relative_gaps=gaps[pos],
-                    fidelity=done.fidelity,
-                    penalty=done.penalty,
-                    rho=rhos[pos],
-                    accelerated=accelerated,
-                ),
-            )
-        if not drop:
+        last_gap[rows] = rel
+        worst = last_gap.reshape(k, n).max(axis=1)
+        for pos in set(pens.tolist()) if scheduled else passed:
+            gaps[pos][it] = float(worst[pos])
+        ok = rel <= cfg.tol_gap if by_gap else np.isin(pens, passed)
+        done = ok | at_cap
+        if not done.any():
             continue
-        alive = np.ones(len(g), dtype=bool)
-        alive[np.concatenate(drop)] = False
-        if not alive.any():
+        if coords is None:
+            coords, xi = np.zeros((2, system.total_rank, k * n))
+        stop, at = np.flatnonzero(done), rows[done]
+        g_stop, xi_stop = g[stop], w[stop]
+        xi_stop -= (1.0 - _RELAX) * g_stop
+        xi_stop *= np.array(rhos)[pens[stop], None]
+        coords[:, at], xi[:, at] = g_stop.T, xi_stop.T
+        fidelity[at], penalty[at], stop_it[at], converged[at] = fid[stop], pen[stop], it, ok[stop]
+        del g_stop, xi_stop
+        keep = np.flatnonzero(~done)
+        if not keep.size:
             break
-        keep = np.flatnonzero(alive)
         system.keep(keep)
         if anderson is not None:
             anderson.keep(keep)
-        g, w, c0 = g[keep], w[keep], c0[keep]
-        live = system.run_pens.tolist()
+        g, w, c0, rows = g[keep], w[keep], c0[keep], rows[keep]
         kappa = _by_column(kappas[system.column_pens])
-        if not by_gap:
-            tol_primal, tol_dual = tolerances()
+    out = []
+    for pos in range(k):
+        cols = slice(pos * n, (pos + 1) * n)
+        primals, duals = np.array(history[pos]).reshape(-1, 2).T
+        diagnostics = FitDiagnostics(
+            iterations=int(stop_it[cols].max()),
+            column_iterations=int(stop_it[cols].sum()),
+            converged=bool(converged[cols].all()),
+            primal_residuals=primals,
+            dual_residuals=duals,
+            relative_gaps=gaps[pos],
+            fidelity=float(fidelity[cols].sum()),
+            penalty=float(penalty[cols].sum()),
+            rho=rhos[pos],
+            accelerated=accelerated,
+        )
+        out.append((coords[:, cols], xi[:, cols], diagnostics))
     return out
 
 
