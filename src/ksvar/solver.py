@@ -80,7 +80,6 @@ from .kernels import KernelDictionary, KernelMatrixSet, KernelSpec, build_kernel
 from .panel import LagAlignedView, TimeSeriesPanel, lag_view
 
 _GAP_EVERY = 10  # ADMM iterations between duality-gap certificates
-_JITTER = 1e-10  # stands in for a zero penalty on a rank-deficient factor
 _RHO_PER_LAM = 10.0  # the default ADMM penalty parameter is rho = 10 lambda
 _RELAX = 1.6  # ADMM over-relaxation (Boyd et al. 2011, sec. 3.4.3)
 # N R S per lambda from which ADMM is Anderson-accelerated: every shape of the
@@ -510,8 +509,8 @@ class _FactorSystem(_StackedFactor):
     is one small product per column each way.  ``solve`` returns
     scale_k * x_k, so a caller can fold constant factors into the weights
     (ADMM folds its rho and its over-relaxation).  A zero penalty is
-    singular unless R <= T'; a rank-deficient F then takes ``_JITTER``
-    instead.
+    singular, and raises SingularSystem, unless F has full column rank
+    (so R <= T').
 
     s and V are shared by the K penalties (one per lambda of a batched ADMM
     run).  The rows of the working layout are the (penalty, node) columns,
@@ -537,13 +536,12 @@ class _FactorSystem(_StackedFactor):
             s2 = s2[kept]
             self.vt = (u[:, kept] / s[kept]).T @ self.F
         penalties = np.array(penalties, dtype=float).reshape(-1)
-        if (penalties <= 0).any():
-            if not full_span:
-                raise SingularSystem(
-                    f"zero penalty with stacked rank {self.total_rank} > T'={t} is singular"
-                )
-            if s2.size and s2.min() <= self.total_rank * np.finfo(float).eps * s2.max():
-                penalties[penalties <= 0] = _JITTER
+        full_rank = full_span and s2.min() > self.total_rank * np.finfo(float).eps * s2.max()
+        if (penalties <= 0).any() and not full_rank:
+            raise SingularSystem(
+                f"zero penalty is singular: the stacked factor (T'={t}, R={self.total_rank}) "
+                "has rank below R"
+            )
         # H = null I + V diag(span) V^T, per penalty
         null = np.zeros_like(penalties) if full_span else 1.0 / penalties
         span = 1.0 / (s2 + penalties[:, None]) - null[:, None]
@@ -656,15 +654,6 @@ def _prediction_map(kms: KernelMatrixSet, view: LagAlignedView) -> np.ndarray:
         kc = cross_gram(b.spec, view.regressor_series(b.node, b.lag), b.samples)
         phi[:, kms.columns[pos]] = kc @ (factor @ (p.T @ p))
     return phi
-
-
-def rkhs_block_norms(tensor: CoefficientTensor) -> np.ndarray:
-    """||K_b^{1/2} a_bj||_2 = ||c_bj||_2 for every block, shape (P, L+1, N, N)."""
-    kms = tensor.kernels
-    out = np.zeros((kms.n_kernels, kms.lag + 1, kms.n_nodes, kms.n_nodes))
-    for b, cols in zip(kms.blocks, kms.columns):
-        out[b.kernel_index, b.lag, b.node] = np.linalg.norm(tensor.coords[cols], axis=0)
-    return out
 
 
 def predict(tensor: CoefficientTensor, view: LagAlignedView | None = None) -> np.ndarray:
@@ -799,6 +788,7 @@ class _Anderson:
         return self.point
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverging fit raises NonFinite instead
 def _admm(
     y: np.ndarray, kms: KernelMatrixSet, lams, cfg: SolverConfig
 ) -> list[tuple[np.ndarray, np.ndarray, FitDiagnostics]]:
@@ -818,7 +808,8 @@ def _admm(
     Blitz and Celer: Johnson & Guestrin 2015; Massias, Gramfort & Salmon
     2018).  Columns are checked every ``_GAP_EVERY`` iterations and at
     ``max_iter``; a check whose objective or gap is not finite raises
-    NonFinite, and a fit with ``cfg.tol_gap`` > 0 takes no residuals.  With
+    NonFinite, the only sign of a diverging fit (the iteration ignores
+    floating-point overflow and invalid operations), and a fit with ``cfg.tol_gap`` > 0 takes no residuals.  With
     ``cfg.tol_gap`` = 0 no column stops on its gap: every iteration takes
     each lambda's primal and dual residuals (a non-finite one raises), and
     once they are within ``cfg.tol_primal`` and ``cfg.tol_dual`` (scaled by
@@ -1114,7 +1105,7 @@ def fit(
         tensor = ridge_fit(targets, kms, cfg)
         resid = targets - predict(tensor)
         fidelity = 0.5 * float(np.sum(resid * resid))
-        penalty = cfg.lam * float((rkhs_block_norms(tensor) ** 2).sum())
+        penalty = cfg.lam * float(np.sum(tensor.coords * tensor.coords))
         return tensor, FitDiagnostics(
             iterations=1, column_iterations=kms.n_nodes, converged=True, relative_gaps={1: 0.0},
             fidelity=fidelity, penalty=penalty, solver="ridge",

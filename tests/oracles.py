@@ -18,7 +18,8 @@ blocks of ``unit_tensor``); the dense Gram layout (``kbar``, ``dmat``,
 ``dsqrt`` and their deleted forms, and the stacked coefficients
 ``w_stacked``); the Gram-space
 ADMM pieces (``admm_column_update``, ``dual_update``), the objective
-evaluated from coefficient blocks (``objective_value``) and each
+evaluated from coefficient blocks (``objective_value``, from the blocks'
+RKHS norms ``rkhs_block_norms``) and each
 column's duality gap from them (``column_relative_gaps``), the per-block
 cross-Gram ``heldout_prediction``, the edge rows of a saved network
 (``network_edges``), and the per-fold kernel sets
@@ -56,7 +57,6 @@ from ksvar.solver import (
     admm_fit,
     predict,
     ridge_fit,
-    rkhs_block_norms,
     threshold_edges,
 )
 
@@ -250,14 +250,11 @@ def svd_factor_solve(f: np.ndarray, deleted: list, penalty: float, q: np.ndarray
     With F = U S V^T the thin SVD, H = (F^T F + penalty I)^{-1} is
     V diag(1 / (s^2 + penalty)) V^T + (I - V V^T) / penalty (the last term
     only when R > T'), and deleting D_j is the Schur complement
-    x_j = u_j - H[:, D_j] H[D_j, D_j]^{-1} u_j[D_j] with u_j = H q_j.  A
-    zero penalty on an F of rank below R <= T' takes 1e-10 instead.
+    x_j = u_j - H[:, D_j] H[D_j, D_j]^{-1} u_j[D_j] with u_j = H q_j.
     """
     _, s, vt = np.linalg.svd(f, full_matrices=False)
     r = f.shape[1]
     s2 = s * s
-    if penalty <= 0 and vt.shape[0] == r and s2.min() <= r * np.finfo(float).eps * s2.max():
-        penalty = 1e-10
     h = (vt.T / (s2 + penalty)) @ vt
     if vt.shape[0] < r:
         h += (np.eye(r) - vt.T @ vt) / penalty
@@ -510,6 +507,15 @@ def admm_column_update(
         return np.linalg.solve(m, q)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem("dense column system is singular") from exc
+
+
+def rkhs_block_norms(tensor: CoefficientTensor) -> np.ndarray:
+    """||K_b^{1/2} a_bj||_2 = ||c_bj||_2 for every block, shape (P, L+1, N, N)."""
+    kms = tensor.kernels
+    out = np.zeros((kms.n_kernels, kms.lag + 1, kms.n_nodes, kms.n_nodes))
+    for b, cols in zip(kms.blocks, kms.columns):
+        out[b.kernel_index, b.lag, b.node] = np.linalg.norm(tensor.coords[cols], axis=0)
+    return out
 
 
 def objective_value(targets: np.ndarray, tensor, lam: float) -> tuple[float, float, float]:

@@ -38,7 +38,6 @@ from ksvar.solver import (
     lambda_zero_bound,
     predict,
     ridge_fit,
-    rkhs_block_norms,
     select_lag_bic,
     threshold_edges,
 )
@@ -61,6 +60,7 @@ from oracles import (
     kernel_set_objective,
     objective_value,
     ridge_reference,
+    rkhs_block_norms,
     svd_factor_solve,
     svd_ridge_df,
     total_columns,
@@ -726,6 +726,40 @@ class TestColumnStopping:
         scale = np.sqrt(4 * (kms.factor.shape[1] - 1))
         assert p <= 0.1 * scale and d <= 0.1 * scale
 
+    @pytest.mark.parametrize("seed", [40, 47])
+    def test_residual_rule_stops_each_lambda_like_a_separate_fit(self, seed):
+        # the lambdas pass their residual tests at three different iterations,
+        # none on the certificate schedule; each lambda's residuals are its own
+        _, view, kms = make_problem(t=24, n=4, seed=seed)
+        grid = lambda_zero_bound(view.targets, kms) * np.array([0.6, 0.3, 0.1])
+        cfg = SolverConfig(lam=1.0, max_iter=3000, tol_primal=1e-4, tol_dual=1e-4, tol_gap=0.0)
+        fits = _admm(view.targets, kms, grid, cfg)
+        assert len({diag.iterations for _, _, diag in fits}) == 3
+        for lam, (gamma, xi, diag) in zip(grid, fits):
+            [(gamma_alone, xi_alone, alone)] = _admm(view.targets, kms, [lam], cfg)
+            assert diag.converged and diag.iterations == alone.iterations
+            assert diag.iterations % 10 and diag.column_iterations == 4 * diag.iterations
+            pairs = [
+                (diag.primal_residuals, alone.primal_residuals),
+                (diag.dual_residuals, alone.dual_residuals),
+                (gamma, gamma_alone),
+                (xi, xi_alone),
+            ]
+            for got, want in pairs:
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13)
+
+    def test_each_lambda_reports_its_own_gaps(self):
+        # in a gap-stopped grid, a lambda's gap at a check is the worst over
+        # its own columns, as in a fit of that lambda alone
+        _, view, kms = make_problem(t=24, n=4, seed=40)
+        grid = lambda_zero_bound(view.targets, kms) * np.array([0.6, 0.3, 0.1])
+        fits = _admm(view.targets, kms, grid, self.CFG)
+        for lam, (_, _, diag) in zip(grid, fits):
+            [(_, _, alone)] = _admm(view.targets, kms, [lam], self.CFG)
+            assert diag.relative_gaps.keys() == alone.relative_gaps.keys()
+            for it, gap in alone.relative_gaps.items():
+                assert diag.relative_gaps[it] == pytest.approx(gap, rel=1e-9, abs=1e-15)
+
     @pytest.mark.parametrize("tol_gap", [1e-3, 0.0])
     def test_divergence_raises(self, monkeypatch, tol_gap):
         solve, calls = _FactorSystem.solve, []
@@ -739,7 +773,7 @@ class TestColumnStopping:
         cfg = SolverConfig(lam=0.3 * lambda_zero_bound(view.targets, kms), tol_gap=tol_gap)
         # a gap-stopped fit finds it at its first certificate, a residual-stopped one at once
         at = 10 if tol_gap else 3
-        with np.errstate(all="ignore"), pytest.raises(NonFinite, match=f"diverged at iteration {at}$"):
+        with pytest.raises(NonFinite, match=f"diverged at iteration {at}$"):
             admm_fit(view.targets, kms, cfg)
 
 
@@ -1136,25 +1170,13 @@ class TestSharedSolve:
         view = lag_view(panel, 1)
         return view, build_kernel_set(view, LINEAR)
 
-    def test_rank_deficient_zero_penalty_matches_svd_reference(self):
-        # R = 6 <= T' = 29 but rank 4: a zero penalty takes _JITTER.  Its
-        # 1e10 weight on the null directions enters the deleted-block
-        # correction, which leaves either path about 1e-4 from the
-        # least-squares fit; without the jitter the weights are infinite
-        view, kms = self.rank_deficient_problem()
-        system = _FactorSystem(kms, 0.0)
-        q = system.project(view.targets)
-        fitted = system.solve(q) @ system.F.T
-        want = svd_factor_solve(system.F, system.deleted, 0.0, q) @ system.F.T
-        np.testing.assert_allclose(fitted, want, rtol=0, atol=1e-3)
-        for j, deleted in enumerate(system.deleted):
-            a = np.delete(system.F, deleted, axis=1)
-            coef, *_ = np.linalg.lstsq(a, view.targets[:, j], rcond=None)
-            np.testing.assert_allclose(fitted[j], a @ coef, rtol=0, atol=1e-3)
-
-    @pytest.mark.parametrize("case", ["mixed_above", "linear_above"])
+    @pytest.mark.parametrize("case", ["mixed_above", "linear_above", "rank_deficient"])
     def test_zero_penalty_above_full_rank_is_singular(self, case):
-        _, _, kms = make_problem(**self.CASES[case])
+        # R > T', or R = 6 <= T' = 29 at rank 4: no least-squares fit is unique
+        if case == "rank_deficient":
+            _, kms = self.rank_deficient_problem()
+        else:
+            _, _, kms = make_problem(**self.CASES[case])
         with pytest.raises(SingularSystem):
             _FactorSystem(kms, 0.0)
         with pytest.raises(SingularSystem):
