@@ -809,13 +809,14 @@ def _admm(
     2018).  Columns are checked every ``_GAP_EVERY`` iterations and at
     ``max_iter``; a check whose objective or gap is not finite raises
     NonFinite, the only sign of a diverging fit (the iteration ignores
-    floating-point overflow and invalid operations), and a fit with ``cfg.tol_gap`` > 0 takes no residuals.  With
-    ``cfg.tol_gap`` = 0 no column stops on its gap: every iteration takes
-    each lambda's primal and dual residuals (a non-finite one raises), and
-    once they are within ``cfg.tol_primal`` and ``cfg.tol_dual`` (scaled by
-    the square root of the lambda's kept dimension, the sum over nodes of
-    R minus the deleted columns) that lambda is checked and all its columns
-    stop, so the live rows are whole lambdas.  A check certifies every live
+    floating-point overflow and invalid operations), and a fit with
+    ``cfg.tol_gap`` > 0 takes no residuals.  With ``cfg.tol_gap`` = 0 no
+    column stops on its gap: every iteration takes each lambda's primal
+    and dual residuals (a non-finite one raises), and once they are within
+    ``cfg.tol_primal`` and ``cfg.tol_dual`` (scaled by the square root of
+    the lambda's kept dimension, the sum over nodes of R minus the deleted
+    columns) that lambda is checked and all its columns stop, so the live
+    rows are whole lambdas.  A check certifies every live
     column and acts on the checked lambdas' columns only.  A stopped column
     leaves one record, at its original lambda-major row: its iterate,
     multiplier, fidelity, penalty, gap, iteration and whether it stopped
@@ -904,12 +905,12 @@ def _admm(
         done = ok | at_cap
         if not done.any():
             continue
-        if coords is None:
-            coords, xi = np.zeros((2, system.total_rank, k * n))
         stop, at = np.flatnonzero(done), rows[done]
         g_stop, xi_stop = g[stop], w[stop]
         xi_stop -= (1.0 - _RELAX) * g_stop
         xi_stop *= np.array(rhos)[pens[stop], None]
+        if coords is None:
+            coords, xi = np.zeros((2, system.total_rank, k * n))
         coords[:, at], xi[:, at] = g_stop.T, xi_stop.T
         fidelity[at], penalty[at], stop_it[at], converged[at] = fid[stop], pen[stop], it, ok[stop]
         del g_stop, xi_stop
