@@ -909,8 +909,8 @@ def _admm(
         g_stop, xi_stop = g[stop], w[stop]
         xi_stop -= (1.0 - _RELAX) * g_stop
         xi_stop *= np.array(rhos)[pens[stop], None]
-        if coords is None:
-            coords, xi = np.zeros((2, system.total_rank, k * n))
+        if coords is None:  # two buffers, so that a caller may drop xi
+            coords, xi = np.zeros((system.total_rank, k * n)), np.zeros((system.total_rank, k * n))
         coords[:, at], xi[:, at] = g_stop.T, xi_stop.T
         fidelity[at], penalty[at], stop_it[at], converged[at] = fid[stop], pen[stop], it, ok[stop]
         del g_stop, xi_stop
