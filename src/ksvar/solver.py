@@ -861,7 +861,7 @@ def _admm(
     gaps: list[dict] = [{} for _ in lams]
     # one record per column, at its original row; the coordinates and multipliers
     # come at the first stop, since held from the start they raise a fit's peak memory
-    fidelity, penalty, last_gap = np.zeros(k * n), np.zeros(k * n), np.full(k * n, -np.inf)
+    fidelity, penalty, last_gap = np.zeros((3, k * n))  # last_gap: at the latest check
     stop_it, converged = np.zeros(k * n, dtype=int), np.zeros(k * n, dtype=bool)
     coords = xi = None
     rows = np.arange(k * n)  # the live rows' original rows
