@@ -314,7 +314,7 @@ SEGMENT_STAGES = ("lag_selection", "kernels", "cv", "fit", "threshold", "metrics
 _SUMMARY_FIELDS = ("iterations", "converged", "final_objective", "fidelity", "penalty",
                    "relative_gap")
 _MANIFEST_FIELDS = ("solver", "rho", "converged", "iterations", "column_iterations",
-                    "accelerated", "relative_gap")
+                    "accelerated", "single_iterations", "relative_gap")
 
 
 @contextmanager
@@ -333,12 +333,12 @@ def _process_segment(idx: int, seg_panel: TimeSeriesPanel, cfg: PipelineConfig, 
     Returns (summary dict, thresholded network) for the manifest and the
     optional aggregation step.  The summary's ``timings`` holds the wall
     seconds of each of ``SEGMENT_STAGES``, 0.0 for a stage the
-    configuration skips.
+    configuration skips.  The directory is made only once every artifact
+    is computed, and removed again if a write fails, so a segment that
+    raises leaves none.
     """
     timings = dict.fromkeys(SEGMENT_STAGES, 0.0)
     name = _segment_name(idx)
-    seg_dir = os.path.join(out_root, name)
-    os.makedirs(seg_dir, exist_ok=True)
     work = standardize(seg_panel) if cfg.standardize else seg_panel
     specs = cfg.kernel_specs()
     # model selection gets a definite penalty weight before CV has run
@@ -369,23 +369,27 @@ def _process_segment(idx: int, seg_panel: TimeSeriesPanel, cfg: PipelineConfig, 
         tensor, diagnostics = fit(view.targets, kms, scfg)
     records = diagnostics.records()
     records.append({"summary": True, **{k: getattr(diagnostics, k) for k in _SUMMARY_FIELDS}})
-    with _timed(timings, "write"):
-        _write_ndjson(os.path.join(seg_dir, "diagnostics.ndjson"), records)
     with _timed(timings, "threshold"):
         net = threshold_edges(tensor, cfg.tau_alpha, seg_panel.node_labels)
-    with _timed(timings, "write"):
-        save_network(net, os.path.join(seg_dir, "edges.json"))
     with _timed(timings, "metrics"):
         report = compute_report(net)
-    with _timed(timings, "write"):
-        _write_metrics(seg_dir, report)
-        if cfg.dictionary is not None:
-            _write_attribution(seg_dir, tensor)
-        if cv_table is not None:
-            _write_json(
-                os.path.join(seg_dir, "cv.json"),
-                {"chosen_lambda": chosen_lam, "folds": cfg.cv_folds, "table": cv_table},
-            )
+    seg_dir = os.path.join(out_root, name)
+    try:
+        with _timed(timings, "write"):
+            os.makedirs(seg_dir, exist_ok=True)
+            _write_ndjson(os.path.join(seg_dir, "diagnostics.ndjson"), records)
+            save_network(net, os.path.join(seg_dir, "edges.json"))
+            _write_metrics(seg_dir, report)
+            if cfg.dictionary is not None:
+                _write_attribution(seg_dir, tensor)
+            if cv_table is not None:
+                _write_json(
+                    os.path.join(seg_dir, "cv.json"),
+                    {"chosen_lambda": chosen_lam, "folds": cfg.cv_folds, "table": cv_table},
+                )
+    except BaseException:
+        shutil.rmtree(seg_dir, ignore_errors=True)
+        raise
     summary = {
         "name": name,
         "n_samples": seg_panel.n_samples,
@@ -587,7 +591,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     are removed before anything else; other files there are kept.  Any
     KsvarError, OSError or broken process pool is recorded to ``error.json``
     (stage, message, and the segments whose directories were fully
-    written) before being re-raised, so partial runs are inspectable; when
+    written; a segment that failed leaves no directory) before being
+    re-raised, so partial runs are inspectable; when
     a pooled segment fails, the segments already running are waited for,
     every one that finished is listed and the failure of the lowest-index
     segment is raised.  A worker that dies (``BrokenProcessPool``) costs

@@ -47,8 +47,11 @@ two products with V dominate its cost (N R S of at least
 Anderson-accelerated: each (lambda, node) column mixes its last few
 iterates (type-II Anderson mixing of the Douglas-Rachford map, Walker & Ni
 2011; Fu, Zhang & Boyd 2020), with a restart guard, and
-``FitDiagnostics.accelerated`` records it.  Smaller fits run the plain
-loop.
+``FitDiagnostics.accelerated`` records it.  Such a fit also runs those
+products in float32 while its certificates, iterates and multipliers stay
+in float64, and finishes in float64 if its gap stalls
+(``FitDiagnostics.single_iterations``).  Smaller fits run the plain
+float64 loop.
 ``fit``, which the pipeline calls, hands wide rank-1 fits (``_takes_path``) to an
 exact lasso path, ``_lasso_path``: no first-order method certifies them in any measured cap.
 
@@ -108,8 +111,9 @@ class SolverConfig:
     certificate, taken every 10 iterations and at ``max_iter``, whose
     relative gap is at most ``tol_gap``.  ``tol_primal`` and ``tol_dual``
     act only with ``tol_gap`` = 0, where the scaled residuals stop the fit.
-    No setting turns Anderson acceleration on or off: it follows the size
-    of the fit (see ``FitDiagnostics.accelerated``).  The edge threshold is
+    No setting turns Anderson acceleration or float32 products on or off:
+    both follow the size of the fit (see ``FitDiagnostics.accelerated``
+    and ``single_iterations``).  The edge threshold is
     an argument of ``threshold_edges``.
     """
 
@@ -280,7 +284,11 @@ class FitDiagnostics:
     nodes, stacked rank R and S <= min(T', R) the rows of V^T, so that the
     two products with V dominate an iteration.  Each iterate is then the
     Anderson extrapolation of the plain step, and the residuals and gaps
-    above are those of the extrapolated iterates.  ``solver`` is ``admm``,
+    above are those of the extrapolated iterates.  Such a fit also runs
+    its x-update's products in float32: ``single_iterations`` counts the
+    iterations that did, all of them unless the gap stalled and the fit
+    finished in float64 (see ``_admm``); it is 0 for every other fit.
+    ``solver`` is ``admm``,
     or ``path`` (``_lasso_path``: ``iterations`` is the most steps a column
     took, ``column_iterations`` their sum) or ``ridge`` (one iteration per
     column, gap 0), which have one certificate, no trace and ``rho`` None.
@@ -297,6 +305,7 @@ class FitDiagnostics:
     dual_residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
     rho: float | None = None
     accelerated: bool = False
+    single_iterations: int = 0
 
     @property
     def final_objective(self) -> float:
@@ -520,6 +529,11 @@ class _FactorSystem(_StackedFactor):
     Schur factors, and the null-space weight 1/penalty (R > T' only) is a
     scalar while the live rows share it; ``keep`` refreshes it.  q and x
     have shape (M, R), and V's rows follow F's columns.
+
+    The system is built in float64.  ``to_single`` then casts V^T, the
+    Schur factors and the span weights to float32 and drops the float64
+    copies.  From then on ``solve`` runs its products in float32 and
+    returns float64 x; the null-space term stays in float64.
     """
 
     def __init__(self, kms: KernelMatrixSet, penalties, scale=1.0):
@@ -581,15 +595,22 @@ class _FactorSystem(_StackedFactor):
         if self.null is not None:
             self.null = _by_column(self.null_by_penalty[self.column_pens])
 
+    def to_single(self) -> None:
+        """Hold V^T, the Schur factors and the span weights in float32 only,
+        one array at a time, so no float64 copy outlives its cast."""
+        for name in ("vt", "left", "right", "span"):
+            setattr(self, name, getattr(self, name).astype(np.float32))
+
     def solve(self, q: np.ndarray) -> np.ndarray:
-        """Row-wise solve of (M, R) q, already zero at deleted columns."""
-        t = q @ self.vt.T
+        """Row-wise solve of (M, R) q, already zero at deleted columns, in
+        the precision of ``vt``; x is float64 either way."""
+        t = q.astype(self.vt.dtype, copy=False) @ self.vt.T
         if self.rank_one:
             t -= np.vecdot(t, self.left)[:, None] * self.right
         else:
             t -= ((t[:, None] @ self.left) @ self.right)[:, 0]
         t *= self.span
-        x = t @ self.vt
+        x = (t @ self.vt).astype(float, copy=False)
         if self.null is not None:
             x += self.null * q
         return self.mask_deleted(x)
@@ -841,18 +862,36 @@ def _admm(
     ``_Anderson`` extrapolation before the shrinkage, and any residuals and
     the certificates are taken at those points; below it the loop adds no
     array operation.
+
+    Above that gate the system also holds its factors in float32
+    (``_FactorSystem.to_single``), so the products with V, the bulk of an
+    iteration, move half the bytes (low-precision work checked in high
+    precision, as surveyed by Higham & Mary, Acta Numerica 2022).
+    Everything else stays float64: the iterates, the multipliers,
+    Anderson's residual differences and the certificates, so every
+    reported gap is still a bound.  float32 products perturb the fixed
+    point, and a gap can stall above a tight tolerance (about 3e-5
+    relative on the benchmark's long dictionary window).  So when a
+    check's worst live gap is above ``cfg.tol_gap`` and not below half
+    the last check's, the system is rebuilt in float64 for the live rows,
+    and the fit finishes there; Anderson keeps its history.
     """
     lams = np.asarray(lams, dtype=float)
     rhos = [cfg.rho_for(lam) for lam in lams.tolist()]
-    system = _FactorSystem(kms, rhos, scale=[_RELAX * r for r in rhos])
+    scale = [_RELAX * r for r in rhos]
+    system = _FactorSystem(kms, rhos, scale=scale)
     k, n = lams.size, kms.n_nodes
+    accelerated = n * system.total_rank * system.vt.shape[0] >= _ANDERSON_WORK
+    if accelerated:  # before the loop's arrays exist, so the casts add nothing to the peak
+        system.to_single()
+    # iterations run on float32 products, and the worst live gap at the last check
+    single_until, last_worst = cfg.max_iter if accelerated else 0, np.inf
     kappas = lams / rhos
     kappa = _by_column(kappas[system.column_pens])
     c0 = system.project(y)
     c0 /= _by_column(np.array(rhos)[system.column_pens])
     g = np.zeros_like(c0)
     w = np.zeros_like(g)
-    accelerated = n * system.total_rank * system.vt.shape[0] >= _ANDERSON_WORK
     anderson = _Anderson(g.shape) if accelerated else None
     by_gap = cfg.tol_gap > 0  # takes no residuals; else residuals stop, certificates report
     root = math.sqrt(max(n * system.total_rank - system.deleted_cols.size, 1))
@@ -903,6 +942,13 @@ def _admm(
             gaps[pos][it] = float(worst[pos])
         ok = rel <= cfg.tol_gap if by_gap else np.isin(pens, passed)
         done = ok | at_cap
+        live_worst = rel.max()
+        if system.vt.dtype == np.float32 and not at_cap:
+            if live_worst > max(cfg.tol_gap, 0.5 * last_worst):  # stalled: finish in float64
+                single_until, system = it, None  # dropped first, so the two never coexist
+                system = _FactorSystem(kms, rhos, scale=scale)
+                system.keep(rows)
+            last_worst = live_worst
         if not done.any():
             continue
         stop, at = np.flatnonzero(done), rows[done]
@@ -926,8 +972,9 @@ def _admm(
     for pos in range(k):
         cols = slice(pos * n, (pos + 1) * n)
         primals, duals = np.array(history[pos]).reshape(-1, 2).T
+        iterations = int(stop_it[cols].max())
         diagnostics = FitDiagnostics(
-            iterations=int(stop_it[cols].max()),
+            iterations=iterations,
             column_iterations=int(stop_it[cols].sum()),
             converged=bool(converged[cols].all()),
             primal_residuals=primals,
@@ -937,6 +984,7 @@ def _admm(
             penalty=float(penalty[cols].sum()),
             rho=rhos[pos],
             accelerated=accelerated,
+            single_iterations=min(iterations, single_until),
         )
         out.append((coords[:, cols], xi[:, cols], diagnostics))
     return out

@@ -20,6 +20,7 @@ from ksvar.errors import (
     ConstantColumn,
     InsufficientSamples,
     LabelMismatch,
+    SingularSystem,
     WindowTooLong,
 )
 from ksvar.panel import NoiseModel, TimeSeriesPanel, read_csv_panel, write_csv_panel
@@ -720,6 +721,45 @@ class TestRunPipeline:
         assert err["completed_segments"] == sorted(p.name for p in out.glob("seg_*"))
         assert not list(out.rglob("*.tmp"))
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_fit_leaves_no_segment_directory(self, tmp_path, monkeypatch, workers):
+        if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the pool needs fork")
+        values = np.random.default_rng(0).normal(size=(60, 4))
+        values[20:40, 3] = values[20:40, 0]  # window 1 holds node a twice
+        inp = tmp_path / "panel.csv"
+        write_csv_panel(
+            TimeSeriesPanel(values=values, node_labels=("a", "b", "c", "d"), sample_rate_hz=1.0),
+            str(inp),
+        )
+        out = tmp_path / "run"
+        monkeypatch.setattr(pipeline, "_pool_size", lambda n: workers)
+        # a zero ridge penalty on a factor without full column rank is singular
+        cfg = base_config(inp, out, window_s=20.0, regularizer="squared", lam=0.0)
+        with pytest.raises(SingularSystem):
+            run_pipeline(cfg)
+        assert multiprocessing.active_children() == []
+        err = json.loads((out / "error.json").read_text())
+        assert (err["error"], err["stage"]) == ("SingularSystem", "fit segments")
+        assert "seg_001" not in err["completed_segments"]
+        assert sorted(p.name for p in out.glob("seg_*")) == err["completed_segments"]
+        if workers == 1:
+            assert err["completed_segments"] == ["seg_000"]
+
+    def test_failed_write_leaves_no_segment_directory(self, tmp_path, monkeypatch):
+        inp = tmp_path / "panel.csv"
+        write_panel_csv(inp, t=40)
+        out = tmp_path / "run"
+
+        def full_disk(net, path):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(pipeline, "save_network", full_disk)
+        with pytest.raises(OSError):
+            run_pipeline(base_config(inp, out))
+        err = json.loads((out / "error.json").read_text())
+        assert err["completed_segments"] == [] and not list(out.glob("seg_*"))
+
     def test_success_removes_stale_error_record(self, tmp_path):
         inp = tmp_path / "panel.csv"
         write_panel_csv(inp, t=40)
@@ -836,17 +876,20 @@ class TestRunPipeline:
         write_panel_csv(inp)
         plain = run_pipeline(base_config(inp, tmp_path / "plain"))
         ridge = run_pipeline(base_config(inp, tmp_path / "ridge", regularizer="squared"))
-        assert plain["segments"][0]["accelerated"] is False
-        assert ridge["segments"][0]["accelerated"] is False
-        # a threshold of 0 accelerates every fit, as a large window would be
+        for run in (plain, ridge):
+            assert run["segments"][0]["accelerated"] is False
+            assert run["segments"][0]["single_iterations"] == 0
+        # a threshold of 0 accelerates every fit, as a large window would be,
+        # and runs its products in float32
         monkeypatch.setattr(solver, "_ANDERSON_WORK", 0)
         out = tmp_path / "accelerated"
         manifest = run_pipeline(base_config(inp, out))
         [seg] = manifest["segments"]
         assert seg["accelerated"] is True and seg["converged"]
+        assert seg["single_iterations"] == seg["iterations"] > 0
         for run in (tmp_path / "plain", out):
             text = (run / "seg_000" / "diagnostics.ndjson").read_text()
-            assert "accelerated" not in text
+            assert "accelerated" not in text and "single_iterations" not in text
 
     def test_wide_linear_windows_take_the_lasso_path(self, tmp_path, caplog):
         # a 76-node recording cut into 25-sample windows, as in criterion 10

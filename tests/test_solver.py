@@ -15,8 +15,8 @@ from ksvar.errors import (
     ShapeMismatch,
     SingularSystem,
 )
-from ksvar.kernels import KernelSpec, build_kernel_set
-from ksvar.panel import TimeSeriesPanel, lag_view
+from ksvar.kernels import KernelSpec, build_kernel_set, parse_kernel_spec
+from ksvar.panel import NoiseModel, TimeSeriesPanel, lag_view, standardize
 from ksvar.solver import (
     CoefficientTensor,
     DualState,
@@ -41,6 +41,7 @@ from ksvar.solver import (
     select_lag_bic,
     threshold_edges,
 )
+from ksvar.synth import SynthConfig, generate_truth, simulate
 
 from oracles import (
     admm_column_update,
@@ -877,6 +878,115 @@ class TestAnderson:
         assert np.isfinite(point).all()
 
 
+def _record_factor_dtypes(monkeypatch) -> list:
+    """Let every ``_FactorSystem.solve`` record the dtypes of V^T and of the
+    Schur factors it runs on; returns the list they are appended to."""
+    seen, solve = [], _FactorSystem.solve
+
+    def recording(self, q):
+        seen.append({self.vt.dtype, self.left.dtype, self.right.dtype})
+        return solve(self, q)
+
+    monkeypatch.setattr(_FactorSystem, "solve", recording)
+    return seen
+
+
+@pytest.fixture(scope="module")
+def mkl_long_problem():
+    """The benchmark's long dictionary window: 38 standardized sigmoid-coupled
+    nodes, T' = 349, linear + median-bandwidth Gaussian blocks (R about 1,500)."""
+    cfg = SynthConfig(
+        n_nodes=38, n_samples=350, lag=1, edge_density=0.05, coupling="sigmoid",
+        noise=NoiseModel(variance=1.0), seed=0, sample_rate_hz=50.0,
+    )
+    view = lag_view(standardize(simulate(generate_truth(cfg), cfg)), 1)
+    return view, build_kernel_set(view, [LINEAR, parse_kernel_spec("gaussian:sigma=median")])
+
+
+class TestSinglePrecision:
+    """Above the Anderson gate the x-update's products run in float32, with
+    float64 certificates and a float64 finish when the gap stalls."""
+
+    @pytest.mark.parametrize(
+        "spec,n,frac",
+        [(LINEAR, 3, 0.3), (POLY21, 3, 0.4), (GAUSS1, 3, 0.2), ([LINEAR, GAUSS1], 2, 0.3)],
+    )
+    @pytest.mark.parametrize("tol_gap", [1e-4, 1e-8])
+    def test_forced_single_reaches_the_fista_optimum(self, monkeypatch, spec, n, frac, tol_gap):
+        # rank-1, rank-3 and Gaussian blocks
+        vals, view, kms = make_problem(t=16, n=n, seed=13, spec=spec)
+        lam = frac * lambda_zero_bound(view.targets, kms)
+        monkeypatch.setattr(ksvar.solver, "_ANDERSON_WORK", 0)
+        seen = _record_factor_dtypes(monkeypatch)
+        cfg = SolverConfig(lam=lam, max_iter=5000, tol_gap=tol_gap)
+        tensor, _, diag = admm_fit(view.targets, kms, cfg)
+        assert diag.accelerated and diag.converged and diag.relative_gap <= tol_gap
+        assert 0 < diag.single_iterations <= diag.iterations
+        singles = sum(s == {np.dtype(np.float32)} for s in seen)
+        assert singles == diag.single_iterations
+        assert all(s == {np.dtype(float)} for s in seen[singles:])
+        specs = spec if isinstance(spec, list) else [spec]
+        want, gap = group_lasso_objective(vals, 1, specs, view.targets, lam)
+        slack = tol_gap * diag.final_objective + 1e-12 * abs(want)
+        assert want - gap <= diag.final_objective <= want + slack
+        gaps = column_relative_gaps(view.targets, tensor, lam)
+        assert gaps.max() == pytest.approx(diag.relative_gap, rel=1e-6, abs=1e-12)
+
+    @pytest.mark.parametrize("tol_gap", [1e-6, 1e-9])
+    def test_tight_tolerances_certify_on_the_long_dictionary_window(
+        self, mkl_long_problem, tol_gap
+    ):
+        # float32 products stall at gaps of about 3e-5 here, so only the
+        # float64 finish certifies these tolerances
+        view, kms = mkl_long_problem
+        cfg = SolverConfig(lam=10.0, max_iter=200, tol_gap=tol_gap)
+        tensor, _, diag = admm_fit(view.targets, kms, cfg)
+        assert diag.accelerated and diag.converged and diag.relative_gap <= tol_gap
+        assert 0 < diag.single_iterations < diag.iterations
+        _, _, rel = _certificate(view.targets, _StackedFactor(kms), tensor.coords.T, cfg.lam)
+        assert rel.max() <= tol_gap
+
+    def test_float64_finish_keeps_the_live_columns(self, monkeypatch):
+        # the largest lambda certifies before the gap stalls and the others
+        # after it, so the float64 system is rebuilt for part of the batch
+        _, view, kms = make_problem(t=30, n=4, seed=5, spec=[LINEAR, GAUSS1])
+        bound = lambda_zero_bound(view.targets, kms)
+        lams = [0.05 * bound, 0.2 * bound, 0.8 * bound]
+        monkeypatch.setattr(ksvar.solver, "_ANDERSON_WORK", 0)
+        cfg = SolverConfig(lam=1.0, max_iter=5000, tol_gap=1e-9)
+        out = _admm(view.targets, kms, lams, cfg)
+        diags = [diag for _, _, diag in out]
+        assert all(diag.converged for diag in diags)
+        assert diags[-1].single_iterations == diags[-1].iterations
+        assert any(diag.single_iterations < diag.iterations for diag in diags)
+        for lam, (coords, _, diag) in zip(lams, out):
+            gaps = column_relative_gaps(view.targets, CoefficientTensor(coords, kms), lam)
+            assert gaps.max() == pytest.approx(diag.relative_gap, rel=1e-3, abs=1e-12)
+
+    def test_loose_tolerance_runs_single_to_the_end(self, mkl_long_problem):
+        # the benchmark's tolerance: every iteration on float32 products
+        view, kms = mkl_long_problem
+        _, _, diag = admm_fit(view.targets, kms, SolverConfig(lam=10.0, max_iter=100))
+        assert diag.accelerated and diag.converged
+        assert diag.single_iterations == diag.iterations == 30
+
+    @pytest.mark.parametrize("spec", [LINEAR, POLY21, [LINEAR, GAUSS1]])
+    def test_below_the_gate_runs_float64(self, monkeypatch, spec):
+        _, view, kms = make_problem(t=20, n=3, seed=16, spec=spec)
+        seen = _record_factor_dtypes(monkeypatch)
+        cfg = SolverConfig(lam=0.2 * lambda_zero_bound(view.targets, kms), max_iter=200)
+        _, _, diag = admm_fit(view.targets, kms, cfg)
+        assert not diag.accelerated and diag.single_iterations == 0
+        assert seen and all(s == {np.dtype(float)} for s in seen)
+        ridge = fit(view.targets, kms, replace(cfg, regularizer="squared"))[1]
+        assert ridge.solver == "ridge" and ridge.single_iterations == 0
+
+    def test_path_fits_run_no_single_iterations(self):
+        _, view, kms = make_problem(t=13, n=20)
+        _, diag = fit(view.targets, kms, SolverConfig(lam=0.1))
+        assert diag.solver == "path" and diag.single_iterations == 0
+
+
 class TestLassoPath:
     """``fit`` on wide rank-1 kernel sets: the exact lasso path, certified."""
 
@@ -1554,8 +1664,12 @@ class TestCrossValidate:
     @pytest.mark.parametrize("spec", [LINEAR, [LINEAR, GAUSS1]])
     def test_forced_acceleration_matches_per_lambda_fits(self, monkeypatch, spec):
         # lambdas leave the accelerated batch at different iterations, so the
-        # mixer drops their histories with the factor system's penalties
+        # mixer drops their histories with the factor system's penalties.
+        # The products stay in float64: float32 products round a row
+        # differently in a batch of another size, by about 2e-7, and the
+        # iteration carries that to the fold errors at about 3e-6
         monkeypatch.setattr(ksvar.solver, "_ANDERSON_WORK", 0)
+        monkeypatch.setattr(_FactorSystem, "to_single", lambda self: None)
         panel = self.make_var_panel()
         kms = build_kernel_set(lag_view(panel, 1), spec)
         bound = lambda_zero_bound(lag_view(panel, 1).targets, kms)
