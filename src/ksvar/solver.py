@@ -47,11 +47,11 @@ two products with V dominate its cost (N R S of at least
 Anderson-accelerated: each (lambda, node) column mixes its last few
 iterates (type-II Anderson mixing of the Douglas-Rachford map, Walker & Ni
 2011; Fu, Zhang & Boyd 2020), with a restart guard, and
-``FitDiagnostics.accelerated`` records it.  Such a fit also runs those
-products in float32 while its certificates, iterates and multipliers stay
-in float64, and finishes in float64 if its gap stalls
-(``FitDiagnostics.single_iterations``).  Smaller fits run the plain
-float64 loop.
+``FitDiagnostics.accelerated`` records it.  Such a fit with ``tol_gap``
+of at least ``_SINGLE_MIN_GAP`` also runs those products in float32 while
+its certificates, iterates and multipliers stay in float64, and finishes
+in float64 if its gap stalls (``FitDiagnostics.single_iterations``).
+Smaller fits run the plain float64 loop.
 ``fit``, which the pipeline calls, hands wide rank-1 fits (``_takes_path``) to an
 exact lasso path, ``_lasso_path``: no first-order method certifies them in any measured cap.
 
@@ -88,6 +88,10 @@ _RELAX = 1.6  # ADMM over-relaxation (Boyd et al. 2011, sec. 3.4.3)
 # N R S per lambda from which ADMM is Anderson-accelerated: every shape of the
 # sweep recorded in CHANGES.md above it fit faster accelerated, some below it slower
 _ANDERSON_WORK = 7_000_000
+# tol_gap from which a fit above that gate runs its x-update in float32: such
+# products stall the gap at about 5e-5 on the benchmark's long dictionary window
+# at lambda 10, and higher at smaller lambda (see _admm)
+_SINGLE_MIN_GAP = 1e-4
 _ANDERSON_DEPTH = 5  # map differences each column's Anderson history keeps
 _ANDERSON_REG = 1e-10  # Tikhonov weight of the mixing least squares, relative to its trace
 _ANDERSON_GROWTH = 2.0  # a residual above this factor times the last one restarts a column
@@ -112,9 +116,9 @@ class SolverConfig:
     relative gap is at most ``tol_gap``.  ``tol_primal`` and ``tol_dual``
     act only with ``tol_gap`` = 0, where the scaled residuals stop the fit.
     No setting turns Anderson acceleration or float32 products on or off:
-    both follow the size of the fit (see ``FitDiagnostics.accelerated``
-    and ``single_iterations``).  The edge threshold is
-    an argument of ``threshold_edges``.
+    both follow the size of the fit, and float32 also ``tol_gap`` (see
+    ``FitDiagnostics.accelerated`` and ``single_iterations``).  The edge
+    threshold is an argument of ``threshold_edges``.
     """
 
     lam: float
@@ -284,10 +288,11 @@ class FitDiagnostics:
     nodes, stacked rank R and S <= min(T', R) the rows of V^T, so that the
     two products with V dominate an iteration.  Each iterate is then the
     Anderson extrapolation of the plain step, and the residuals and gaps
-    above are those of the extrapolated iterates.  Such a fit also runs
-    its x-update's products in float32: ``single_iterations`` counts the
-    iterations that did, all of them unless the gap stalled and the fit
-    finished in float64 (see ``_admm``); it is 0 for every other fit.
+    above are those of the extrapolated iterates.  Such a fit with
+    ``tol_gap`` of at least ``_SINGLE_MIN_GAP`` also runs its x-update's
+    products in float32: ``single_iterations`` counts the iterations that
+    did, all of them unless the gap stalled and the fit finished in
+    float64 (see ``_admm``); it is 0 for every other fit.
     ``solver`` is ``admm``,
     or ``path`` (``_lasso_path``: ``iterations`` is the most steps a column
     took, ``column_iterations`` their sum) or ``ridge`` (one iteration per
@@ -863,29 +868,41 @@ def _admm(
     the certificates are taken at those points; below it the loop adds no
     array operation.
 
-    Above that gate the system also holds its factors in float32
+    Above that gate, and when ``cfg.tol_gap`` is at least
+    ``_SINGLE_MIN_GAP``, the system also holds its factors in float32
     (``_FactorSystem.to_single``), so the products with V, the bulk of an
     iteration, move half the bytes (low-precision work checked in high
     precision, as surveyed by Higham & Mary, Acta Numerica 2022).
     Everything else stays float64: the iterates, the multipliers,
     Anderson's residual differences and the certificates, so every
     reported gap is still a bound.  float32 products perturb the fixed
-    point, and a gap can stall above a tight tolerance (about 3e-5
-    relative on the benchmark's long dictionary window).  So when a
-    check's worst live gap is above ``cfg.tol_gap`` and not below half
-    the last check's, the system is rebuilt in float64 for the live rows,
-    and the fit finishes there; Anderson keeps its history.
+    point, so the gap stalls at a floor that grows as lambda shrinks: on
+    the benchmark's long dictionary window about 5e-5 at lambda 10 and
+    1.4e-3 at 0.01 ``lambda_zero_bound``, above the pipeline's ``tol_gap``.
+    A tighter ``tol_gap`` therefore runs in float64 from the start, and
+    when a scheduled check that leaves columns live finds the worst live
+    gap above ``cfg.tol_gap`` and not below half the last check's, the
+    system is rebuilt in float64 for the live rows and the fit finishes
+    there; Anderson keeps its history.  A float32 row rounds by the size
+    of its batch (the BLAS kernel follows the row count), so a float32 run
+    of several lambdas fits each one alone, as its separate fit would, and
+    the rebuild is that lambda's own decision.
     """
     lams = np.asarray(lams, dtype=float)
+    k, n = lams.size, kms.n_nodes
+    # min(T', R) bounds S, so a lambda that would run float32 alone never batches
+    if k > 1 and _runs_single(n * kms.factor.shape[1] * min(kms.factor.shape), cfg):
+        return [out for lam in lams.tolist() for out in _admm(y, kms, [lam], cfg)]
     rhos = [cfg.rho_for(lam) for lam in lams.tolist()]
     scale = [_RELAX * r for r in rhos]
     system = _FactorSystem(kms, rhos, scale=scale)
-    k, n = lams.size, kms.n_nodes
-    accelerated = n * system.total_rank * system.vt.shape[0] >= _ANDERSON_WORK
-    if accelerated:  # before the loop's arrays exist, so the casts add nothing to the peak
+    work = n * system.total_rank * system.vt.shape[0]
+    accelerated = work >= _ANDERSON_WORK
+    single = _runs_single(work, cfg)
+    if single:  # before the loop's arrays exist, so the casts add nothing to the peak
         system.to_single()
     # iterations run on float32 products, and the worst live gap at the last check
-    single_until, last_worst = cfg.max_iter if accelerated else 0, np.inf
+    single_until, last_worst = cfg.max_iter if single else 0, np.inf
     kappas = lams / rhos
     kappa = _by_column(kappas[system.column_pens])
     c0 = system.project(y)
@@ -942,13 +959,14 @@ def _admm(
             gaps[pos][it] = float(worst[pos])
         ok = rel <= cfg.tol_gap if by_gap else np.isin(pens, passed)
         done = ok | at_cap
-        live_worst = rel.max()
+        # float32 runs only with tol_gap > 0, so every such check is scheduled,
+        # and a stalled one leaves some column live
         if system.vt.dtype == np.float32 and not at_cap:
-            if live_worst > max(cfg.tol_gap, 0.5 * last_worst):  # stalled: finish in float64
+            if rel.max() > max(cfg.tol_gap, 0.5 * last_worst):  # stalled: finish in float64
                 single_until, system = it, None  # dropped first, so the two never coexist
                 system = _FactorSystem(kms, rhos, scale=scale)
                 system.keep(rows)
-            last_worst = live_worst
+            last_worst = rel.max()
         if not done.any():
             continue
         stop, at = np.flatnonzero(done), rows[done]
@@ -1009,6 +1027,12 @@ def admm_fit(
     y = _check_fit_inputs(targets, kms)
     [(gamma, xi, diagnostics)] = _admm(y, kms, [cfg.lam], cfg)
     return CoefficientTensor(coords=gamma, kernels=kms), DualState(gamma=gamma, xi=xi), diagnostics
+
+
+def _runs_single(work: int, cfg: SolverConfig) -> bool:
+    """Whether an ADMM fit whose products with V cost ``work`` = N R S
+    multiply-adds per lambda runs them in float32 (see ``_admm``)."""
+    return work >= _ANDERSON_WORK and cfg.tol_gap >= _SINGLE_MIN_GAP
 
 
 def _hit(gap: np.ndarray, rate: np.ndarray) -> np.ndarray:

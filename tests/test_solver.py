@@ -911,7 +911,7 @@ class TestSinglePrecision:
         "spec,n,frac",
         [(LINEAR, 3, 0.3), (POLY21, 3, 0.4), (GAUSS1, 3, 0.2), ([LINEAR, GAUSS1], 2, 0.3)],
     )
-    @pytest.mark.parametrize("tol_gap", [1e-4, 1e-8])
+    @pytest.mark.parametrize("tol_gap", [1e-3, ksvar.solver._SINGLE_MIN_GAP])
     def test_forced_single_reaches_the_fista_optimum(self, monkeypatch, spec, n, frac, tol_gap):
         # rank-1, rank-3 and Gaussian blocks
         vals, view, kms = make_problem(t=16, n=n, seed=13, spec=spec)
@@ -936,32 +936,58 @@ class TestSinglePrecision:
     def test_tight_tolerances_certify_on_the_long_dictionary_window(
         self, mkl_long_problem, tol_gap
     ):
-        # float32 products stall at gaps of about 3e-5 here, so only the
-        # float64 finish certifies these tolerances
+        # float32 products stall at gaps of about 5e-5 here, so these
+        # tolerances run in float64 from the start
         view, kms = mkl_long_problem
         cfg = SolverConfig(lam=10.0, max_iter=200, tol_gap=tol_gap)
         tensor, _, diag = admm_fit(view.targets, kms, cfg)
         assert diag.accelerated and diag.converged and diag.relative_gap <= tol_gap
-        assert 0 < diag.single_iterations < diag.iterations
+        assert diag.single_iterations == 0
         _, _, rel = _certificate(view.targets, _StackedFactor(kms), tensor.coords.T, cfg.lam)
         assert rel.max() <= tol_gap
 
-    def test_float64_finish_keeps_the_live_columns(self, monkeypatch):
-        # the largest lambda certifies before the gap stalls and the others
-        # after it, so the float64 system is rebuilt for part of the batch
-        _, view, kms = make_problem(t=30, n=4, seed=5, spec=[LINEAR, GAUSS1])
-        bound = lambda_zero_bound(view.targets, kms)
-        lams = [0.05 * bound, 0.2 * bound, 0.8 * bound]
+    def test_small_lambda_finishes_in_float64(self, mkl_long_problem):
+        # at 0.007 lambda_zero_bound float32 products stall the gap at about
+        # 3e-3, above the pipeline's tolerance: only the float64 finish certifies
+        view, kms = mkl_long_problem
+        lam = 0.007 * lambda_zero_bound(view.targets, kms)
+        tensor, _, diag = admm_fit(view.targets, kms, SolverConfig(lam=lam, max_iter=200))
+        assert diag.accelerated and diag.converged and diag.relative_gap <= 1e-3
+        assert 0 < diag.single_iterations < diag.iterations
+        _, _, rel = _certificate(view.targets, _StackedFactor(kms), tensor.coords.T, lam)
+        assert rel.max() <= 1e-3
+
+    def test_float32_batch_matches_separate_fits(self, mkl_long_problem):
+        # one lambda stalls and finishes in float64, the other runs float32 to
+        # the end; each gives the bits of its separate fit
+        view, kms = mkl_long_problem
+        lams = [0.007 * lambda_zero_bound(view.targets, kms), 10.0]
+        cfg = SolverConfig(lam=1.0, max_iter=200)
+        batch = _admm(view.targets, kms, lams, cfg)
+        stalled, plain = (diag for _, _, diag in batch)
+        assert stalled.single_iterations < stalled.iterations
+        assert plain.single_iterations == plain.iterations == 30
+        for lam, (coords, xi, diag) in zip(lams, batch):
+            [(want_coords, want_xi, want)] = _admm(view.targets, kms, [lam], cfg)
+            np.testing.assert_array_equal(coords, want_coords)
+            np.testing.assert_array_equal(xi, want_xi)
+            assert diag.relative_gaps == want.relative_gaps
+            assert diag.single_iterations == want.single_iterations
+
+    def test_tolerance_below_the_floor_runs_float64(self, monkeypatch):
+        # below _SINGLE_MIN_GAP, and with residual stopping (tol_gap 0), an
+        # accelerated fit runs float64 throughout
+        _, view, kms = make_problem(t=16, n=3, seed=13, spec=[LINEAR, GAUSS1])
+        lam = 0.3 * lambda_zero_bound(view.targets, kms)
         monkeypatch.setattr(ksvar.solver, "_ANDERSON_WORK", 0)
-        cfg = SolverConfig(lam=1.0, max_iter=5000, tol_gap=1e-9)
-        out = _admm(view.targets, kms, lams, cfg)
-        diags = [diag for _, _, diag in out]
-        assert all(diag.converged for diag in diags)
-        assert diags[-1].single_iterations == diags[-1].iterations
-        assert any(diag.single_iterations < diag.iterations for diag in diags)
-        for lam, (coords, _, diag) in zip(lams, out):
-            gaps = column_relative_gaps(view.targets, CoefficientTensor(coords, kms), lam)
-            assert gaps.max() == pytest.approx(diag.relative_gap, rel=1e-3, abs=1e-12)
+        seen = _record_factor_dtypes(monkeypatch)
+        for tol_gap in [0.5 * ksvar.solver._SINGLE_MIN_GAP, 0.0]:
+            cfg = SolverConfig(lam=lam, max_iter=5000, tol_gap=tol_gap)
+            _, _, diag = admm_fit(view.targets, kms, cfg)
+            assert diag.accelerated and diag.converged and diag.single_iterations == 0
+        # the residual-stopped fit stops between two scheduled checks
+        assert diag.iterations % ksvar.solver._GAP_EVERY != 0
+        assert seen and all(s == {np.dtype(float)} for s in seen)
 
     def test_loose_tolerance_runs_single_to_the_end(self, mkl_long_problem):
         # the benchmark's tolerance: every iteration on float32 products
@@ -1663,13 +1689,9 @@ class TestCrossValidate:
 
     @pytest.mark.parametrize("spec", [LINEAR, [LINEAR, GAUSS1]])
     def test_forced_acceleration_matches_per_lambda_fits(self, monkeypatch, spec):
-        # lambdas leave the accelerated batch at different iterations, so the
-        # mixer drops their histories with the factor system's penalties.
-        # The products stay in float64: float32 products round a row
-        # differently in a batch of another size, by about 2e-7, and the
-        # iteration carries that to the fold errors at about 3e-6
+        # at the default tolerance the products run in float32, so each
+        # lambda of a fold runs alone
         monkeypatch.setattr(ksvar.solver, "_ANDERSON_WORK", 0)
-        monkeypatch.setattr(_FactorSystem, "to_single", lambda self: None)
         panel = self.make_var_panel()
         kms = build_kernel_set(lag_view(panel, 1), spec)
         bound = lambda_zero_bound(lag_view(panel, 1).targets, kms)
@@ -1678,6 +1700,27 @@ class TestCrossValidate:
         _, table = cross_validate_lambda(panel, kms, grid, 3, cfg)
         want, records = self.per_lambda_reference(panel, kms, grid, 3, cfg)
         assert all(diag.accelerated for _, diag in records.values())
+        assert all(diag.single_iterations > 0 for _, diag in records.values())
+        stops = {diag.iterations for _, diag in records.values()}
+        assert len(stops) > 1 and min(stops) < cfg.max_iter
+        got = np.array([row["fold_errors"] for row in table])
+        np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
+
+    @pytest.mark.parametrize("spec", [LINEAR, [LINEAR, GAUSS1]])
+    def test_forced_float64_batch_matches_per_lambda_fits(self, monkeypatch, spec):
+        # below _SINGLE_MIN_GAP the grid runs as one float64 batch: lambdas
+        # leave it at different iterations, so the mixer drops their
+        # histories with the factor system's penalties
+        monkeypatch.setattr(ksvar.solver, "_ANDERSON_WORK", 0)
+        panel = self.make_var_panel()
+        kms = build_kernel_set(lag_view(panel, 1), spec)
+        bound = lambda_zero_bound(lag_view(panel, 1).targets, kms)
+        grid = [0.01 * bound, 0.1 * bound, 0.6 * bound]
+        cfg = SolverConfig(lam=1.0, max_iter=300, tol_gap=1e-5)
+        _, table = cross_validate_lambda(panel, kms, grid, 3, cfg)
+        want, records = self.per_lambda_reference(panel, kms, grid, 3, cfg)
+        assert all(diag.accelerated for _, diag in records.values())
+        assert all(diag.single_iterations == 0 for _, diag in records.values())
         stops = {diag.iterations for _, diag in records.values()}
         assert len(stops) > 1 and min(stops) < cfg.max_iter
         got = np.array([row["fold_errors"] for row in table])
